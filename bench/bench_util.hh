@@ -14,6 +14,7 @@
 #ifndef F4T_BENCH_BENCH_UTIL_HH
 #define F4T_BENCH_BENCH_UTIL_HH
 
+#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -21,6 +22,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/link.hh"
@@ -36,10 +38,10 @@ namespace f4t::bench
 
 /**
  * Stamp a hand-rolled BENCH_*.json writer with the run's identity
- * (git SHA, build preset, feature gates, wall timestamp) so f4t_report
- * can refuse apples-to-oranges comparisons. Emits a `"meta": {...}`
- * member with no trailing comma. @p threads records how many worker
- * threads drove the simulation (informational; 1 = serial kernel).
+ * (git SHA, build preset, feature gates, wall timestamp) so the file
+ * says which build produced it. Emits a `"meta": {...}` member with no
+ * trailing comma. @p threads records how many worker threads drove the
+ * simulation (1 = serial kernel).
  */
 inline void
 writeRunMeta(std::FILE *out, int indent, unsigned threads = 1)
@@ -153,6 +155,10 @@ mrps(std::uint64_t count, sim::Tick window)
  *
  * Binaries that build several simulations or links get index-suffixed
  * files: timeline.json, timeline.1.json, ... in construction order.
+ *
+ * A malformed capture flag — a value flag with no value, --profile=X,
+ * a --stat-sample interval that is not a number in range — prints
+ * usage and exits 2. Every other argument passes through untouched.
  */
 class Obs
 {
@@ -224,43 +230,77 @@ class Obs
     void
     parseArgs(int &argc, char **argv)
     {
-        auto value_of = [](const char *arg,
-                           const char *flag) -> const char * {
-            std::size_t n = std::strlen(flag);
-            return std::strncmp(arg, flag, n) == 0 ? arg + n : nullptr;
-        };
         int out = 1;
         for (int i = 1; i < argc; ++i) {
-            const char *v;
-            if ((v = value_of(argv[i], "--trace="))) {
-                sim::trace::setFlags(v);
-            } else if ((v = value_of(argv[i], "--pcap="))) {
-                pcapPath_ = v;
-            } else if ((v = value_of(argv[i], "--timeline="))) {
-                timelinePath_ = v;
-            } else if ((v = value_of(argv[i], "--stat-sample="))) {
-                statCsvPath_ = v;
-                if (auto at = statCsvPath_.rfind('@');
-                    at != std::string::npos) {
-                    statIntervalUs_ =
-                        std::strtod(statCsvPath_.c_str() + at + 1, nullptr);
-                    statCsvPath_.resize(at);
-                }
-            } else if ((v = value_of(argv[i], "--stat-select="))) {
-                statSelect_ = v;
-            } else if ((v = value_of(argv[i], "--stats-json="))) {
-                statsJsonPath_ = v;
-            } else if (std::strcmp(argv[i], "--profile") == 0) {
+            std::string_view arg = argv[i];
+            std::size_t eq = arg.find('=');
+            std::string_view name = arg.substr(0, eq);
+            std::string *dest = name == "--pcap"          ? &pcapPath_
+                                : name == "--timeline"    ? &timelinePath_
+                                : name == "--stat-sample" ? &statCsvPath_
+                                : name == "--stat-select" ? &statSelect_
+                                : name == "--stats-json"  ? &statsJsonPath_
+                                                          : nullptr;
+            bool has_value =
+                eq != std::string_view::npos && eq + 1 < arg.size();
+            if (name == "--profile") {
+                if (eq != std::string_view::npos)
+                    usageError(arg, "takes no value");
                 enableProfiling();
+            } else if (dest == nullptr && name != "--trace") {
+                argv[out++] = argv[i]; // the binary's own argument
+            } else if (!has_value) {
+                usageError(arg, "needs =VALUE");
+            } else if (dest != nullptr) {
+                *dest = arg.substr(eq + 1);
             } else {
-                argv[out++] = argv[i];
+                sim::trace::setFlags(std::string(arg.substr(eq + 1)));
             }
         }
         argc = out;
+        if (auto at = statCsvPath_.rfind('@'); at != std::string::npos) {
+            statIntervalUs_ = parseIntervalUs(statCsvPath_.substr(at + 1));
+            statCsvPath_.resize(at);
+            if (statCsvPath_.empty())
+                usageError("--stat-sample", "needs a path before '@'");
+        }
         if (!pcapPath_.empty() || !timelinePath_.empty() ||
             !statCsvPath_.empty() || !statsJsonPath_.empty()) {
             installObservers();
         }
+    }
+
+    [[noreturn]] static void
+    usageError(std::string_view what, const char *problem)
+    {
+        std::fprintf(stderr,
+                     "obs: %.*s %s\n"
+                     "capture flags: --trace=SPEC --pcap=PATH "
+                     "--timeline=PATH --stat-sample=PATH[@US]\n"
+                     "               --stat-select=GLOB "
+                     "--stats-json=PATH --profile\n",
+                     static_cast<int>(what.size()), what.data(), problem);
+        std::exit(2);
+    }
+
+    /**
+     * The @US suffix of --stat-sample: a decimal number of microseconds
+     * from one tick (1e-6) to 1e12, past which the tick conversion
+     * overflows.
+     */
+    static double
+    parseIntervalUs(const std::string &text)
+    {
+        std::string what = "--stat-sample interval '" + text + "'";
+        char *end = nullptr;
+        double us = std::strtod(text.c_str(), &end);
+        if (text.empty() ||
+            std::isspace(static_cast<unsigned char>(text[0])) ||
+            end != text.c_str() + text.size())
+            usageError(what, "is not a number");
+        if (!(us >= 1e-6 && us <= 1e12))
+            usageError(what, "is out of range (1e-6 to 1e12 us)");
+        return us;
     }
 
     void
@@ -320,9 +360,8 @@ class Obs
             sim.setTimeline(rec->timeline.get());
         }
         if (!statCsvPath_.empty() || !statsJsonPath_.empty()) {
-            double us = statIntervalUs_ > 0 ? statIntervalUs_ : 100.0;
             rec->sampler = std::make_unique<sim::trace::StatSampler>(
-                sim, sim::microsecondsToTicks(us));
+                sim, sim::microsecondsToTicks(statIntervalUs_));
             rec->sampler->selectStats(statSelect_);
             if (!statCsvPath_.empty())
                 rec->sampler->setCsvPath(indexedPath(statCsvPath_, index));

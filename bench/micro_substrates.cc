@@ -16,7 +16,6 @@
 #include "net/four_tuple.hh"
 #include "net/interval_set.hh"
 #include "net/packet.hh"
-#include "sim/simulation.hh"
 #include "tcp/congestion.hh"
 #include "tcp/fpu_program.hh"
 #include "tcp/tcb.hh"
@@ -198,36 +197,6 @@ BM_IntervalSetInsert(benchmark::State &state)
     }
 }
 BENCHMARK(BM_IntervalSetInsert);
-
-/**
- * The two dispatch representations of the event hot loop (DESIGN.md
- * §17), measured through the real queue: one-shot callbacks drained by
- * EventQueue::dispatch() with the tagged switch (Arg(1)) or forced
- * through virtual process() (Arg(0)). In a -DF4T_TAGGED_DISPATCH=OFF
- * build the toggle clamps, so both args measure the virtual path.
- */
-void
-BM_DispatchVirtualVsTagged(benchmark::State &state)
-{
-    const bool tagged = state.range(0) != 0;
-    sim::Simulation sim;
-    const bool prev = sim::taggedDispatchEnabled();
-    sim::setTaggedDispatch(tagged);
-    constexpr int batch = 1024;
-    std::uint64_t fired = 0;
-    for (auto _ : state) {
-        sim::Tick base = sim.now();
-        for (int i = 1; i <= batch; ++i)
-            sim.queue().scheduleCallback(base + i, [&fired] { ++fired; });
-        sim.run(base + batch);
-    }
-    benchmark::DoNotOptimize(fired);
-    sim::setTaggedDispatch(prev);
-    state.SetItemsProcessed(state.iterations() * batch);
-    state.SetLabel(tagged && sim::taggedDispatchCompiledIn ? "tagged"
-                                                           : "virtual");
-}
-BENCHMARK(BM_DispatchVirtualVsTagged)->Arg(0)->Arg(1);
 
 /**
  * Per-flow hot-state layouts (DESIGN.md §17): a hash map of per-flow

@@ -1,12 +1,12 @@
 /**
  * @file
  * Open-loop scenario benchmark: latency distributions and goodput for
- * the workloads the closed-loop harnesses cannot express.
+ * workloads a closed loop cannot express.
  *
- * perf_kernel and perf_datapath drive closed loops — a new request
- * only after the previous response — so offered load collapses exactly
- * when the system congests and tail latency never shows queueing. This
- * harness runs the src/load open-loop generators over the star testbed
+ * A closed loop issues a new request only after the previous
+ * response, so offered load collapses exactly when the system
+ * congests and tail latency never shows queueing. This harness runs
+ * the src/load open-loop generators over the star testbed
  * (apps/testbed_star.hh): N client hosts and one server host behind a
  * net::Switch with a shared finite egress pool, so fan-in pressure
  * lands on a real queue that tail-drops.
@@ -24,14 +24,12 @@
  *
  * Output: human-readable summary plus a JSON report (default
  * BENCH_scenarios.json) with schema {"bench": "scenarios",
- * "schema": 5, meta, scenarios[]}, gated in CI by f4t_report against
- * bench/baselines/BENCH_scenarios.json. Latency percentiles are
- * emitted as p50_us/p99_us/p999_us (gated lower-is-better by the
- * "_us" suffix); requests_per_sec, conns_per_sec and goodput_gbps
- * gate higher-is-better. Schema 5 adds the profiler meta fields
- * (profile_enabled/profiled) and, under --profile, a per-scenario
- * "profile" member with the wall-clock cost attribution
- * (obs::writeProfileJson).
+ * "schema": 5, meta, scenarios[]}. Latency percentiles are emitted as
+ * p50_us/p99_us/p999_us; requests_per_sec, conns_per_sec and
+ * goodput_gbps are rates over the measured window. Schema 5 adds the
+ * profiler meta fields (profile_enabled/profiled) and, under
+ * --profile, a per-scenario "profile" member with the wall-clock cost
+ * attribution (obs::writeProfileJson).
  *
  * "fingerprint" hashes simulated quantities only (final tick, request
  * and byte counters, switch forward/drop totals, cable counters): it
@@ -459,8 +457,8 @@ main(int argc, char **argv)
 
     // --smoke: same scenarios at reduced rates and windows so a ctest
     // entry (label: scenarios) keeps the harness building and running
-    // without spending real time. The full configuration is the
-    // committed baseline CI gates against.
+    // without spending real time. The full configuration is the one
+    // EXPERIMENTS.md reports.
     bool smoke = false;
     std::string out_path = "BENCH_scenarios.json";
     for (int i = 1; i < argc; ++i) {

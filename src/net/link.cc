@@ -18,8 +18,6 @@ std::function<void(Link &)> linkObserver;
  * is quiescent (test setup), but atomic so the flip itself is not a
  * data race under tsan. */
 std::atomic<bool> batchingEnabled{true};
-std::atomic<std::size_t> burstBound{DeliveryPort::maxBurst};
-std::atomic<sim::Tick> burstHoldBound{DeliveryPort::maxBurstHold};
 }
 
 bool
@@ -32,31 +30,6 @@ void
 setDatapathBatching(bool enabled)
 {
     batchingEnabled.store(enabled, std::memory_order_relaxed);
-}
-
-std::size_t
-linkMaxBurst()
-{
-    return burstBound.load(std::memory_order_relaxed);
-}
-
-void
-setLinkMaxBurst(std::size_t packets)
-{
-    burstBound.store(packets > 0 ? packets : 1,
-                     std::memory_order_relaxed);
-}
-
-sim::Tick
-linkMaxBurstHold()
-{
-    return burstHoldBound.load(std::memory_order_relaxed);
-}
-
-void
-setLinkMaxBurstHold(sim::Tick hold)
-{
-    burstHoldBound.store(hold, std::memory_order_relaxed);
 }
 
 void
@@ -251,8 +224,8 @@ DeliveryPort::deliver(Packet &&pkt, sim::Tick when)
     sim::Tick drain_at = drainEvent_.when();
     if (when < drain_at)
         queue().reschedule(&drainEvent_, when);
-    else if (when > drain_at && pending_.size() < linkMaxBurst() &&
-             when - oldestPendingArrival_ <= linkMaxBurstHold())
+    else if (when > drain_at && pending_.size() < maxBurst &&
+             when - oldestPendingArrival_ <= maxBurstHold)
         queue().reschedule(&drainEvent_, when);
 }
 

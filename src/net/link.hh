@@ -65,17 +65,6 @@ class PacketSink
 bool datapathBatchingEnabled();
 void setDatapathBatching(bool enabled);
 
-/**
- * Runtime-tunable burst-folding bounds (defaults are the class
- * constants on DeliveryPort). Process-wide like the batching toggle,
- * flipped only while simulations are quiescent; tools/f4t_sweep
- * explores the neighborhood of the hand-tuned defaults.
- */
-std::size_t linkMaxBurst();
-void setLinkMaxBurst(std::size_t packets);
-sim::Tick linkMaxBurstHold();
-void setLinkMaxBurstHold(sim::Tick hold);
-
 /** Probabilistic packet perturbation. All probabilities default to 0. */
 struct FaultModel
 {

@@ -19,12 +19,11 @@ usOf(std::uint64_t ns)
 } // namespace
 
 ProfileReport
-makeProfileReport(const sim::prof::Snapshot &delta, double wall_seconds,
-                  unsigned threads)
+makeProfileReport(const sim::prof::Snapshot &delta, double wall_seconds)
 {
     ProfileReport report;
     report.wallSeconds = wall_seconds;
-    report.threads = threads == 0 ? 1 : threads;
+    report.threads = std::max(delta.threads(), 1u);
     report.totalUs = usOf(delta.totalNs());
     report.events = delta.totalCount();
 
@@ -47,8 +46,8 @@ makeProfileReport(const sim::prof::Snapshot &delta, double wall_seconds,
             report.totalUs > 0.0 ? 100.0 * row.selfUs / report.totalUs : 0.0;
 
     // Coverage: attributed self time against the wall-clock budget of
-    // every thread that could have been accumulating (serial runs have
-    // exactly one, so this is the ISSUE's >= 90% bar directly).
+    // every thread that closed scopes. Each thread's self times are
+    // disjoint slices of its own wall time, so this stays <= 100%.
     double budget_us = wall_seconds * 1e6 * report.threads;
     report.coveragePct =
         budget_us > 0.0 ? 100.0 * report.totalUs / budget_us : 0.0;
@@ -141,10 +140,6 @@ writeProfileJson(std::FILE *out, const ProfileReport &report, int indent)
     }
     std::fprintf(out, "\n%*s  }", indent, "");
     if (!report.workers.empty()) {
-        // Worker fields are *_micros, not *_us: they live inside an
-        // array (which f4t_report's metric walk skips), and the names
-        // stay off the direction heuristic on purpose — busy time is
-        // neither better high nor low.
         std::fprintf(out,
                      ",\n"
                      "%*s  \"occupancy_pct\": %.1f,\n"

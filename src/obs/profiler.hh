@@ -3,8 +3,7 @@
  * Turns prof::Snapshot deltas from the wall-clock self-profiler into
  * the bench artefacts: a human-readable per-category cost table, a
  * `"profile": {...}` JSON member merged into the schema-5 BENCH_*.json
- * scenario objects (so f4t_report compares and gates the categories
- * like any other metric), and the parallel executor's per-worker
+ * scenario objects, and the parallel executor's per-worker
  * busy/idle/barrier breakdown with window occupancy.
  */
 
@@ -43,9 +42,8 @@ struct ProfileWorker
  * A rendered profile over one measured interval: categories sorted by
  * self time (descending, zero rows dropped), total attributed time,
  * and coverage — attributed time as a percentage of wall time times
- * the thread count (the ISSUE's >= 90% acceptance bar for serial
- * runs). Worker rows and occupancy are present only when
- * attachWorkerProfiles() was called (parallel runs).
+ * the threads that did the work. Worker rows and occupancy are
+ * present only when attachWorkerProfiles() was called (parallel runs).
  */
 struct ProfileReport
 {
@@ -60,9 +58,14 @@ struct ProfileReport
     double occupancyPct = 0.0;
 };
 
-/** Build a report from a snapshot delta over @p wall_seconds. */
+/**
+ * Build a report from a snapshot delta over @p wall_seconds. The
+ * thread count is the number of threads that closed scopes in
+ * @p delta (at least one), so coverage stays <= 100% at any worker
+ * count.
+ */
 ProfileReport makeProfileReport(const sim::prof::Snapshot &delta,
-                                double wall_seconds, unsigned threads = 1);
+                                double wall_seconds);
 
 /**
  * Attach per-worker rows from two executor profile snapshots taken
@@ -79,9 +82,7 @@ void printProfileTable(std::FILE *out, const ProfileReport &report);
 /**
  * Emit the report as a `"profile": {...}` JSON object member (no
  * trailing comma) at indentation @p indent, matching the hand-rolled
- * writers in bench/. Category members are named so f4t_report's
- * direction heuristic gates self_us lower-is-better and leaves the
- * share/coverage percentages ungated.
+ * writers in bench/.
  */
 void writeProfileJson(std::FILE *out, const ProfileReport &report,
                       int indent);

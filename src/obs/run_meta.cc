@@ -1,6 +1,5 @@
 #include "obs/run_meta.hh"
 
-#include "obs/json.hh"
 #include "sim/check.hh"
 #include "sim/profile_scope.hh"
 #include "sim/trace.hh"
@@ -63,67 +62,6 @@ writeMetaJson(std::FILE *out, const RunMeta &meta, int indent)
                  meta.profiled ? "true" : "false", indent, "",
                  meta.timestamp.c_str(), indent, "", meta.threads, indent,
                  "");
-}
-
-RunMeta
-parseRunMeta(const JsonValue &meta)
-{
-    RunMeta out;
-    if (!meta.isObject())
-        return out;
-    if (const JsonValue *v = meta.find("git_sha"))
-        out.gitSha = v->stringOr(out.gitSha);
-    if (const JsonValue *v = meta.find("preset"))
-        out.preset = v->stringOr(out.preset);
-    if (const JsonValue *v = meta.find("trace_enabled"))
-        out.traceEnabled = v->boolOr(out.traceEnabled);
-    if (const JsonValue *v = meta.find("checks_enabled"))
-        out.checksEnabled = v->boolOr(out.checksEnabled);
-    if (const JsonValue *v = meta.find("profile_enabled"))
-        out.profileEnabled = v->boolOr(out.profileEnabled);
-    if (const JsonValue *v = meta.find("profiled"))
-        out.profiled = v->boolOr(out.profiled);
-    if (const JsonValue *v = meta.find("timestamp"))
-        out.timestamp = v->stringOr(out.timestamp);
-    if (const JsonValue *v = meta.find("threads"))
-        out.threads = static_cast<unsigned>(v->numberOr(out.threads));
-    return out;
-}
-
-bool
-comparableRuns(const RunMeta &a, const RunMeta &b, std::string *why)
-{
-    if (a.preset != b.preset) {
-        if (why)
-            *why = "build preset differs ('" + a.preset + "' vs '" +
-                   b.preset + "')";
-        return false;
-    }
-    if (a.traceEnabled != b.traceEnabled) {
-        if (why)
-            *why = "F4T_ENABLE_TRACE differs (tracing changes the hot "
-                   "path cost)";
-        return false;
-    }
-    if (a.checksEnabled != b.checksEnabled) {
-        if (why)
-            *why = "F4T_ENABLE_CHECKS differs (invariant checks change "
-                   "the hot path cost)";
-        return false;
-    }
-    if (a.profileEnabled != b.profileEnabled) {
-        if (why)
-            *why = "F4T_ENABLE_PROFILE differs (the profiler's runtime "
-                   "gate costs a branch per event when compiled in)";
-        return false;
-    }
-    if (a.profiled != b.profiled) {
-        if (why)
-            *why = "--profile differs (scoped timers add per-event clock "
-                   "reads while enabled)";
-        return false;
-    }
-    return true;
 }
 
 } // namespace f4t::obs

@@ -1,11 +1,10 @@
 /**
  * @file
- * Run metadata stamped into every BENCH_*.json: git revision, build
- * preset, the two compile-time feature gates, and a wall-clock
- * timestamp. f4t_report refuses to compare two files whose metadata
- * says the builds are not comparable (different preset or different
- * gate settings) — a trace-on build against a trace-off baseline is
- * an apples-to-oranges perf comparison, not a regression.
+ * Run metadata stamped into every result file the bench binaries write
+ * (BENCH_*.json, stage-latency JSON): git revision, build preset, the
+ * compile-time feature gates, whether the profiler ran, a wall-clock
+ * timestamp and the worker-thread count, so a result says which build
+ * and configuration produced it.
  */
 
 #ifndef F4T_OBS_RUN_META_HH
@@ -16,8 +15,6 @@
 
 namespace f4t::obs
 {
-
-struct JsonValue;
 
 struct RunMeta
 {
@@ -31,16 +28,8 @@ struct RunMeta
     bool profiled = false;
     /** ISO-8601 UTC wall time of the run ("" when not recorded). */
     std::string timestamp;
-    /**
-     * Worker threads driving the simulation (1 = serial kernel).
-     * Informational only: a run stays self-describing, but
-     * comparableRuns() does not gate on it — thread count is part of
-     * what a scaling comparison measures, and per-scenario results in
-     * one file already mix thread counts.
-     */
+    /** Worker threads driving the simulation (1 = serial kernel). */
     unsigned threads = 1;
-
-    bool known() const { return preset != "unknown"; }
 };
 
 /** Metadata of the currently running binary (gates are compile-time;
@@ -49,21 +38,10 @@ RunMeta currentRunMeta();
 
 /**
  * Emit the metadata as a `"meta": {...}` JSON object member (no
- * trailing comma) at indentation @p indent, for the hand-rolled
- * writers in bench/ and tools/.
+ * trailing comma) at indentation @p indent, for the hand-rolled JSON
+ * writers.
  */
 void writeMetaJson(std::FILE *out, const RunMeta &meta, int indent);
-
-/** Parse a "meta" object; fields missing in old files stay defaulted. */
-RunMeta parseRunMeta(const JsonValue &meta);
-
-/**
- * Are two runs comparable for performance numbers? Presets and both
- * feature gates must match (the git SHA and timestamp may differ —
- * that is the comparison being made). @p why receives the first
- * mismatch when the answer is no.
- */
-bool comparableRuns(const RunMeta &a, const RunMeta &b, std::string *why);
 
 } // namespace f4t::obs
 

@@ -2,7 +2,7 @@
  * @file
  * Turns a CausalTracer's per-stage histograms into the paper-style
  * breakdown artefacts: a human-readable table (Fig. 11/12 companion),
- * a per-stage latency JSON file for f4t_report and the CI job, and a
+ * a per-stage latency JSON file (CI publishes it as an artifact), and a
  * critical-path dump of the slowest completed request.
  */
 

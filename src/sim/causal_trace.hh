@@ -36,7 +36,7 @@
  * Zero-cost contract: all call sites are guarded with
  * `if constexpr (sim::trace::compiledIn)`; under F4T_ENABLE_TRACE=OFF
  * (the release preset) the tokens are empty structs and no tracer call
- * survives compilation — verified by unchanged perf_kernel fingerprints.
+ * survives compilation.
  */
 
 #ifndef F4T_SIM_CAUSAL_TRACE_HH

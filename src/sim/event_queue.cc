@@ -12,9 +12,6 @@ namespace f4t::sim
 namespace
 {
 
-/** Runtime dispatch mode; see setTaggedDispatch(). */
-bool g_taggedDispatch = taggedDispatchCompiledIn;
-
 /** Occupancy bitmap geometry: one bit per granule bucket. */
 constexpr std::size_t bitsWords = EventQueue::numBuckets / 64;
 static_assert(EventQueue::numBuckets % 64 == 0,
@@ -30,18 +27,6 @@ eventCategory(const Event *ev)
 }
 
 } // namespace
-
-bool
-taggedDispatchEnabled()
-{
-    return g_taggedDispatch;
-}
-
-void
-setTaggedDispatch(bool on)
-{
-    g_taggedDispatch = on && taggedDispatchCompiledIn;
-}
 
 Event::~Event()
 {
@@ -561,21 +546,17 @@ EventQueue::dispatch(Event *ev)
     // Tagged-union hot path: the two shapes that account for nearly
     // every fire — pooled callbacks and ClockedObject ticks — are
     // reached through a switch on the kind byte and a direct call.
-    // Both bodies are what their virtual process() would have run, so
-    // the two modes are observably identical (the dispatch-
-    // differential corpus proves it); `generic` and the escape hatch
-    // take the virtual path.
-    if (taggedDispatchCompiledIn && g_taggedDispatch) {
-        switch (ev->kind_) {
-          case EventKind::callback:
-            static_cast<CallbackEvent *>(ev)->fn_();
-            return;
-          case EventKind::tick:
-            static_cast<ClockedObject::TickEvent *>(ev)->run();
-            return;
-          case EventKind::generic:
-            break;
-        }
+    // Both bodies are what their virtual process() runs; `generic`
+    // takes the virtual path.
+    switch (ev->kind_) {
+      case EventKind::callback:
+        static_cast<CallbackEvent *>(ev)->fn_();
+        return;
+      case EventKind::tick:
+        static_cast<ClockedObject::TickEvent *>(ev)->run();
+        return;
+      case EventKind::generic:
+        break;
     }
     ev->process();
 }

@@ -81,29 +81,6 @@ enum class EventKind : std::uint8_t
 };
 
 /**
- * Compile-time escape hatch (CMake option F4T_TAGGED_DISPATCH): when
- * compiled out, every event dispatches through virtual process() and
- * setTaggedDispatch() is inert, so differential runs can prove the two
- * representations byte-identical.
- */
-#if defined(F4T_TAGGED_DISPATCH) && !F4T_TAGGED_DISPATCH
-inline constexpr bool taggedDispatchCompiledIn = false;
-#else
-inline constexpr bool taggedDispatchCompiledIn = true;
-#endif
-
-/** Runtime view of the dispatch mode (true = switch on EventKind). */
-bool taggedDispatchEnabled();
-
-/**
- * Flip dispatch modes at runtime (no-op toward `true` when the tagged
- * path is compiled out). Both paths run events in the identical order
- * with identical effects — the in-process dispatch-differential twin
- * test relies on toggling this between runs.
- */
-void setTaggedDispatch(bool on);
-
-/**
  * Base class for all schedulable events. Subclasses implement process().
  * An Event may be scheduled on at most one queue at a time.
  */

@@ -341,6 +341,22 @@ struct Snapshot
 {
     std::uint64_t ns[categoryCount] = {};
     std::uint64_t count[categoryCount] = {};
+    /** Scopes closed per registered thread, in registration order
+     *  (blocks are never removed, so indices stay stable). */
+    std::vector<std::uint64_t> threadScopes;
+
+    /** Threads that closed at least one scope; after since(), the
+     *  threads that did profiled work during the interval. */
+    unsigned
+    threads() const
+    {
+        unsigned active = 0;
+        for (std::uint64_t scopes : threadScopes) {
+            if (scopes > 0)
+                ++active;
+        }
+        return active;
+    }
 
     std::uint64_t
     totalNs() const
@@ -376,10 +392,13 @@ capture()
     detail::BlockRegistry &registry = detail::blockRegistry();
     std::lock_guard<std::mutex> lock(registry.mutex);
     for (const detail::ThreadBlock *block : registry.blocks) {
+        std::uint64_t scopes = 0;
         for (std::size_t c = 0; c < categoryCount; ++c) {
             snap.ns[c] += block->ns[c];
             snap.count[c] += block->count[c];
+            scopes += block->count[c];
         }
+        snap.threadScopes.push_back(scopes);
     }
     return snap;
 }
@@ -388,13 +407,18 @@ capture()
 inline Snapshot
 since(const Snapshot &before)
 {
+    auto minus = [](std::uint64_t a, std::uint64_t b) {
+        return a > b ? a - b : 0;
+    };
     Snapshot now = capture();
     for (std::size_t c = 0; c < categoryCount; ++c) {
-        now.ns[c] = now.ns[c] > before.ns[c] ? now.ns[c] - before.ns[c] : 0;
-        now.count[c] =
-            now.count[c] > before.count[c] ? now.count[c] - before.count[c]
-                                           : 0;
+        now.ns[c] = minus(now.ns[c], before.ns[c]);
+        now.count[c] = minus(now.count[c], before.count[c]);
     }
+    // Threads registered after @p before keep their whole count.
+    for (std::size_t t = 0;
+         t < now.threadScopes.size() && t < before.threadScopes.size(); ++t)
+        now.threadScopes[t] = minus(now.threadScopes[t], before.threadScopes[t]);
     return now;
 }
 

@@ -14,7 +14,7 @@
  *    `F4T_TRACE_CD` variant adds a clock domain's name and cycle. The
  *    release preset compiles both macros out (F4T_ENABLE_TRACE=OFF),
  *    exactly like F4T_CHECK, so tracepoints can sit on the hottest
- *    paths without taxing perf_kernel numbers.
+ *    paths without taxing release-build numbers.
  *
  *  - TraceEventSink — buffers spans, instants, and counter samples and
  *    writes the Chrome trace-event JSON format (open the file in

@@ -1,0 +1,30 @@
+# Strict-CLI check: run BINARY once per argument set in CASES and fail
+# unless every run exits with status exactly 2 (usage error). Any other
+# status — 0 from silently running something else, 1 from a failed run,
+# a signal from a crash — fails the test.
+#
+#   cmake -DBINARY=path "-DCASES=args one|args two" -P expect_exit2.cmake
+#
+# CASES separates argument sets with '|'; each set is split like a shell
+# command line.
+
+if(NOT BINARY OR NOT CASES)
+    message(FATAL_ERROR
+            "usage: cmake -DBINARY=... -DCASES=... -P expect_exit2.cmake")
+endif()
+
+string(REPLACE "|" ";" cases "${CASES}")
+set(failures 0)
+foreach(case IN LISTS cases)
+    separate_arguments(args UNIX_COMMAND "${case}")
+    execute_process(COMMAND ${BINARY} ${args}
+                    RESULT_VARIABLE status
+                    OUTPUT_QUIET ERROR_QUIET)
+    if(NOT status STREQUAL "2")
+        message("FAIL: ${BINARY} ${case} -> ${status}, want 2")
+        math(EXPR failures "${failures} + 1")
+    endif()
+endforeach()
+if(failures GREATER 0)
+    message(FATAL_ERROR "${failures} malformed command line(s) accepted")
+endif()

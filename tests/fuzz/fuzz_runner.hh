@@ -104,12 +104,6 @@ struct RunResult
     std::uint64_t ledgerDigest = 0;
     std::uint64_t deliveredBytes = 0;
     std::uint64_t auditRuns = 0; ///< invariant-audit sweeps that ran
-    /** Kernel fingerprint for exact-equivalence differentials (the
-     *  dispatch twin run): total events fired and the final simulated
-     *  tick. Two runs that claim to be the same computation must match
-     *  on both, not just on application-visible bytes. */
-    std::uint64_t eventsProcessed = 0;
-    sim::Tick finalTick = 0;
     std::string failureReport;   ///< nonempty iff the run failed
 
     bool ok() const { return completed && oraclePassed; }
@@ -163,8 +157,6 @@ drive(sim::Simulation &sim, net::Link &link, apps::SocketApi &client_api,
     result.ledgerDigest = oracle.ledgerDigest();
     result.deliveredBytes = oracle.totalDeliveredBytes();
     result.auditRuns = sim.auditRuns();
-    result.eventsProcessed = sim.queue().eventsProcessed();
-    result.finalTick = sim.now();
 
     if (!result.ok()) {
         result.failureReport = std::string("fuzz run failed on world ") +

@@ -9,23 +9,17 @@
  * nonzero on the first divergence or oracle violation. The failure
  * report names the seed; replay it with `fuzz_sweep <seed> 1`.
  *
- * `--dispatch` switches to the tagged-vs-virtual dispatch twin mode
- * (the rotating-window extension of tests/fuzz/
- * test_dispatch_differential): each seed runs the engine-pair world
- * once per dispatch path and the two runs must be the same
- * computation — equal ledger digests, delivered bytes, event counts,
- * and final ticks. In a -DF4T_TAGGED_DISPATCH=OFF build the runtime
- * toggle clamps, both twins run virtual, and the sweep degenerates to
- * a reproducibility check — which is exactly what keeps the
- * escape-hatch build meaningful in CI.
+ * The command line is strict: a value that is not a plain decimal
+ * number, a count of 0 or a seed range past 2^64, an extra argument,
+ * or an unknown flag prints usage and exits 2 without running a seed.
  */
 
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <string>
-
-#include "sim/event_queue.hh"
 
 #include "bench_util.hh"
 #include "fuzz_runner.hh"
@@ -33,32 +27,33 @@
 namespace
 {
 
-/** One tagged-vs-virtual twin run; empty string = seed passed. */
-std::string
-runDispatchTwin(std::uint64_t seed)
+[[noreturn]] void
+usageError(const std::string &problem)
 {
-    using namespace f4t::fuzz;
-    Scenario sc = Scenario::fromSeed(seed);
-    const bool saved = f4t::sim::taggedDispatchEnabled();
-    f4t::sim::setTaggedDispatch(true);
-    RunResult tagged = runScenario(WorldKind::enginePair, sc);
-    f4t::sim::setTaggedDispatch(false);
-    RunResult virt = runScenario(WorldKind::enginePair, sc);
-    f4t::sim::setTaggedDispatch(saved);
+    std::fprintf(stderr,
+                 "fuzz_sweep: %s\n"
+                 "usage: fuzz_sweep [first_seed] [count]\n"
+                 "  first_seed  decimal, default 1000\n"
+                 "  count       decimal, at least 1, default 50\n",
+                 problem.c_str());
+    std::exit(2);
+}
 
-    if (!tagged.ok())
-        return "tagged run failed:\n" + tagged.failureReport;
-    if (!virt.ok())
-        return "virtual run failed:\n" + virt.failureReport;
-    if (tagged.ledgerDigest != virt.ledgerDigest)
-        return "ledger digest diverged across dispatch paths\n  " +
-               sc.describe();
-    if (tagged.deliveredBytes != virt.deliveredBytes ||
-        tagged.eventsProcessed != virt.eventsProcessed ||
-        tagged.finalTick != virt.finalTick)
-        return "kernel fingerprint diverged across dispatch paths\n  " +
-               sc.describe();
-    return {};
+/** A plain decimal unsigned 64-bit number, nothing before or after. */
+std::uint64_t
+parseDecimal(const char *arg)
+{
+    const std::string quoted = std::string("'") + arg + "'";
+    if (*arg < '0' || *arg > '9')
+        usageError("not a decimal number: " + quoted);
+    errno = 0;
+    char *end = nullptr;
+    unsigned long long value = std::strtoull(arg, &end, 10);
+    if (*end != '\0')
+        usageError("not a decimal number: " + quoted);
+    if (errno == ERANGE)
+        usageError("out of range: " + quoted);
+    return value;
 }
 
 } // namespace
@@ -71,24 +66,26 @@ main(int argc, char **argv)
 
     std::uint64_t first = 1000;
     std::uint64_t count = 50;
-    bool dispatch_mode = false;
-    int pos = 0;
+    std::uint64_t *positional[] = {&first, &count};
+    int given = 0;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--dispatch") == 0)
-            dispatch_mode = true;
-        else if (pos == 0)
-            first = std::strtoull(argv[i], nullptr, 0), ++pos;
-        else
-            count = std::strtoull(argv[i], nullptr, 0), ++pos;
+        if (argv[i][0] == '-')
+            usageError(std::string("unknown flag: '") + argv[i] + "'");
+        if (given == 2)
+            usageError(std::string("unexpected argument: '") + argv[i] +
+                       "'");
+        *positional[given++] = parseDecimal(argv[i]);
     }
+    if (count == 0)
+        usageError("count must be at least 1");
+    if (first > std::numeric_limits<std::uint64_t>::max() - count)
+        usageError("seed range runs past 2^64");
 
-    std::printf("fuzz_sweep%s: seeds [%llu, %llu)\n",
-                dispatch_mode ? " (dispatch twins)" : "",
+    std::printf("fuzz_sweep: seeds [%llu, %llu)\n",
                 static_cast<unsigned long long>(first),
                 static_cast<unsigned long long>(first + count));
     for (std::uint64_t seed = first; seed < first + count; ++seed) {
-        std::string report = dispatch_mode ? runDispatchTwin(seed)
-                                           : runDifferential(seed);
+        std::string report = runDifferential(seed);
         if (!report.empty()) {
             std::printf("FAIL seed %llu\n%s\n",
                         static_cast<unsigned long long>(seed),
@@ -102,10 +99,7 @@ main(int argc, char **argv)
                 std::printf("replaying with capture -> %s.*\n",
                             prefix.c_str());
                 f4t::bench::Obs::capturePrefix(prefix);
-                if (dispatch_mode)
-                    runDispatchTwin(seed);
-                else
-                    runDifferential(seed);
+                runDifferential(seed);
             }
             return 1;
         }

@@ -4,8 +4,9 @@
  * obs/profiler.hh) and the ParallelExecutor runtime introspection it
  * feeds: scope self-time accounting, event-tag categorization,
  * attribution-vs-wall coverage, thread-local merge across executor
- * workers, and the registerStats() scalars that are available even
- * without a profiling build.
+ * workers, the registerStats() scalars that are available even
+ * without a profiling build, and the run-metadata block that result
+ * files carry.
  *
  * The parallel suites are named Profiler*Parallel* so the tsan preset
  * picks them up alongside the other barrier/mailbox tests.
@@ -14,10 +15,13 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "obs/profiler.hh"
+#include "obs/run_meta.hh"
 #include "sim/parallel.hh"
 #include "sim/profile_scope.hh"
 #include "sim/simulation.hh"
@@ -209,8 +213,10 @@ TEST(Profiler, ReportSharesAndCoverage)
     delta.count[static_cast<std::size_t>(prof::Cat::fpcExec)] = 30;
     delta.ns[static_cast<std::size_t>(prof::Cat::linkSwitch)] = 1'000'000;
     delta.count[static_cast<std::size_t>(prof::Cat::linkSwitch)] = 10;
+    delta.threadScopes = {40};
 
     obs::ProfileReport report = obs::makeProfileReport(delta, 0.005);
+    EXPECT_EQ(report.threads, 1u);
     ASSERT_EQ(report.rows.size(), 2u);
     // Sorted by self time, shares out of attributed total, coverage
     // out of the wall budget: 4 ms attributed / 5 ms wall = 80%.
@@ -220,8 +226,11 @@ TEST(Profiler, ReportSharesAndCoverage)
     EXPECT_NEAR(report.coveragePct, 80.0, 0.1);
     EXPECT_EQ(report.events, 40u);
 
-    // Two threads double the budget: same attribution, half coverage.
-    obs::ProfileReport wide = obs::makeProfileReport(delta, 0.005, 2);
+    // Two threads that closed scopes double the budget: same
+    // attribution, half coverage. A thread that closed none does not.
+    delta.threadScopes = {30, 0, 10};
+    obs::ProfileReport wide = obs::makeProfileReport(delta, 0.005);
+    EXPECT_EQ(wide.threads, 2u);
     EXPECT_NEAR(wide.coveragePct, 40.0, 0.1);
 }
 
@@ -330,8 +339,7 @@ TEST(ProfilerParallel, ThreadLocalMergeAcrossWorkers)
     EXPECT_EQ(workers[0].idleNs, 0u);
     EXPECT_EQ(workers[1].barrierNs, 0u);
 
-    obs::ProfileReport report = obs::makeProfileReport(
-        delta, 0.001, static_cast<unsigned>(world.ex.effectiveThreads()));
+    obs::ProfileReport report = obs::makeProfileReport(delta, 0.001);
     obs::attachWorkerProfiles(report, {}, workers);
     EXPECT_EQ(report.workers.size(), 2u);
     EXPECT_GT(report.occupancyPct, 0.0);
@@ -353,6 +361,62 @@ TEST(ProfilerParallel, SnapshotDeltaIsolatesConsecutiveRuns)
     std::size_t fpc = static_cast<std::size_t>(prof::Cat::fpcExec);
     EXPECT_GE(delta.count[fpc], 99u);
     EXPECT_LE(delta.count[fpc], 110u);
+}
+
+TEST(ProfilerParallel, ReportCountsThreadsThatRan)
+{
+    if (!prof::compiledIn)
+        GTEST_SKIP() << "profiler compiled out";
+    ProfilingOn guard;
+    TwoPartitionWorld world;
+    prof::Snapshot before = prof::capture();
+    auto wall0 = std::chrono::steady_clock::now();
+    EXPECT_EQ(world.ex.run(10'000), 10'000u);
+    double wall = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - wall0)
+                      .count();
+
+    // Both executor threads closed scopes in the interval, so the
+    // budget is two threads' wall time; each thread's self times are
+    // disjoint slices of its own wall time and cannot overfill it.
+    obs::ProfileReport report =
+        obs::makeProfileReport(prof::since(before), wall);
+    EXPECT_EQ(report.threads, 2u);
+    EXPECT_GT(report.coveragePct, 0.0);
+    EXPECT_LE(report.coveragePct, 100.0);
+}
+
+// --- run metadata --------------------------------------------------------
+
+TEST(RunMeta, WriteMetaJsonEmitsEveryField)
+{
+    obs::RunMeta meta;
+    meta.gitSha = "abc123def456";
+    meta.preset = "release";
+    meta.traceEnabled = true;
+    meta.profiled = true;
+    meta.timestamp = "2026-08-07T00:00:00Z";
+    meta.threads = 2;
+
+    std::FILE *out = std::tmpfile();
+    ASSERT_NE(out, nullptr);
+    obs::writeMetaJson(out, meta, 2);
+    std::rewind(out);
+    std::string text;
+    for (int c = std::fgetc(out); c != EOF; c = std::fgetc(out))
+        text.push_back(static_cast<char>(c));
+    std::fclose(out);
+
+    EXPECT_EQ(text, "  \"meta\": {\n"
+                    "    \"git_sha\": \"abc123def456\",\n"
+                    "    \"preset\": \"release\",\n"
+                    "    \"trace_enabled\": true,\n"
+                    "    \"checks_enabled\": false,\n"
+                    "    \"profile_enabled\": false,\n"
+                    "    \"profiled\": true,\n"
+                    "    \"timestamp\": \"2026-08-07T00:00:00Z\",\n"
+                    "    \"threads\": 2\n"
+                    "  }");
 }
 
 } // namespace
