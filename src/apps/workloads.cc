@@ -258,30 +258,34 @@ EchoClientApp::fire(SocketApi::ConnId conn)
                        config_.appCyclesPerMessage);
     for (std::size_t b = 0; b < scratch_.size(); ++b)
         scratch_[b] = patternByte(b);
-    sendTime_[conn] = api_.simulation().now();
-    pendingBytes_[conn] = config_.messageBytes;
+    auto index = static_cast<std::size_t>(conn);
+    if (index >= flights_.size())
+        flights_.resize(index + 1);
+    flights_[index] = Flight{true, api_.simulation().now(),
+                             config_.messageBytes};
     api_.send(conn, scratch_);
 }
 
 void
 EchoClientApp::onEcho(SocketApi::ConnId conn)
 {
-    auto pending = pendingBytes_.find(conn);
-    if (pending == pendingBytes_.end())
+    auto index = static_cast<std::size_t>(conn);
+    if (index >= flights_.size() || !flights_[index].active)
         return;
-    while (pending->second > 0) {
+    Flight &flight = flights_[index];
+    while (flight.pendingBytes > 0) {
         std::size_t n = api_.recv(
             conn, std::span(scratch_).subspan(
-                      0, std::min(pending->second, scratch_.size())));
+                      0, std::min(flight.pendingBytes, scratch_.size())));
         if (n == 0)
             return;
-        pending->second -= n;
+        flight.pendingBytes -= n;
     }
 
     // Full echo received: complete the round trip and fire the next.
     if (latency_) {
         latency_->sample(sim::ticksToSeconds(api_.simulation().now() -
-                                             sendTime_[conn]) *
+                                             flight.sentAt) *
                          1e6);
     }
     ++roundTrips_;

@@ -183,6 +183,14 @@ class EchoClientApp
     std::size_t connectedFlows() const { return connected_; }
 
   private:
+    /** The message a connection has in flight. */
+    struct Flight
+    {
+        bool active = false; ///< a message has been sent on this conn
+        sim::Tick sentAt = 0;
+        std::size_t pendingBytes = 0;
+    };
+
     void connectNext(std::size_t index);
     void fire(SocketApi::ConnId conn);
     void onEcho(SocketApi::ConnId conn);
@@ -190,8 +198,9 @@ class EchoClientApp
     SocketApi &api_;
     sim::Histogram *latency_;
     EchoClientConfig config_;
-    std::map<SocketApi::ConnId, sim::Tick> sendTime_;
-    std::map<SocketApi::ConnId, std::size_t> pendingBytes_;
+    /** Indexed by ConnId (small, never-reused integers on both APIs),
+     *  grown as connections come up. */
+    std::vector<Flight> flights_;
     std::size_t connected_ = 0;
     std::uint64_t roundTrips_ = 0;
     std::vector<std::uint8_t> scratch_;

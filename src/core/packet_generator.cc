@@ -2,6 +2,7 @@
 
 #include "net/link.hh"
 #include "sim/causal_trace.hh"
+#include "sim/profile_scope.hh"
 
 namespace f4t::core
 {
@@ -31,6 +32,7 @@ PacketGenerator::nextSlot()
 void
 PacketGenerator::emit(net::Packet &&pkt, sim::Tick when)
 {
+    sim::prof::Scope profile_scope(sim::prof::Cat::packetGen);
     f4t_assert(transmit_ != nullptr, "%s has no transmit sink",
                name().c_str());
     if (when <= now()) {

@@ -1,5 +1,7 @@
 #include "rx_parser.hh"
 
+#include "sim/profile_scope.hh"
+
 namespace f4t::core
 {
 
@@ -31,6 +33,7 @@ RxParser::unwrap(const FlowState &state, SeqNum seq) const
 void
 RxParser::processPacket(const net::Packet &pkt)
 {
+    sim::prof::Scope profile_scope(sim::prof::Cat::rxParse);
     const net::TcpHeader &tcp = pkt.tcp();
     net::FourTuple tuple{pkt.ip->dst, tcp.dstPort, pkt.ip->src,
                          tcp.srcPort};
@@ -132,16 +135,23 @@ RxParser::processPacket(const net::Packet &pkt)
                             .subspan(skip, len));
                 }
                 payloadBytesAccepted_ += len;
-                std::size_t before = state.ooo.chunkCount();
-                state.ooo.insert(accept_lo, accept_hi);
-                if (state.ooo.chunkCount() <= before)
-                    ++oooChunksMerged_;
+                if (accept_lo == state.rcvUpToExt && state.ooo.empty()) {
+                    // In order with no chunk held: inserting the range
+                    // and erasing it again below the new boundary would
+                    // leave the set empty and count no merge.
+                    state.rcvUpToExt = accept_hi;
+                } else {
+                    std::size_t before = state.ooo.chunkCount();
+                    state.ooo.insert(accept_lo, accept_hi);
+                    if (state.ooo.chunkCount() <= before)
+                        ++oooChunksMerged_;
 
-                std::uint64_t boundary =
-                    state.ooo.contiguousEnd(state.rcvUpToExt);
-                if (boundary > state.rcvUpToExt) {
-                    state.rcvUpToExt = boundary;
-                    state.ooo.eraseBelow(boundary);
+                    std::uint64_t boundary =
+                        state.ooo.contiguousEnd(state.rcvUpToExt);
+                    if (boundary > state.rcvUpToExt) {
+                        state.rcvUpToExt = boundary;
+                        state.ooo.eraseBelow(boundary);
+                    }
                 }
             }
         }
@@ -194,6 +204,12 @@ RxParser::rxStart(tcp::FlowId flow) const
     if (flow >= flows_.size() || !flows_[flow].synSeen)
         return 0;
     return flows_[flow].irs + 1;
+}
+
+std::size_t
+RxParser::oooChunks(tcp::FlowId flow) const
+{
+    return flow < flows_.size() ? flows_[flow].ooo.chunkCount() : 0;
 }
 
 RxParser::FlowState &

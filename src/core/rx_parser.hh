@@ -81,6 +81,9 @@ class RxParser : public sim::SimObject
     /** The peer's initial receive pointer (irs + 1), once known. */
     net::SeqNum rxStart(tcp::FlowId flow) const;
 
+    /** Out-of-sequence chunks held for @p flow (0 for an unknown one). */
+    std::size_t oooChunks(tcp::FlowId flow) const;
+
     std::uint64_t packetsParsed() const { return packetsParsed_.value(); }
     std::uint64_t packetsDropped() const { return packetsDropped_.value(); }
 

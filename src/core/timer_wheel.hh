@@ -10,9 +10,10 @@
 #ifndef F4T_CORE_TIMER_WHEEL_HH
 #define F4T_CORE_TIMER_WHEEL_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <vector>
 
 #include "sim/simulation.hh"
 #include "tcp/fpu_program.hh"
@@ -39,7 +40,9 @@ class TimerWheel : public sim::SimObject
     program(const tcp::TimerRequest &request)
     {
         Key key{request.flow, request.kind};
-        std::uint64_t generation = ++generations_[key];
+        if (key.flow >= generations_.size())
+            generations_.resize(key.flow + 1);
+        std::uint64_t generation = ++slot(key);
         if (request.deadlineUs == 0)
             return; // cancelled: the generation bump squashes any firing
 
@@ -48,8 +51,7 @@ class TimerWheel : public sim::SimObject
         if (when < now())
             when = now();
         queue().scheduleCallback(when, "timer.fire", [this, key, generation] {
-            auto it = generations_.find(key);
-            if (it == generations_.end() || it->second != generation)
+            if (slot(key) != generation)
                 return;
             tcp::TcpEvent event;
             event.flow = key.flow;
@@ -70,17 +72,15 @@ class TimerWheel : public sim::SimObject
     }
 
     /** Drop every timer of a recycled flow. The generation bump (not
-     *  an erase) guarantees stale callbacks can never match a timer
+     *  a reset) guarantees stale callbacks can never match a timer
      *  re-armed after the flow ID is reused. */
     void
     cancelAll(tcp::FlowId flow)
     {
-        for (auto kind : {tcp::TimeoutKind::retransmit,
-                          tcp::TimeoutKind::probe,
-                          tcp::TimeoutKind::delayedAck,
-                          tcp::TimeoutKind::timeWait}) {
-            ++generations_[Key{flow, kind}];
-        }
+        if (flow >= generations_.size())
+            return; // never armed: no callback can be pending
+        for (std::uint64_t &generation : generations_[flow])
+            ++generation;
     }
 
   private:
@@ -88,18 +88,22 @@ class TimerWheel : public sim::SimObject
     {
         tcp::FlowId flow;
         tcp::TimeoutKind kind;
-
-        bool
-        operator<(const Key &other) const
-        {
-            if (flow != other.flow)
-                return flow < other.flow;
-            return static_cast<int>(kind) < static_cast<int>(other.kind);
-        }
     };
 
+    static constexpr std::size_t numKinds =
+        static_cast<std::size_t>(tcp::TimeoutKind::timeWait) + 1;
+
+    std::uint64_t &
+    slot(const Key &key)
+    {
+        return generations_[key.flow][static_cast<std::size_t>(key.kind)];
+    }
+
     TimeoutSink sink_;
-    std::map<Key, std::uint64_t> generations_;
+    /** Arm generation per (flow, kind), indexed by FlowId and grown on
+     *  demand, so it stays within the engine's maxFlows. A callback
+     *  fires only while its generation is still current. */
+    std::vector<std::array<std::uint64_t, numKinds>> generations_;
     sim::Counter timeoutsFired_;
 };
 

@@ -1,9 +1,28 @@
 #include "library.hh"
 
 #include "sim/causal_trace.hh"
+#include "sim/profile_scope.hh"
+
+#include <utility>
 
 namespace f4t::lib
 {
+
+namespace
+{
+
+/** Call an application callback, if set, charging it to Cat::app. */
+template <typename Callback, typename... Args>
+void
+upcall(const Callback &callback, Args... args)
+{
+    if (!callback)
+        return;
+    sim::prof::Scope profile_scope(sim::prof::Cat::app);
+    callback(args...);
+}
+
+} // namespace
 
 F4tLibrary::F4tLibrary(F4tRuntime &runtime, std::size_t queue,
                        host::CpuCore &core)
@@ -15,20 +34,56 @@ F4tLibrary::F4tLibrary(F4tRuntime &runtime, std::size_t queue,
         &core_);
 }
 
+const F4tLibrary::Socket *
+F4tLibrary::find(SockFd fd) const
+{
+    if (fd < firstFd_)
+        return nullptr;
+    auto index = static_cast<std::size_t>(fd - firstFd_);
+    if (index >= sockets_.size() || !sockets_[index].open)
+        return nullptr;
+    return &sockets_[index];
+}
+
 F4tLibrary::Socket &
 F4tLibrary::get(SockFd fd)
 {
-    auto it = sockets_.find(fd);
-    f4t_assert(it != sockets_.end(), "unknown socket fd %d", fd);
-    return it->second;
+    return const_cast<Socket &>(std::as_const(*this).get(fd));
 }
 
 const F4tLibrary::Socket &
 F4tLibrary::get(SockFd fd) const
 {
-    auto it = sockets_.find(fd);
-    f4t_assert(it != sockets_.end(), "unknown socket fd %d", fd);
-    return it->second;
+    const Socket *sock = find(fd);
+    f4t_assert(sock != nullptr, "unknown socket fd %d", fd);
+    return *sock;
+}
+
+SockFd
+F4tLibrary::addSocket(const Socket &sock)
+{
+    SockFd fd = firstFd_ + static_cast<SockFd>(sockets_.size());
+    sockets_.push_back(sock);
+    sockets_.back().open = true;
+    return fd;
+}
+
+void
+F4tLibrary::dropSocket(SockFd fd)
+{
+    get(fd).open = false;
+    while (!sockets_.empty() && !sockets_.front().open) {
+        sockets_.pop_front();
+        ++firstFd_;
+    }
+}
+
+void
+F4tLibrary::bindFlow(tcp::FlowId flow, SockFd fd)
+{
+    if (flow >= byFlow_.size())
+        byFlow_.resize(flow + 1, invalidFd);
+    byFlow_[flow] = fd;
 }
 
 host::FlowBuffers *
@@ -64,8 +119,7 @@ F4tLibrary::connect(net::Ipv4Address ip, std::uint16_t port)
 {
     core_.charge(tcp::CostCategory::f4tLibrary,
                  host::F4tCosts::libraryCall);
-    SockFd fd = nextFd_++;
-    sockets_.emplace(fd, Socket{});
+    SockFd fd = addSocket(Socket{});
     std::uint16_t cookie = static_cast<std::uint16_t>(fd);
     pendingConnects_[cookie] = fd;
 
@@ -162,8 +216,8 @@ F4tLibrary::writable(SockFd fd) const
 bool
 F4tLibrary::established(SockFd fd) const
 {
-    auto it = sockets_.find(fd);
-    return it != sockets_.end() && it->second.established;
+    const Socket *sock = find(fd);
+    return sock != nullptr && sock->established;
 }
 
 void
@@ -173,7 +227,7 @@ F4tLibrary::close(SockFd fd)
                  host::F4tCosts::libraryCall);
     Socket &sock = get(fd);
     if (sock.flow == tcp::invalidFlowId) {
-        sockets_.erase(fd);
+        dropSocket(fd);
         return;
     }
     host::Command cmd;
@@ -196,34 +250,30 @@ F4tLibrary::handleCompletion(const host::Command &command)
         Socket &sock = get(fd);
         sock.flow = command.flow;
         sock.established = true;
-        byFlow_[command.flow] = fd;
+        bindFlow(command.flow, fd);
         runtime_.memory().ensure(command.flow);
-        if (callbacks_.onConnected)
-            callbacks_.onConnected(fd);
+        upcall(callbacks_.onConnected, fd);
         return;
       }
       case host::CmdOp::accepted: {
-        SockFd fd = nextFd_++;
         Socket sock;
         sock.flow = command.flow;
         sock.established = true;
-        sockets_.emplace(fd, sock);
-        byFlow_[command.flow] = fd;
+        SockFd fd = addSocket(sock);
+        bindFlow(command.flow, fd);
         runtime_.memory().ensure(command.flow);
-        if (callbacks_.onAccepted) {
-            callbacks_.onAccepted(
-                fd, static_cast<std::uint16_t>(command.arg1));
-        }
+        upcall(callbacks_.onAccepted, fd,
+               static_cast<std::uint16_t>(command.arg1));
         return;
       }
       default:
         break;
     }
 
-    auto it = byFlow_.find(command.flow);
-    if (it == byFlow_.end())
+    SockFd fd = command.flow < byFlow_.size() ? byFlow_[command.flow]
+                                               : invalidFd;
+    if (fd == invalidFd)
         return; // late completion for a closed socket
-    SockFd fd = it->second;
     Socket &sock = get(fd);
 
     switch (command.op) {
@@ -241,8 +291,7 @@ F4tLibrary::handleCompletion(const host::Command &command)
             sock.ackedOffset = acked;
             if (sock.sendBlocked && fb->tx.freeSpace() > 0) {
                 sock.sendBlocked = false;
-                if (callbacks_.onWritable)
-                    callbacks_.onWritable(fd);
+                upcall(callbacks_.onWritable, fd);
             }
         }
         return;
@@ -252,8 +301,7 @@ F4tLibrary::handleCompletion(const host::Command &command)
             unwrap32(sock.receivedOffset, command.arg0);
         if (boundary > sock.receivedOffset) {
             sock.receivedOffset = boundary;
-            if (callbacks_.onReadable)
-                callbacks_.onReadable(fd, readable(fd));
+            upcall(callbacks_.onReadable, fd, readable(fd));
         }
         if constexpr (sim::trace::compiledIn) {
             if (command.trace.valid()) {
@@ -265,22 +313,16 @@ F4tLibrary::handleCompletion(const host::Command &command)
       }
       case host::CmdOp::peerClosed:
         sock.peerClosed = true;
-        if (callbacks_.onPeerClosed)
-            callbacks_.onPeerClosed(fd);
+        upcall(callbacks_.onPeerClosed, fd);
         return;
       case host::CmdOp::closed:
       case host::CmdOp::reset: {
         bool reset = command.op == host::CmdOp::reset;
         tcp::FlowId flow = sock.flow;
-        byFlow_.erase(flow);
-        sockets_.erase(fd);
+        byFlow_[flow] = invalidFd;
+        dropSocket(fd);
         runtime_.releaseFlowMemory(flow);
-        if (reset) {
-            if (callbacks_.onReset)
-                callbacks_.onReset(fd);
-        } else if (callbacks_.onClosed) {
-            callbacks_.onClosed(fd);
-        }
+        upcall(reset ? callbacks_.onReset : callbacks_.onClosed, fd);
         return;
       }
       default:

@@ -21,9 +21,11 @@
 #define F4T_LIB_LIBRARY_HH
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <span>
+#include <vector>
 
 #include "f4t/runtime.hh"
 
@@ -98,6 +100,7 @@ class F4tLibrary
   private:
     struct Socket
     {
+        bool open = false;
         tcp::FlowId flow = tcp::invalidFlowId;
         bool established = false;
         bool peerClosed = false;
@@ -109,8 +112,15 @@ class F4tLibrary
     };
 
     void handleCompletion(const host::Command &command);
+    /** The open socket behind @p fd, or nullptr. */
+    const Socket *find(SockFd fd) const;
     Socket &get(SockFd fd);
     const Socket &get(SockFd fd) const;
+    /** Append @p sock at the next fd. */
+    SockFd addSocket(const Socket &sock);
+    /** Close @p fd's slot and trim the closed prefix of the table. */
+    void dropSocket(SockFd fd);
+    void bindFlow(tcp::FlowId flow, SockFd fd);
     host::FlowBuffers *buffers(const Socket &sock) const;
     std::uint64_t unwrap32(std::uint64_t reference,
                            std::uint32_t value) const;
@@ -120,10 +130,15 @@ class F4tLibrary
     host::CpuCore &core_;
     F4tCallbacks callbacks_;
 
-    std::map<SockFd, Socket> sockets_;
+    /** Indexed by fd - firstFd_. fds are never reused, so a closed
+     *  socket stays as a tombstone until every older fd has closed too;
+     *  the table then spans the oldest open fd to the newest. */
+    std::deque<Socket> sockets_;
+    SockFd firstFd_ = 3;
     std::map<std::uint16_t, SockFd> pendingConnects_; ///< cookie -> fd
-    std::map<tcp::FlowId, SockFd> byFlow_;
-    SockFd nextFd_ = 3;
+    /** Indexed by FlowId (grown on demand, so within the engine's
+     *  maxFlows); invalidFd when no socket owns the flow. */
+    std::vector<SockFd> byFlow_;
 
     std::uint64_t bytesSent_ = 0;
     std::uint64_t bytesReceived_ = 0;

@@ -14,7 +14,7 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "net/byte_ring.hh"
 #include "tcp/tcb.hh"
@@ -46,30 +46,40 @@ class HostMemory
     FlowBuffers &
     ensure(tcp::FlowId flow)
     {
-        auto it = flows_.find(flow);
-        if (it == flows_.end()) {
-            it = flows_
-                     .emplace(flow, std::make_unique<FlowBuffers>(
-                                        bufferBytes_, bufferBytes_))
-                     .first;
+        if (flow >= flows_.size())
+            flows_.resize(flow + 1);
+        std::unique_ptr<FlowBuffers> &slot = flows_[flow];
+        if (!slot) {
+            slot = std::make_unique<FlowBuffers>(bufferBytes_, bufferBytes_);
+            ++flowCount_;
         }
-        return *it->second;
+        return *slot;
     }
 
     FlowBuffers *
     find(tcp::FlowId flow)
     {
-        auto it = flows_.find(flow);
-        return it == flows_.end() ? nullptr : it->second.get();
+        return flow < flows_.size() ? flows_[flow].get() : nullptr;
     }
 
-    void release(tcp::FlowId flow) { flows_.erase(flow); }
+    void
+    release(tcp::FlowId flow)
+    {
+        if (flow < flows_.size() && flows_[flow]) {
+            flows_[flow].reset();
+            --flowCount_;
+        }
+    }
 
-    std::size_t flowCount() const { return flows_.size(); }
+    std::size_t flowCount() const { return flowCount_; }
 
   private:
     std::size_t bufferBytes_;
-    std::unordered_map<tcp::FlowId, std::unique_ptr<FlowBuffers>> flows_;
+    /** Indexed by FlowId and grown on demand: engine-allocated IDs are
+     *  small and reused, so the table stays within the engine's
+     *  maxFlows. */
+    std::vector<std::unique_ptr<FlowBuffers>> flows_;
+    std::size_t flowCount_ = 0;
 };
 
 } // namespace f4t::host

@@ -5,14 +5,14 @@
  * The queue orders Event objects by (tick, priority, insertion
  * sequence). Storage is two-level:
  *
- *  - a near-future "ladder" of granule buckets covering the next
- *    ladderSpan ticks (64 ticks per bucket, so the bucket array plus
- *    its occupancy bitmap stay L1-resident). The overwhelmingly
- *    common short-horizon events — clock ticks, link serialization
- *    slots, DRAM/PCIe completions — schedule and pop in O(1) with no
- *    heap traffic. Each bucket chain is kept sorted by the queue key,
- *    with a tail pointer so the dominant in-order insertion pattern
- *    appends in O(1);
+ *  - a near-future "ladder" of granule buckets covering a window of
+ *    ladderSpan ticks (~2 µs in 1024-tick buckets, found through an
+ *    occupancy bitmap). The overwhelmingly common short-horizon
+ *    events — clock ticks, link serialization slots, DRAM/PCIe/DMA
+ *    completions — schedule and pop in O(1) with no heap traffic.
+ *    Each bucket chain is kept sorted by the queue key, with a tail
+ *    pointer so the dominant in-order insertion pattern appends in
+ *    O(1);
  *  - a far-future binary heap backing the ladder. When the ladder
  *    drains, the window is rebased onto the earliest heap entry and
  *    every heap entry inside the new window is transferred in one
@@ -151,18 +151,18 @@ class EventQueue
   public:
     /**
      * Width of the near-future window in ticks (one tick = 1 ps, so
-     * ~33 ns). Chosen to cover several periods of the fastest clock
-     * domains; longer horizons (DMA latencies, RTOs) take one batch
-     * trip through the far heap. Must be a power of two.
+     * ~2.1 µs). Wide enough that link serialization, PCIe and DMA
+     * completion horizons schedule into the ladder; RTO-scale deadlines
+     * take one batch trip through the far heap. Must be a power of two.
      */
-    static constexpr std::size_t ladderSpan = 32768;
+    static constexpr std::size_t ladderSpan = std::size_t{1} << 21;
 
     /** log2 of the bucket granule in ticks: each ladder bucket covers
-     *  2^granuleShift ticks, keeping the bucket array small enough to
-     *  live in L1 while the window stays ~33 ns wide. */
-    static constexpr std::size_t granuleShift = 6;
+     *  2^granuleShift ticks (~1 ns, a fraction of an engine or network
+     *  clock period). */
+    static constexpr std::size_t granuleShift = 10;
 
-    /** Number of ladder buckets (the occupancy bitmap is 8 words). */
+    /** Number of ladder buckets (the occupancy bitmap is 32 words). */
     static constexpr std::size_t numBuckets = ladderSpan >> granuleShift;
 
     EventQueue();

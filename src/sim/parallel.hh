@@ -15,13 +15,20 @@
  * channel's mailbox into its destination partition's event queue,
  * then releases the next window.
  *
- * Determinism: window boundaries are pure functions of simulated time
- * and the channel lookahead, and channel drains replay entries in
- * push order, so a run's simulated behavior is identical for any
- * worker count — including one. The single-threaded global-queue path
- * (one Simulation, no executor) remains the reference oracle; the
- * parallel differential fuzzer (tests/fuzz/test_parallel_differential)
- * holds the two to byte-exact application-visible agreement.
+ * Determinism: each window starts at the earliest pending event across
+ * the partitions (EventQueue::nextEventLowerBound(), exact after a
+ * partition's run(limit)), or where the last one ended if that is
+ * later, and ends one lookahead on. Channel drains replay entries in
+ * push order. Window boundaries are therefore a function of every
+ * queue's pending entries — callbacks that will fire as no-ops, such
+ * as superseded timer arms, included — not of simulated time alone,
+ * and where a barrier falls decides when crossing packets become
+ * visible to burst folding (DESIGN.md §13). None of that depends on
+ * threads, so a run's simulated behavior is identical for any worker
+ * count — including one. The single-threaded global-queue path (one
+ * Simulation, no executor) remains the reference oracle; the parallel
+ * differential fuzzer (tests/fuzz/test_parallel_differential) holds the
+ * two to byte-exact application-visible agreement.
  *
  * Threading model: the caller's thread is the coordinator and also
  * executes partition 0's share; additional persistent workers are

@@ -3,13 +3,16 @@
  * Stress tests for the two-level (ladder + far heap) event queue and
  * the kernel's recycling pools.
  *
- * The queue promises exactly one observable behavior: events pop in
+ * The queue promises two observable behaviors: events pop in
  * (tick, priority, insertion sequence) order, identical to a single
- * global priority queue. The randomized test here drives schedule /
- * deschedule / reschedule / run at mixed horizons — spanning the solo
- * register, the ladder granules, window rebases, and the far heap —
- * and cross-checks every fired event against a std::multimap reference
- * model that implements the ordering contract directly.
+ * global priority queue, and after run(limit) nextEventLowerBound() is
+ * the earliest pending tick exactly (the parallel executor starts its
+ * windows there). The randomized test here drives schedule /
+ * deschedule / reschedule / runOne / run(limit) at mixed horizons —
+ * spanning the solo register, the ladder granules, window rebases, and
+ * the far heap out to RTO-scale deadlines — and cross-checks every
+ * fired event and every post-run bound against a std::multimap
+ * reference model that implements the contract directly.
  *
  * The pool tests pin down the steady-state-allocation-free property:
  * callback events and payload buffers must recycle rather than grow
@@ -77,10 +80,11 @@ TEST(EventQueueStress, RandomizedAgainstReferenceModel)
         ev.log = &log;
     }
 
-    // Horizon mix: same-granule, in-window, a few windows out, and
-    // deep heap territory (forces batched rebases when reached).
+    // Horizon mix: same-granule, in-window, a few windows out, deep
+    // heap territory (forces batched rebases when reached), and
+    // RTO-scale deadlines (milliseconds, hundreds of windows out).
     auto random_when = [&]() -> Tick {
-        switch (rng.below(8)) {
+        switch (rng.below(9)) {
         case 0:
         case 1:
         case 2:
@@ -91,20 +95,25 @@ TEST(EventQueueStress, RandomizedAgainstReferenceModel)
             return queue.now() + rng.below(EventQueue::ladderSpan);
         case 6:
             return queue.now() + rng.below(4 * EventQueue::ladderSpan);
-        default:
+        case 7:
             return queue.now() + rng.below(64 * EventQueue::ladderSpan);
+        default:
+            return queue.now() + rng.below(microsecondsToTicks(6000));
         }
     };
 
-    auto check_front = [&]() {
-        ASSERT_FALSE(log.empty());
-        ASSERT_FALSE(ref.empty());
-        auto front = ref.begin();
-        EXPECT_EQ(log.back().id, front->second);
-        EXPECT_EQ(log.back().when, std::get<0>(front->first));
-        byId.erase(front->second);
-        ref.erase(front);
-        log.pop_back();
+    // Every event fired since the last check, in fire order, must be
+    // the reference model's front at that point.
+    auto check_fired = [&]() {
+        for (const FiredRecord &fired : log) {
+            ASSERT_FALSE(ref.empty());
+            auto front = ref.begin();
+            EXPECT_EQ(fired.id, front->second);
+            EXPECT_EQ(fired.when, std::get<0>(front->first));
+            byId.erase(front->second);
+            ref.erase(front);
+        }
+        log.clear();
     };
 
     for (int op = 0; op < 50000; ++op) {
@@ -146,9 +155,23 @@ TEST(EventQueueStress, RandomizedAgainstReferenceModel)
                                    id);
             break;
         }
+        case 10: // run(limit), then the bound must be exact
+        {
+            Tick limit = random_when();
+            queue.run(limit);
+            check_fired();
+            if (::testing::Test::HasFailure())
+                return;
+            EXPECT_EQ(queue.now(), limit);
+            Tick earliest = ref.empty() ? maxTick
+                                        : std::get<0>(ref.begin()->first);
+            ASSERT_EQ(queue.nextEventLowerBound(), earliest);
+            break;
+        }
         default: // run one event
             if (queue.runOne()) {
-                check_front();
+                ASSERT_EQ(log.size(), 1u);
+                check_fired();
                 if (::testing::Test::HasFailure())
                     return;
             }
@@ -159,7 +182,7 @@ TEST(EventQueueStress, RandomizedAgainstReferenceModel)
 
     // Drain: the remaining events must fire in exact reference order.
     while (queue.runOne()) {
-        check_front();
+        check_fired();
         if (::testing::Test::HasFailure())
             return;
     }

@@ -106,8 +106,23 @@ TEST(HostMemory, FlowBuffersLifecycle)
     EXPECT_EQ(buffers.tx.capacity(), 1024u);
     EXPECT_EQ(memory.flowCount(), 1u);
     EXPECT_EQ(&memory.ensure(5), &buffers);
+    // Past the end of the table: absent, and the lookup adds nothing.
+    EXPECT_EQ(memory.find(1u << 20), nullptr);
+    EXPECT_EQ(memory.flowCount(), 1u);
     memory.release(5);
     EXPECT_EQ(memory.find(5), nullptr);
+    EXPECT_EQ(memory.flowCount(), 0u);
+    memory.release(5); // releasing twice is harmless
+    EXPECT_EQ(memory.flowCount(), 0u);
+
+    // A recycled flow ID gets fresh, empty buffers.
+    host::FlowBuffers &again = memory.ensure(5);
+    EXPECT_EQ(again.tx.size(), 0u);
+    EXPECT_EQ(again.rxWritten, 0u);
+    EXPECT_EQ(memory.flowCount(), 1u);
+    EXPECT_EQ(memory.find(5), &again);
+    memory.ensure(2);
+    EXPECT_EQ(memory.flowCount(), 2u);
 }
 
 TEST(Bram, PortBudgetEnforced)

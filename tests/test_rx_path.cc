@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/packet_generator.hh"
@@ -111,6 +112,13 @@ class RxParserTest : public ::testing::Test
         return 5;
     }
 
+    /** One of the parser's registered counters, by short name. */
+    double
+    counter(const std::string &name)
+    {
+        return sim.stats().find("rx." + name)->sampleValue();
+    }
+
     sim::Simulation sim;
     RxParser::FlowLookup table;
     RxParser parser;
@@ -189,6 +197,58 @@ TEST_F(RxParserTest, OutOfOrderSegmentsHoldTheBoundaryUntilTheGapFills)
     ASSERT_EQ(events.size(), 2u);
     EXPECT_EQ(events[1].rcvUpTo, isn + 17);
     EXPECT_EQ(parser.packetsDropped(), 0u);
+}
+
+TEST_F(RxParserTest, InOrderSegmentWhileAChunkIsHeldStillReassembles)
+{
+    const SeqNum isn = 4000;
+    const tcp::FlowId flow = establish(isn);
+    events.clear();
+
+    // Hold [isn+17, isn+25) behind a gap.
+    parser.processPacket(rxPacket(isn + 17, TcpFlags::ack, 8));
+    EXPECT_EQ(parser.oooChunks(flow), 1u);
+
+    // In order, but a chunk is held: the boundary moves over this
+    // segment only, the held chunk stays, and nothing merged.
+    parser.processPacket(rxPacket(isn + 1, TcpFlags::ack, 8));
+    ASSERT_EQ(events.size(), 2u);
+    EXPECT_EQ(events[1].rcvUpTo, isn + 9);
+    EXPECT_EQ(parser.oooChunks(flow), 1u);
+    EXPECT_EQ(counter("oooChunksMerged"), 0.0);
+
+    // The next in-order segment touches the held chunk: one merge, and
+    // the boundary jumps over both.
+    parser.processPacket(rxPacket(isn + 9, TcpFlags::ack, 8));
+    ASSERT_EQ(events.size(), 3u);
+    EXPECT_EQ(events[2].rcvUpTo, isn + 25);
+    EXPECT_EQ(parser.oooChunks(flow), 0u);
+    EXPECT_EQ(counter("oooChunksMerged"), 1.0);
+    EXPECT_EQ(counter("payloadBytesAccepted"), 24.0);
+    EXPECT_EQ(sink.deliveries.size(), 3u);
+}
+
+TEST_F(RxParserTest, CleanInOrderStreamHoldsNoChunk)
+{
+    const SeqNum isn = 5000;
+    const tcp::FlowId flow = establish(isn);
+    events.clear();
+
+    for (SeqNum i = 0; i < 8; ++i) {
+        parser.processPacket(rxPacket(isn + 1 + 16 * i, TcpFlags::ack, 16));
+        ASSERT_EQ(events.size(), i + 1);
+        EXPECT_EQ(events.back().rcvUpTo, isn + 1 + 16 * (i + 1));
+        EXPECT_EQ(parser.oooChunks(flow), 0u);
+    }
+    // A retransmission overlapping the boundary delivers only its new
+    // tail and still holds nothing.
+    parser.processPacket(rxPacket(isn + 121, TcpFlags::ack, 16));
+    EXPECT_EQ(events.back().rcvUpTo, isn + 137);
+    EXPECT_EQ(parser.oooChunks(flow), 0u);
+    EXPECT_EQ(counter("oooChunksMerged"), 0.0);
+    EXPECT_EQ(counter("payloadBytesAccepted"), 136.0);
+    EXPECT_EQ(sink.deliveries.back().seq, isn + 129);
+    EXPECT_EQ(sink.deliveries.back().bytes.size(), 8u);
 }
 
 TEST_F(RxParserTest, OooChunkStorageBoundDropsUntilRetransmissionHeals)
