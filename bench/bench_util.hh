@@ -25,6 +25,7 @@
 #include <string_view>
 #include <vector>
 
+#include "cli_args.hh"
 #include "net/link.hh"
 #include "net/pcap_writer.hh"
 #include "obs/profiler.hh"

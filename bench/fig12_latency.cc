@@ -7,8 +7,6 @@
  * (3.7x median, 26x p99 in the paper).
  */
 
-#include <cstring>
-
 #include "bench_util.hh"
 #include "nginx_common.hh"
 #include "obs/stage_report.hh"
@@ -72,12 +70,12 @@ main(int argc, char **argv)
 
     bool spans = false;
     std::string spans_out;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--spans") == 0)
-            spans = true;
-        else if (std::strcmp(argv[i], "--spans-out") == 0 && i + 1 < argc)
-            spans_out = argv[++i];
-    }
+    bench::CliArgs args("fig12_latency", "[--spans [--spans-out PATH]]");
+    args.flag("--spans", spans)
+        .text("--spans-out", spans_out)
+        .parse(argc, argv);
+    if (!spans && !spans_out.empty())
+        args.fail("--spans-out needs --spans");
     if (spans)
         return runSpansMode(spans_out);
 

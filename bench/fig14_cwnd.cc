@@ -35,19 +35,9 @@ traceF4t(const std::string &algorithm, const net::FaultModel &faults)
     config.flowsPerFpc = 16;
     config.maxFlows = 64;
     config.congestionControl = algorithm;
-    testbed::EnginePairWorld world(1, config, faults, 10e9);
     // Long link: 250 us propagation so cwnd dynamics are visible.
-    // (The harness builds the link; rebuild it with more delay.)
-    world.link = std::make_unique<net::Link>(
-        world.sim, "longlink", 10e9, sim::microsecondsToTicks(250),
-        faults);
-    world.link->connect(*world.engineA, *world.engineB);
-    world.engineA->setTransmit([&world](net::Packet &&pkt) {
-        world.link->aToB().send(std::move(pkt));
-    });
-    world.engineB->setTransmit([&world](net::Packet &&pkt) {
-        world.link->bToA().send(std::move(pkt));
-    });
+    testbed::EnginePairWorld world(1, config, faults, 10e9, {},
+                                   sim::microsecondsToTicks(250));
 
     auto server_api = world.apiB(0);
     apps::BulkSinkConfig sink_config;
@@ -80,17 +70,8 @@ traceReference(tcp::SoftCcAlgo algorithm, const net::FaultModel &faults)
     host_config.cc = algorithm;
     host_config.chargeCosts = false; // pure protocol oracle
     host_config.latencyJitter = false;
-    testbed::LinuxPairWorld world(1, host_config, faults, 10e9);
-    world.link = std::make_unique<net::Link>(
-        world.sim, "longlink", 10e9, sim::microsecondsToTicks(250),
-        faults);
-    world.link->connect(*world.hostA, *world.hostB);
-    world.hostA->setTransmit([&world](net::Packet &&pkt) {
-        world.link->aToB().send(std::move(pkt));
-    });
-    world.hostB->setTransmit([&world](net::Packet &&pkt) {
-        world.link->bToA().send(std::move(pkt));
-    });
+    testbed::LinuxPairWorld world(1, host_config, faults, 10e9, {},
+                                  sim::microsecondsToTicks(250));
 
     auto server_api = world.apiB(0);
     apps::BulkSinkConfig sink_config;

@@ -40,18 +40,9 @@ runAlgorithm(const std::string &algorithm)
     config.flowsPerFpc = 16;
     config.maxFlows = 64;
     config.congestionControl = algorithm; // the one-line change
-    testbed::EnginePairWorld world(1, config, faults, 10e9);
-
     // A long link (100 us one-way) so windows matter.
-    world.link = std::make_unique<net::Link>(
-        world.sim, "wan", 10e9, sim::microsecondsToTicks(100), faults);
-    world.link->connect(*world.engineA, *world.engineB);
-    world.engineA->setTransmit([&world](net::Packet &&pkt) {
-        world.link->aToB().send(std::move(pkt));
-    });
-    world.engineB->setTransmit([&world](net::Packet &&pkt) {
-        world.link->bToA().send(std::move(pkt));
-    });
+    testbed::EnginePairWorld world(1, config, faults, 10e9, {},
+                                   sim::microsecondsToTicks(100));
 
     auto sink_api = world.apiB(0);
     apps::BulkSinkConfig sink_config;

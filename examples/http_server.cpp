@@ -12,7 +12,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <memory>
 
 #include "apps/http.hh"
@@ -189,10 +188,9 @@ main(int argc, char **argv)
     bench::Obs::install(argc, argv);
 
     bool lossy = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--lossy") == 0)
-            lossy = true;
-    }
+    bench::CliArgs("http_server", "[--lossy]")
+        .flag("--lossy", lossy)
+        .parse(argc, argv);
     if (lossy)
         return runLossyBulk();
 

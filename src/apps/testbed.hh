@@ -3,11 +3,15 @@
  * Shared test fixtures: prebuilt two-node worlds.
  *
  *  - EnginePairWorld: two hosts, each with an FtEngine, directly
- *    cabled (the paper's FtEngine-to-FtEngine setup);
+ *    cabled (the paper's FtEngine-to-FtEngine setup). Its Placement
+ *    puts everything in one Simulation (the serial oracle) or each
+ *    endpoint in its own executor partition;
  *  - EngineLinuxWorld: an FtEngine host cabled to a Linux host (the
  *    NIC-to-FtEngine setup) — also the interop check that the engine
  *    speaks actual TCP;
  *  - LinuxPairWorld: two Linux hosts (the NIC-to-NIC baseline).
+ *
+ * The star worlds live in testbed_star.hh.
  */
 
 #ifndef F4T_APPS_TESTBED_HH
@@ -23,27 +27,95 @@
 #include "f4t/runtime.hh"
 #include "host/cpu.hh"
 #include "net/link.hh"
+#include "sim/parallel.hh"
 #include "sim/simulation.hh"
 
 namespace f4t::testbed
 {
 
-/** Build a world's cable, honoring an optional asymmetric fault model
- *  (distinct per-direction rates; see the fuzz harness). */
-inline std::unique_ptr<net::Link>
-makeLink(sim::Simulation &sim, double bandwidth_bps,
-         const net::FaultModel &faults,
-         const std::optional<net::FaultModel> &reverse_faults,
-         sim::Tick propagation_delay = sim::nanosecondsToTicks(500))
+/**
+ * Where a world's parts live. Unpartitioned, everything shares one
+ * Simulation and advances on its global queue: the determinism oracle.
+ * Partitioned, each side is its own Simulation, the cable between the
+ * sides crosses partitions with its propagation delay as lookahead,
+ * and a ParallelExecutor with @c threads workers (0 = one per
+ * partition) advances them. Simulated results do not depend on
+ * @c threads.
+ */
+struct Placement
 {
-    if (reverse_faults) {
-        return std::make_unique<net::Link>(
-            sim, "link", bandwidth_bps, propagation_delay,
-            faults, *reverse_faults);
+    bool partitioned = false;
+    std::size_t threads = 0;
+};
+
+/**
+ * The kernel under a two-sided world: side A's Simulation, side B's
+ * (its own partition, or side A's), and how the world advances. A
+ * world builds side A's parts in @c sim and side B's in @c sideB_,
+ * then calls partition() with the one cable between the sides.
+ */
+struct WorldKernel
+{
+    explicit WorldKernel(Placement placement)
+        : placement(placement),
+          partitionB_(placement.partitioned
+                          ? std::make_unique<sim::Simulation>()
+                          : nullptr),
+          sideB_(partitionB_ ? *partitionB_ : sim),
+          executor(placement.threads)
+    {}
+
+    /** Advance the world to @p limit (see Simulation::run and
+     *  ParallelExecutor::run; both pin now() to the limit). */
+    sim::Tick
+    run(sim::Tick limit)
+    {
+        return placement.partitioned ? executor.run(limit) : sim.run(limit);
     }
-    return std::make_unique<net::Link>(
-        sim, "link", bandwidth_bps, propagation_delay, faults);
-}
+
+    sim::Tick
+    runFor(sim::Tick duration)
+    {
+        return placement.partitioned ? executor.runFor(duration)
+                                     : sim.runFor(duration);
+    }
+
+    /** Partitioned: the last window barrier, which both sides reached. */
+    sim::Tick
+    now() const
+    {
+        return placement.partitioned ? executor.now() : sim.now();
+    }
+
+    const Placement placement;
+    /** Side A's partition; the whole world when unpartitioned. */
+    sim::Simulation sim;
+
+  protected:
+    /** Hand the sides to the executor, with @p cable's crossings, when
+     *  partitioned. */
+    void
+    partition(const char *name_a, const char *name_b, net::Link &cable)
+    {
+        if (!placement.partitioned)
+            return;
+        executor.addPartition(sim, name_a);
+        executor.addPartition(sideB_, name_b);
+        cable.registerChannels(executor);
+        // Partition 0's registry: the coordinator runs side A and
+        // refreshes these scalars between windows.
+        executor.registerStats(sim.stats());
+    }
+
+    /** Side B's own partition, when partitioned. */
+    std::unique_ptr<sim::Simulation> partitionB_;
+    /** Side B's Simulation: *partitionB_, or sim. */
+    sim::Simulation &sideB_;
+
+  public:
+    /** Advances the partitions; holds none when unpartitioned. */
+    sim::ParallelExecutor executor;
+};
 
 inline net::Ipv4Address
 ipA()
@@ -70,13 +142,15 @@ macB()
 }
 
 /** Two FtEngines cabled together, one host (CPU+runtime) each. */
-struct EnginePairWorld
+struct EnginePairWorld : WorldKernel
 {
     explicit EnginePairWorld(
         std::size_t cores_per_host = 1, core::EngineConfig base = {},
         const net::FaultModel &faults = {}, double bandwidth_bps = 100e9,
         const std::optional<net::FaultModel> &reverse_faults = {},
-        sim::Tick propagation_delay = sim::nanosecondsToTicks(500))
+        sim::Tick propagation_delay = sim::nanosecondsToTicks(500),
+        Placement placement = {})
+        : WorldKernel(placement)
     {
         core::EngineConfig config_a = base;
         config_a.ip = ipA();
@@ -87,10 +161,11 @@ struct EnginePairWorld
 
         engineA = std::make_unique<core::FtEngine>(sim, "engineA",
                                                    config_a);
-        engineB = std::make_unique<core::FtEngine>(sim, "engineB",
+        engineB = std::make_unique<core::FtEngine>(simB, "engineB",
                                                    config_b);
-        link = makeLink(sim, bandwidth_bps, faults, reverse_faults,
-                        propagation_delay);
+        link = std::make_unique<net::Link>(sim, simB, "link", bandwidth_bps,
+                                           propagation_delay, faults,
+                                           reverse_faults);
         link->connect(*engineA, *engineB);
         engineA->setTransmit(
             [this](net::Packet &&pkt) { link->aToB().send(std::move(pkt)); });
@@ -101,14 +176,15 @@ struct EnginePairWorld
 
         cpuA = std::make_unique<host::CpuComplex>(sim, "cpuA",
                                                   cores_per_host);
-        cpuB = std::make_unique<host::CpuComplex>(sim, "cpuB",
+        cpuB = std::make_unique<host::CpuComplex>(simB, "cpuB",
                                                   cores_per_host);
         runtimeA = std::make_unique<lib::F4tRuntime>(sim, "runtimeA",
                                                      *engineA,
                                                      cores_per_host);
-        runtimeB = std::make_unique<lib::F4tRuntime>(sim, "runtimeB",
+        runtimeB = std::make_unique<lib::F4tRuntime>(simB, "runtimeB",
                                                      *engineB,
                                                      cores_per_host);
+        partition("endpointA", "endpointB", *link);
     }
 
     apps::F4tSocketApi
@@ -121,11 +197,12 @@ struct EnginePairWorld
     apps::F4tSocketApi
     apiB(std::size_t thread)
     {
-        return apps::F4tSocketApi(sim, *runtimeB, thread,
+        return apps::F4tSocketApi(simB, *runtimeB, thread,
                                   cpuB->core(thread));
     }
 
-    sim::Simulation sim;
+    /** Endpoint B's partition, or sim. */
+    sim::Simulation &simB = sideB_;
     std::unique_ptr<core::FtEngine> engineA;
     std::unique_ptr<core::FtEngine> engineB;
     std::unique_ptr<net::Link> link;
@@ -156,7 +233,9 @@ struct EngineLinuxWorld
         linux = std::make_unique<baseline::LinuxHost>(sim, "linux",
                                                       linux_base);
 
-        link = makeLink(sim, bandwidth_bps, faults, reverse_faults);
+        link = std::make_unique<net::Link>(sim, "link", bandwidth_bps,
+                                           sim::nanosecondsToTicks(500),
+                                           faults, reverse_faults);
         link->connect(*engine, *linux);
         engine->setTransmit(
             [this](net::Packet &&pkt) { link->aToB().send(std::move(pkt)); });
@@ -198,7 +277,8 @@ struct LinuxPairWorld
     explicit LinuxPairWorld(
         std::size_t cores = 1, baseline::LinuxHostConfig base = {},
         const net::FaultModel &faults = {}, double bandwidth_bps = 100e9,
-        const std::optional<net::FaultModel> &reverse_faults = {})
+        const std::optional<net::FaultModel> &reverse_faults = {},
+        sim::Tick propagation_delay = sim::nanosecondsToTicks(500))
     {
         baseline::LinuxHostConfig config_a = base;
         config_a.ip = ipA();
@@ -213,7 +293,9 @@ struct LinuxPairWorld
                                                       config_a);
         hostB = std::make_unique<baseline::LinuxHost>(sim, "hostB",
                                                       config_b);
-        link = makeLink(sim, bandwidth_bps, faults, reverse_faults);
+        link = std::make_unique<net::Link>(sim, "link", bandwidth_bps,
+                                           propagation_delay, faults,
+                                           reverse_faults);
         link->connect(*hostA, *hostB);
         hostA->setTransmit(
             [this](net::Packet &&pkt) { link->aToB().send(std::move(pkt)); });

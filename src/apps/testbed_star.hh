@@ -1,22 +1,21 @@
 /**
  * @file
- * Star (fan-in) topology worlds: N client hosts and one server host,
+ * Star (fan-in) topology world: N client hosts and one server host,
  * every cable plugged into a net::Switch with a shared finite egress
  * pool. This is the multi-host testbed the open-loop scenarios run
  * on — incast means all N clients burst toward the one server port,
  * whose egress queue (and then TCP's loss recovery) absorbs the
  * oversubscription.
  *
- *  - StarWorld: everything in one Simulation (the serial oracle);
- *  - ParallelStarWorld: the clients + switch in one partition and the
- *    server in another, bridged by a SplitLink on the bottleneck
- *    cable. The switch and every client cable stay partition-local,
- *    so the only cross-partition traffic is the server cable's —
- *    exactly the seam the conservative lookahead covers.
- *
- * Both worlds build identical link/switch/engine parameters from the
- * same StarConfig, so the parallel differential can require byte-
- * exact application ledgers between them.
+ * StarWorld takes a Placement (testbed.hh). Unpartitioned, one
+ * Simulation holds every host and the switch: the serial oracle.
+ * Partitioned, the clients and the switch share one partition and the
+ * server sits in another; only the bottleneck server cable crosses
+ * between them, so its propagation delay is the lookahead. The switch
+ * and every client cable stay partition-local. Both placements build
+ * identical link/switch/engine parameters from the same StarConfig,
+ * so the parallel differential can require byte-exact application
+ * ledgers between them.
  */
 
 #ifndef F4T_APPS_TESTBED_STAR_HH
@@ -28,11 +27,11 @@
 #include <vector>
 
 #include "apps/f4t_socket_api.hh"
+#include "apps/testbed.hh"
 #include "core/engine.hh"
 #include "f4t/runtime.hh"
 #include "host/cpu.hh"
 #include "net/link.hh"
-#include "net/split_link.hh"
 #include "net/switch.hh"
 #include "sim/parallel.hh"
 #include "sim/simulation.hh"
@@ -85,93 +84,74 @@ starServerMac()
     return net::MacAddress{{0x02, 0xf4, 0, 0, 1, 0xc8}};
 }
 
-namespace detail
+/** N clients and one server behind a switch. */
+struct StarWorld : WorldKernel
 {
-
-/** Wiring shared by both star worlds: everything except the server
- *  cable, which is where they differ (Link vs SplitLink). */
-template <typename World>
-inline void
-buildStarCommon(World &world, const StarConfig &config,
-                sim::Simulation &client_sim, sim::Simulation &server_sim)
-{
-    net::SwitchConfig fabric_config = config.fabric;
-    fabric_config.numPorts = config.clients + 1 + config.extraPorts;
-    world.fabric = std::make_unique<net::Switch>(client_sim, "fabric",
-                                                 fabric_config);
-
-    for (std::size_t i = 0; i < config.clients; ++i) {
-        std::string suffix = std::to_string(i);
-        core::EngineConfig engine_config = config.engine;
-        engine_config.ip = starClientIp(i);
-        engine_config.mac = starClientMac(i);
-        auto engine = std::make_unique<core::FtEngine>(
-            client_sim, "client" + suffix, engine_config);
-        engine->addArpEntry(starServerIp(), starServerMac());
-
-        auto link = std::make_unique<net::Link>(
-            client_sim, "uplink" + suffix, config.clientBandwidthBps,
-            config.propagationDelay);
-        // Endpoint A is the switch port, so aToB is the switch's
-        // transmitter toward the client and bToA the client's uplink.
-        link->connect(world.fabric->port(i), *engine);
-        world.fabric->attachTx(i, link->aToB());
-        net::Link *cable = link.get();
-        engine->setTransmit([cable](net::Packet &&pkt) {
-            cable->bToA().send(std::move(pkt));
-        });
-        world.fabric->addRoute(starClientIp(i), i);
-
-        world.clientCpus.push_back(std::make_unique<host::CpuComplex>(
-            client_sim, "clientCpu" + suffix, config.coresPerHost));
-        world.clientRuntimes.push_back(std::make_unique<lib::F4tRuntime>(
-            client_sim, "clientRuntime" + suffix, *engine,
-            config.coresPerHost));
-        world.clientEngines.push_back(std::move(engine));
-        world.clientLinks.push_back(std::move(link));
-    }
-
-    core::EngineConfig server_config = config.engine;
-    server_config.ip = starServerIp();
-    server_config.mac = starServerMac();
-    world.serverEngine = std::make_unique<core::FtEngine>(
-        server_sim, "server", server_config);
-    for (std::size_t i = 0; i < config.clients; ++i)
-        world.serverEngine->addArpEntry(starClientIp(i), starClientMac(i));
-    world.fabric->addRoute(starServerIp(), config.clients);
-
-    world.serverCpu = std::make_unique<host::CpuComplex>(
-        server_sim, "serverCpu", config.coresPerHost);
-    world.serverRuntime = std::make_unique<lib::F4tRuntime>(
-        server_sim, "serverRuntime", *world.serverEngine,
-        config.coresPerHost);
-}
-
-} // namespace detail
-
-/** Serial star world: one Simulation holds all hosts and the switch. */
-struct StarWorld
-{
-    explicit StarWorld(const StarConfig &config = {})
+    explicit StarWorld(const StarConfig &config = {},
+                       Placement placement = {})
+        : WorldKernel(placement)
     {
-        detail::buildStarCommon(*this, config, sim, sim);
+        net::SwitchConfig fabric_config = config.fabric;
+        fabric_config.numPorts = config.clients + 1 + config.extraPorts;
+        fabric = std::make_unique<net::Switch>(sim, "fabric",
+                                               fabric_config);
 
-        if (config.serverLinkReverseFaults) {
-            serverLink = std::make_unique<net::Link>(
-                sim, "downlink", config.serverBandwidthBps,
-                config.propagationDelay, config.serverLinkFaults,
-                *config.serverLinkReverseFaults);
-        } else {
-            serverLink = std::make_unique<net::Link>(
-                sim, "downlink", config.serverBandwidthBps,
-                config.propagationDelay, config.serverLinkFaults);
+        for (std::size_t i = 0; i < config.clients; ++i) {
+            std::string suffix = std::to_string(i);
+            core::EngineConfig engine_config = config.engine;
+            engine_config.ip = starClientIp(i);
+            engine_config.mac = starClientMac(i);
+            auto engine = std::make_unique<core::FtEngine>(
+                sim, "client" + suffix, engine_config);
+            engine->addArpEntry(starServerIp(), starServerMac());
+
+            auto link = std::make_unique<net::Link>(
+                sim, "uplink" + suffix, config.clientBandwidthBps,
+                config.propagationDelay);
+            // Endpoint A is the switch port, so aToB is the switch's
+            // transmitter toward the client and bToA the client's uplink.
+            link->connect(fabric->port(i), *engine);
+            fabric->attachTx(i, link->aToB());
+            net::Link *cable = link.get();
+            engine->setTransmit([cable](net::Packet &&pkt) {
+                cable->bToA().send(std::move(pkt));
+            });
+            fabric->addRoute(starClientIp(i), i);
+
+            clientCpus.push_back(std::make_unique<host::CpuComplex>(
+                sim, "clientCpu" + suffix, config.coresPerHost));
+            clientRuntimes.push_back(std::make_unique<lib::F4tRuntime>(
+                sim, "clientRuntime" + suffix, *engine,
+                config.coresPerHost));
+            clientEngines.push_back(std::move(engine));
+            clientLinks.push_back(std::move(link));
         }
-        serverLink->connect(fabric->port(clientEngines.size()),
-                            *serverEngine);
-        fabric->attachTx(clientEngines.size(), serverLink->aToB());
+
+        core::EngineConfig server_config = config.engine;
+        server_config.ip = starServerIp();
+        server_config.mac = starServerMac();
+        serverEngine = std::make_unique<core::FtEngine>(
+            simServer, "server", server_config);
+        for (std::size_t i = 0; i < config.clients; ++i)
+            serverEngine->addArpEntry(starClientIp(i), starClientMac(i));
+        fabric->addRoute(starServerIp(), config.clients);
+
+        serverCpu = std::make_unique<host::CpuComplex>(
+            simServer, "serverCpu", config.coresPerHost);
+        serverRuntime = std::make_unique<lib::F4tRuntime>(
+            simServer, "serverRuntime", *serverEngine, config.coresPerHost);
+
+        serverLink = std::make_unique<net::Link>(
+            sim, simServer, "downlink", config.serverBandwidthBps,
+            config.propagationDelay, config.serverLinkFaults,
+            config.serverLinkReverseFaults);
+        serverLink->connect(fabric->port(config.clients), *serverEngine);
+        fabric->attachTx(config.clients, serverLink->aToB());
         serverEngine->setTransmit([this](net::Packet &&pkt) {
             serverLink->bToA().send(std::move(pkt));
         });
+
+        partition("clients", "server", *serverLink);
     }
 
     apps::F4tSocketApi
@@ -184,7 +164,7 @@ struct StarWorld
     apps::F4tSocketApi
     serverApi(std::size_t thread = 0)
     {
-        return apps::F4tSocketApi(sim, *serverRuntime, thread,
+        return apps::F4tSocketApi(simServer, *serverRuntime, thread,
                                   serverCpu->core(thread));
     }
 
@@ -198,7 +178,9 @@ struct StarWorld
             clientCpus[client]->core(thread));
     }
 
-    sim::Simulation sim;
+    /** The server's partition, or sim (which holds the clients and
+     *  the switch). */
+    sim::Simulation &simServer = sideB_;
     std::unique_ptr<net::Switch> fabric;
     std::vector<std::unique_ptr<core::FtEngine>> clientEngines;
     std::vector<std::unique_ptr<net::Link>> clientLinks;
@@ -210,79 +192,16 @@ struct StarWorld
     std::unique_ptr<lib::F4tRuntime> serverRuntime;
 };
 
-/** Clients + switch in one partition, the server in another. */
-struct ParallelStarWorld
+/** Constructor shim for callers that name the partitioned star by type
+ *  (StarWorld with a partitioned Placement). */
+struct ParallelStarWorld : StarWorld
 {
     explicit ParallelStarWorld(const StarConfig &config = {},
                                std::size_t threads = 0)
-        : executor(threads)
-    {
-        detail::buildStarCommon(*this, config, simClients, simServer);
+        : StarWorld(config, Placement{true, threads})
+    {}
 
-        if (config.serverLinkReverseFaults) {
-            serverLink = std::make_unique<net::SplitLink>(
-                simClients, simServer, "downlink",
-                config.serverBandwidthBps, config.propagationDelay,
-                config.serverLinkFaults, *config.serverLinkReverseFaults);
-        } else {
-            serverLink = std::make_unique<net::SplitLink>(
-                simClients, simServer, "downlink",
-                config.serverBandwidthBps, config.propagationDelay,
-                config.serverLinkFaults);
-        }
-        serverLink->connect(fabric->port(clientEngines.size()),
-                            *serverEngine);
-        fabric->attachTx(clientEngines.size(), serverLink->aToB());
-        serverEngine->setTransmit([this](net::Packet &&pkt) {
-            serverLink->bToA().send(std::move(pkt));
-        });
-
-        executor.addPartition(simClients, "clients");
-        executor.addPartition(simServer, "server");
-        serverLink->registerChannels(executor);
-        // Partition 0's registry: the coordinator runs the clients
-        // partition and refreshes these scalars between windows.
-        executor.registerStats(simClients.stats());
-    }
-
-    apps::F4tSocketApi
-    clientApi(std::size_t client, std::size_t thread = 0)
-    {
-        return apps::F4tSocketApi(simClients, *clientRuntimes[client],
-                                  thread, clientCpus[client]->core(thread));
-    }
-
-    apps::F4tSocketApi
-    serverApi(std::size_t thread = 0)
-    {
-        return apps::F4tSocketApi(simServer, *serverRuntime, thread,
-                                  serverCpu->core(thread));
-    }
-
-    std::unique_ptr<apps::F4tSocketApi>
-    makeClientApi(std::size_t client, std::size_t thread = 0)
-    {
-        return std::make_unique<apps::F4tSocketApi>(
-            simClients, *clientRuntimes[client], thread,
-            clientCpus[client]->core(thread));
-    }
-
-    sim::Tick run(sim::Tick limit) { return executor.run(limit); }
-    sim::Tick runFor(sim::Tick duration) { return executor.runFor(duration); }
-    sim::Tick now() const { return executor.now(); }
-
-    sim::Simulation simClients;
-    sim::Simulation simServer;
-    sim::ParallelExecutor executor;
-    std::unique_ptr<net::Switch> fabric;
-    std::vector<std::unique_ptr<core::FtEngine>> clientEngines;
-    std::vector<std::unique_ptr<net::Link>> clientLinks;
-    std::vector<std::unique_ptr<host::CpuComplex>> clientCpus;
-    std::vector<std::unique_ptr<lib::F4tRuntime>> clientRuntimes;
-    std::unique_ptr<core::FtEngine> serverEngine;
-    std::unique_ptr<net::SplitLink> serverLink;
-    std::unique_ptr<host::CpuComplex> serverCpu;
-    std::unique_ptr<lib::F4tRuntime> serverRuntime;
+    sim::Simulation &simClients = sim;
 };
 
 } // namespace f4t::testbed

@@ -1,6 +1,7 @@
 #include "fpc.hh"
 
 #include <bit>
+#include <iterator>
 
 #include "sim/causal_trace.hh"
 #include "sim/flight_recorder.hh"
@@ -14,38 +15,43 @@ using tcp::EventValid;
 namespace
 {
 
-/** Fine-grained profiling bucket per absorbed TCP event kind. */
-sim::prof::Cat
-profileCategory(tcp::TcpEventType type)
+/** How an absorbed TCP event kind is observed: its fine-grained
+ *  profiling bucket and its (always compiled in) flight-recorder kind. */
+struct EventProbe
 {
-    switch (type) {
-    case tcp::TcpEventType::userSend: return sim::prof::Cat::fpcUserSend;
-    case tcp::TcpEventType::userRecv: return sim::prof::Cat::fpcUserRecv;
-    case tcp::TcpEventType::userConnect:
-        return sim::prof::Cat::fpcUserConnect;
-    case tcp::TcpEventType::userClose: return sim::prof::Cat::fpcUserClose;
-    case tcp::TcpEventType::rxSegment: return sim::prof::Cat::fpcRxSegment;
-    case tcp::TcpEventType::timeout: return sim::prof::Cat::fpcTimeout;
-    }
-    return sim::prof::Cat::fpcExec;
-}
+    tcp::TcpEventType type;
+    sim::prof::Cat category;
+    sim::fr::Kind record;
+};
 
-/** Flight-recorder kind per absorbed TCP event kind (same refinement
- *  the profiler uses, but always compiled in). */
-sim::fr::Kind
-recorderKind(tcp::TcpEventType type)
+/** Indexed by TcpEventType. */
+constexpr EventProbe eventProbes[] = {
+    {tcp::TcpEventType::userSend, sim::prof::Cat::fpcUserSend,
+     sim::fr::Kind::fpcUserSend},
+    {tcp::TcpEventType::userRecv, sim::prof::Cat::fpcUserRecv,
+     sim::fr::Kind::fpcUserRecv},
+    {tcp::TcpEventType::userConnect, sim::prof::Cat::fpcUserConnect,
+     sim::fr::Kind::fpcUserConnect},
+    {tcp::TcpEventType::userClose, sim::prof::Cat::fpcUserClose,
+     sim::fr::Kind::fpcUserClose},
+    {tcp::TcpEventType::rxSegment, sim::prof::Cat::fpcRxSegment,
+     sim::fr::Kind::fpcRxSegment},
+    {tcp::TcpEventType::timeout, sim::prof::Cat::fpcTimeout,
+     sim::fr::Kind::fpcTimeout},
+};
+
+constexpr bool
+probesCoverEveryType()
 {
-    switch (type) {
-    case tcp::TcpEventType::userSend: return sim::fr::Kind::fpcUserSend;
-    case tcp::TcpEventType::userRecv: return sim::fr::Kind::fpcUserRecv;
-    case tcp::TcpEventType::userConnect:
-        return sim::fr::Kind::fpcUserConnect;
-    case tcp::TcpEventType::userClose: return sim::fr::Kind::fpcUserClose;
-    case tcp::TcpEventType::rxSegment: return sim::fr::Kind::fpcRxSegment;
-    case tcp::TcpEventType::timeout: return sim::fr::Kind::fpcTimeout;
+    for (std::size_t i = 0; i < std::size(eventProbes); ++i) {
+        if (static_cast<std::size_t>(eventProbes[i].type) != i)
+            return false;
     }
-    return sim::fr::Kind::none;
+    return std::size(eventProbes) ==
+           static_cast<std::size_t>(tcp::TcpEventType::timeout) + 1;
 }
+static_assert(probesCoverEveryType(),
+              "eventProbes must list every TcpEventType in order");
 
 } // namespace
 
@@ -430,10 +436,11 @@ Fpc::handleEvent(const tcp::TcpEvent &event, sim::Cycles cycle)
     });
     // Nested under the FPC tick's module scope: self-time accounting
     // moves this event's cost out of fpc_exec into its kind bucket.
-    sim::prof::Scope event_scope(profileCategory(event.type));
+    const EventProbe &probe =
+        eventProbes[static_cast<std::size_t>(event.type)];
+    sim::prof::Scope event_scope(probe.category);
     ++eventsHandled_;
-    sim::fr::record(recorderKind(event.type), now(), frModule_,
-                    event.flow, cycle);
+    sim::fr::record(probe.record, now(), frModule_, event.flow, cycle);
     F4T_TRACE_CD(Fpc, clock(), "%s: absorb %s flow=%u", name().c_str(),
                  tcp::toString(event.type), event.flow);
     // Per-event timeline instants sit on the hottest loop in the

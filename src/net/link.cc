@@ -3,6 +3,8 @@
 #include "net/pcap_writer.hh"
 #include "sim/causal_trace.hh"
 #include "sim/flight_recorder.hh"
+#include "sim/parallel.hh"
+#include "sim/spsc_mailbox.hh"
 #include "sim/trace.hh"
 
 #include <algorithm>
@@ -41,37 +43,11 @@ Link::setCreationObserver(std::function<void(Link &)> observer)
 LinkDirection::LinkDirection(sim::Simulation &sim, std::string name,
                              double bandwidth_bits_per_sec,
                              sim::Tick propagation_delay,
-                             const FaultModel &faults)
-    : SimObject(sim, std::move(name)), bandwidth_(bandwidth_bits_per_sec),
-      propagationDelay_(propagation_delay), faults_(faults),
-      rng_(faults.seed),
-      localPort_(std::in_place, sim, this->name()),
-      target_(&*localPort_),
-      packetsSent_(sim.stats(), statName("packetsSent"),
-                   "packets accepted for transmission"),
-      packetsDropped_(sim.stats(), statName("packetsDropped"),
-                      "packets dropped by fault injection"),
-      packetsDuplicated_(sim.stats(), statName("packetsDuplicated"),
-                         "packets duplicated by fault injection"),
-      packetsReordered_(sim.stats(), statName("packetsReordered"),
-                        "packets delayed by fault injection"),
-      bytesSent_(sim.stats(), statName("bytesSent"),
-                 "wire bytes transmitted (incl. framing)")
-{
-    f4t_assert(bandwidth_ > 0, "link '%s' needs positive bandwidth",
-               this->name().c_str());
-    frModule_ = sim::fr::internModule(this->name());
-}
-
-LinkDirection::LinkDirection(sim::Simulation &sim, std::string name,
-                             double bandwidth_bits_per_sec,
-                             sim::Tick propagation_delay,
                              const FaultModel &faults,
                              DeliveryTarget &target)
     : SimObject(sim, std::move(name)), bandwidth_(bandwidth_bits_per_sec),
       propagationDelay_(propagation_delay), faults_(faults),
-      rng_(faults.seed),
-      target_(&target),
+      rng_(faults.seed), target_(target),
       packetsSent_(sim.stats(), statName("packetsSent"),
                    "packets accepted for transmission"),
       packetsDropped_(sim.stats(), statName("packetsDropped"),
@@ -84,10 +60,6 @@ LinkDirection::LinkDirection(sim::Simulation &sim, std::string name,
                  "wire bytes transmitted (incl. framing)")
 {
     f4t_assert(bandwidth_ > 0, "link '%s' needs positive bandwidth",
-               this->name().c_str());
-    f4t_assert(propagationDelay_ > 0,
-               "split link '%s' needs positive propagation delay "
-               "(it is the conservative lookahead)",
                this->name().c_str());
     frModule_ = sim::fr::internModule(this->name());
 }
@@ -160,8 +132,8 @@ LinkDirection::send(Packet &&pkt)
             pcap_->annotate(pcap_record, "duplicate");
         noteFault("duplicate", pkt, 3);
         Packet copy = pkt;
-        target_->deliver(std::move(copy),
-                         arrival + sim::nanosecondsToTicks(100));
+        target_.deliver(std::move(copy),
+                        arrival + sim::nanosecondsToTicks(100));
     }
 
     if (faults_.reorderProbability > 0 &&
@@ -178,7 +150,7 @@ LinkDirection::send(Packet &&pkt)
         arrival += extra;
     }
 
-    target_->deliver(std::move(pkt), arrival);
+    target_.deliver(std::move(pkt), arrival);
     return arrival;
 }
 
@@ -254,32 +226,130 @@ DeliveryPort::drainPending()
         queue().reschedule(&drainEvent_, earliest);
 }
 
-Link::Link(sim::Simulation &sim, std::string name,
-           double bandwidth_bits_per_sec, sim::Tick propagation_delay,
-           const FaultModel &faults)
-    : Link(sim, std::move(name), bandwidth_bits_per_sec,
-           propagation_delay, faults, reverseFaults(faults))
-{}
-
-Link::Link(sim::Simulation &sim, std::string name,
-           double bandwidth_bits_per_sec, sim::Tick propagation_delay,
-           const FaultModel &faults_a_to_b,
-           const FaultModel &faults_b_to_a)
-    : SimObject(sim, std::move(name)),
-      aToB_(sim, this->name() + ".aToB", bandwidth_bits_per_sec,
-            propagation_delay, faults_a_to_b),
-      bToA_(sim, this->name() + ".bToA", bandwidth_bits_per_sec,
-            propagation_delay, faults_b_to_a)
+/**
+ * One direction's partition bridge: DeliveryTarget for the transmit
+ * half, CrossChannel for the executor. A bounded SPSC mailbox of
+ * (arrival tick, packet) entries is pushed in transmit order on the
+ * sending partition's worker during a window; drainInto() replays them
+ * into the receiving port on the coordinator at the barrier, while
+ * every worker is parked.
+ *
+ * The propagation delay is the lookahead: a packet sent at tick t
+ * inside window [T, T+L] arrives at busyUntil + propagation >= t + L,
+ * at or after the next barrier, so a drain never schedules into a
+ * partition's past. Fault perturbations only push arrivals later
+ * (duplicate +100 ns, reorder +extra), so they inherit the bound. The
+ * port assigns its tie-breaking sequence numbers in replay order, so
+ * its burst heuristics see the stream a direct cable's port would.
+ */
+class LinkCrossing : public sim::CrossChannel, public DeliveryTarget
 {
-    if (linkObserver)
+  public:
+    LinkCrossing(DeliveryPort &port, sim::Tick lookahead)
+        : port_(port), lookahead_(lookahead)
+    {
+        f4t_assert(lookahead_ > 0,
+                   "link crossing into '%s' needs positive lookahead",
+                   port.name().c_str());
+    }
+
+    void
+    deliver(Packet &&pkt, sim::Tick arrival) override
+    {
+        mailbox_.push(CrossEvent{arrival, std::move(pkt)});
+    }
+
+    sim::Tick lookahead() const override { return lookahead_; }
+
+    std::size_t
+    drainInto() override
+    {
+        return mailbox_.drain([this](CrossEvent &&event) {
+            port_.deliver(std::move(event.pkt), event.arrival);
+        });
+    }
+
+    bool idle() const override { return mailbox_.empty(); }
+
+    std::uint64_t
+    spillsObserved() const override
+    {
+        return mailbox_.spillsObserved();
+    }
+
+  private:
+    struct CrossEvent
+    {
+        sim::Tick arrival = 0;
+        Packet pkt;
+    };
+
+    DeliveryPort &port_;
+    sim::Tick lookahead_;
+    sim::SpscMailbox<CrossEvent> mailbox_;
+};
+
+namespace
+{
+
+/** A crossing into @p port when it sits in another simulation than
+ *  the sender; each one preallocates its mailbox ring, so a direct
+ *  cable gets none. */
+std::unique_ptr<LinkCrossing>
+crossingFor(const sim::Simulation &from, DeliveryPort &port,
+            sim::Tick lookahead)
+{
+    if (&from == &port.sim())
+        return nullptr;
+    return std::make_unique<LinkCrossing>(port, lookahead);
+}
+
+DeliveryTarget &
+targetOf(const std::unique_ptr<LinkCrossing> &crossing, DeliveryPort &port)
+{
+    if (crossing)
+        return *crossing;
+    return port;
+}
+
+} // namespace
+
+Link::Link(sim::Simulation &sim_a, sim::Simulation &sim_b, std::string name,
+           double bandwidth_bits_per_sec, sim::Tick propagation_delay,
+           const FaultModel &faults, std::optional<FaultModel> reverse)
+    : SimObject(sim_a, std::move(name)),
+      portAtB_(sim_b, this->name() + ".aToB"),
+      portAtA_(sim_a, this->name() + ".bToA"),
+      abCrossing_(crossingFor(sim_a, portAtB_, propagation_delay)),
+      baCrossing_(crossingFor(sim_b, portAtA_, propagation_delay)),
+      aToB_(sim_a, this->name() + ".aToB", bandwidth_bits_per_sec,
+            propagation_delay, faults, targetOf(abCrossing_, portAtB_)),
+      bToA_(sim_b, this->name() + ".bToA", bandwidth_bits_per_sec,
+            propagation_delay, reverse ? *reverse : reverseFaults(faults),
+            targetOf(baCrossing_, portAtA_))
+{
+    if (linkObserver && !abCrossing_)
         linkObserver(*this);
 }
+
+Link::~Link() = default;
 
 void
 Link::connect(PacketSink &endpoint_a, PacketSink &endpoint_b)
 {
-    aToB_.setSink(&endpoint_b);
-    bToA_.setSink(&endpoint_a);
+    portAtB_.setSink(&endpoint_b);
+    portAtA_.setSink(&endpoint_a);
+}
+
+void
+Link::registerChannels(sim::ParallelExecutor &executor)
+{
+    f4t_assert(abCrossing_ != nullptr,
+               "link '%s' has both ends in one simulation; only a split "
+               "cable has channels to register",
+               name().c_str());
+    executor.addChannel(*abCrossing_);
+    executor.addChannel(*baCrossing_);
 }
 
 } // namespace f4t::net

@@ -11,13 +11,14 @@
  * The model is split along the cable: LinkDirection is the transmit
  * half (serialization timing, fault injection, stats, capture) and
  * DeliveryPort is the receive half (arrival ordering and burst-folded
- * handoff to the sink). A same-simulation Link wires each direction
- * straight into a local port; the parallel testbed places the port in
- * the receiving endpoint's partition and bridges the two with a
- * mailbox (net/split_link.hh), with the propagation delay exported as
- * the conservative lookahead. Both arrangements run the identical
- * delivery code on the identical (arrival, order) stream, which is
- * what keeps parallel runs byte-exact against the serial oracle.
+ * handoff to the sink). Each half lives in its own endpoint's
+ * Simulation. When both ends share one, a direction delivers straight
+ * into the receiving port; when they sit in different executor
+ * partitions, a LinkCrossing mailbox carries the direction across and
+ * the propagation delay is exported as the conservative lookahead
+ * (registerChannels). Both arrangements run the identical delivery
+ * code on the identical (arrival, order) stream, which is what keeps
+ * partitioned runs byte-exact against the serial oracle.
  *
  * A FaultInjector can drop, duplicate, or delay (reorder) packets with
  * configured probabilities; the congestion-control experiments
@@ -29,6 +30,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -37,9 +39,15 @@
 #include "sim/random.hh"
 #include "sim/simulation.hh"
 
+namespace f4t::sim
+{
+class ParallelExecutor;
+}
+
 namespace f4t::net
 {
 
+class LinkCrossing;
 class PcapWriter;
 
 /** Anything that can accept a packet from a link. */
@@ -85,9 +93,9 @@ struct FaultModel
 };
 
 /**
- * Where a transmit half sends its survivors: a local DeliveryPort in
- * the same simulation, or a cross-partition mailbox (split_link.hh)
- * that replays into a remote port at the next window barrier.
+ * Where a transmit half sends its survivors: the receiving DeliveryPort
+ * when both ends share a simulation, or a LinkCrossing mailbox that
+ * replays into that port at the next window barrier.
  */
 class DeliveryTarget
 {
@@ -178,31 +186,12 @@ class DeliveryPort : public sim::SimObject, public DeliveryTarget
 class LinkDirection : public sim::SimObject
 {
   public:
-    /** Same-simulation form: deliveries land in an owned local port. */
-    LinkDirection(sim::Simulation &sim, std::string name,
-                  double bandwidth_bits_per_sec,
-                  sim::Tick propagation_delay, const FaultModel &faults);
-
-    /**
-     * Split form: deliveries go to @p target (a cross-partition
-     * conduit ending in a DeliveryPort inside the receiver's
-     * simulation). The target must outlive traffic on this direction.
-     */
+    /** Deliveries go to @p target, which must outlive traffic on this
+     *  direction. */
     LinkDirection(sim::Simulation &sim, std::string name,
                   double bandwidth_bits_per_sec,
                   sim::Tick propagation_delay, const FaultModel &faults,
                   DeliveryTarget &target);
-
-    /** Connect the receiving end; same-simulation form only. */
-    void
-    setSink(PacketSink *sink)
-    {
-        f4t_assert(localPort_.has_value(),
-                   "link '%s' delivers cross-partition; set the sink on "
-                   "its DeliveryPort",
-                   name().c_str());
-        localPort_->setSink(sink);
-    }
 
     /**
      * Test-only hook observing every packet accepted by send(), before
@@ -258,10 +247,7 @@ class LinkDirection : public sim::SimObject
     FaultModel faults_;
     std::size_t nextScheduledDrop_ = 0;
     sim::Random rng_;
-
-    /** Present in the same-simulation form; absent when split. */
-    std::optional<DeliveryPort> localPort_;
-    DeliveryTarget *target_ = nullptr;
+    DeliveryTarget &target_;
 
     sim::Counter packetsSent_;
     sim::Counter packetsDropped_;
@@ -270,29 +256,52 @@ class LinkDirection : public sim::SimObject
     sim::Counter bytesSent_;
 };
 
-/** A bidirectional cable built from two LinkDirections. */
+/**
+ * A bidirectional cable built from two LinkDirections. Endpoint A
+ * lives in sim_a and endpoint B in sim_b: each direction transmits
+ * from its sender's simulation into a port in its receiver's. Pass
+ * the same Simulation twice (or use the one-Simulation form) for a
+ * direct cable; two different ones make a split cable, whose
+ * crossings the executor advancing both must learn through
+ * registerChannels().
+ */
 class Link : public sim::SimObject
 {
   public:
+    /**
+     * @param faults   fault model of the A->B direction
+     * @param reverse  fault model of the B->A direction; defaults to
+     *                 reverseFaults(faults)
+     */
+    Link(sim::Simulation &sim_a, sim::Simulation &sim_b, std::string name,
+         double bandwidth_bits_per_sec,
+         sim::Tick propagation_delay = sim::nanosecondsToTicks(500),
+         const FaultModel &faults = {},
+         std::optional<FaultModel> reverse = {});
+
+    /** Direct cable: both endpoints in @p sim. */
     Link(sim::Simulation &sim, std::string name,
          double bandwidth_bits_per_sec,
          sim::Tick propagation_delay = sim::nanosecondsToTicks(500),
-         const FaultModel &faults = {});
+         const FaultModel &faults = {},
+         std::optional<FaultModel> reverse = {})
+        : Link(sim, sim, std::move(name), bandwidth_bits_per_sec,
+               propagation_delay, faults, std::move(reverse))
+    {}
 
-    /** Asymmetric variant: independent fault models per direction
-     *  (the fuzzer draws distinct drop/duplicate/reorder rates). */
-    Link(sim::Simulation &sim, std::string name,
-         double bandwidth_bits_per_sec, sim::Tick propagation_delay,
-         const FaultModel &faults_a_to_b,
-         const FaultModel &faults_b_to_a);
+    ~Link() override;
 
     /** Attach the two endpoints; direction A->B and B->A. */
     void connect(PacketSink &endpoint_a, PacketSink &endpoint_b);
 
-    /** Direction used by endpoint A to reach endpoint B. */
+    /** Direction used by endpoint A to reach endpoint B (in sim_a). */
     LinkDirection &aToB() { return aToB_; }
-    /** Direction used by endpoint B to reach endpoint A. */
+    /** Direction used by endpoint B to reach endpoint A (in sim_b). */
     LinkDirection &bToA() { return bToA_; }
+
+    /** Register both crossings (lookahead = propagation delay) with
+     *  the executor advancing both partitions; split cables only. */
+    void registerChannels(sim::ParallelExecutor &executor);
 
     /** Capture both directions into one pcap file (interleaved). */
     void
@@ -303,14 +312,16 @@ class Link : public sim::SimObject
     }
 
     /**
-     * Process-wide hook observing Link construction, so a CLI layer
-     * (bench::Obs) can attach pcap writers to every link a binary
-     * creates without per-bench plumbing. Empty to uninstall.
+     * Process-wide hook observing the construction of direct (one
+     * Simulation) cables, so a CLI layer (bench::Obs) can attach pcap
+     * writers to every link a binary creates without per-bench
+     * plumbing. Split cables are skipped: their two directions send
+     * from different threads. Empty to uninstall.
      */
     static void setCreationObserver(std::function<void(Link &)> observer);
 
-    /** Derive the reverse-direction fault model the single-model
-     *  constructors use (decorrelated RNG seed, same rates). */
+    /** Derive the default reverse-direction fault model (decorrelated
+     *  RNG seed, same rates). */
     static FaultModel
     reverseFaults(const FaultModel &faults)
     {
@@ -320,8 +331,16 @@ class Link : public sim::SimObject
     }
 
   private:
-    LinkDirection aToB_;
-    LinkDirection bToA_;
+    // Receive halves live in the *destination* simulations and carry
+    // their direction's name, so drain events read "<link>.aToB.deliver"
+    // wherever the port sits.
+    DeliveryPort portAtB_; ///< in sim_b; receives the A->B direction
+    DeliveryPort portAtA_; ///< in sim_a; receives the B->A direction
+    /** Present only when the ends sit in different simulations. */
+    std::unique_ptr<LinkCrossing> abCrossing_;
+    std::unique_ptr<LinkCrossing> baCrossing_;
+    LinkDirection aToB_; ///< in sim_a
+    LinkDirection bToA_; ///< in sim_b
 };
 
 } // namespace f4t::net

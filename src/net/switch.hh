@@ -13,14 +13,14 @@
  * exactly the dynamics the incast scenarios measure.
  *
  * Wiring reuses the point-to-point cable model unchanged: each switch
- * port is the PacketSink end of an ordinary Link (or SplitLink)
- * toward one endpoint, and the switch transmits through that cable's
- * other LinkDirection. Egress pacing keys off LinkDirection::
- * busyUntil(), so serialization timing, fault injection, and pcap
- * capture on the attached cables all behave exactly as on a direct
- * cable. Because a port's TX half lives in the same partition as the
- * switch, the model works unmodified over SplitLink seams: only the
- * cable's own crossing carries packets between partitions.
+ * port is the PacketSink end of an ordinary Link toward one endpoint,
+ * and the switch transmits through that cable's other LinkDirection.
+ * Egress pacing keys off LinkDirection::busyUntil(), so serialization
+ * timing, fault injection, and pcap capture on the attached cables
+ * all behave exactly as on a direct cable. Because a port's TX half
+ * lives in the same partition as the switch, the model works
+ * unmodified when a cable's far end sits in another partition: only
+ * that cable's own crossing carries packets between partitions.
  *
  * Forwarding is static: routes are installed per destination IPv4
  * address (addRoute), frames to the broadcast MAC or without an IPv4

@@ -5,11 +5,12 @@
  * ledger digest for differential comparison, and a bounded tail of the
  * packet trace captured through the link taps.
  *
- * runDifferential() runs the same seed on all three worlds
- * (FtEngine/FtEngine, FtEngine/Linux, Linux/Linux) and asserts they
- * agree on delivered bytes, stream digests, and connection outcomes.
- * Timing differs wildly between the stacks; the *application-visible
- * byte streams* must not.
+ * runDifferential() runs the same seed on all four worlds (the
+ * FtEngine pair in one Simulation and split into two executor
+ * partitions, FtEngine/Linux, Linux/Linux) and asserts they agree on
+ * delivered bytes, stream digests, and connection outcomes. Timing
+ * differs wildly between the stacks; the *application-visible byte
+ * streams* must not.
  */
 
 #ifndef F4T_TESTS_FUZZ_RUNNER_HH
@@ -19,6 +20,7 @@
 #include <cstdlib>
 #include <deque>
 #include <functional>
+#include <iterator>
 #include <string>
 
 #include "apps/testbed.hh"
@@ -36,6 +38,8 @@ enum class WorldKind
     enginePair,
     engineLinux,
     linuxPair,
+    /** The FtEngine pair with one partition per endpoint, 2 workers. */
+    enginePairPartitioned,
 };
 
 inline const char *
@@ -45,15 +49,17 @@ toString(WorldKind kind)
       case WorldKind::enginePair: return "enginePair";
       case WorldKind::engineLinux: return "engineLinux";
       case WorldKind::linuxPair: return "linuxPair";
+      case WorldKind::enginePairPartitioned: return "enginePairPartitioned";
     }
     return "?";
 }
 
-constexpr WorldKind allWorlds[] = {WorldKind::enginePair,
-                                   WorldKind::engineLinux,
-                                   WorldKind::linuxPair};
+constexpr WorldKind allWorlds[] = {
+    WorldKind::enginePair, WorldKind::engineLinux, WorldKind::linuxPair,
+    WorldKind::enginePairPartitioned};
+constexpr std::size_t worldCount = std::size(allWorlds);
 
-/** Last-N packet log fed from the link taps (read-only observation). */
+/** Last-N packet log fed from one link tap (read-only observation). */
 class TraceRing
 {
   public:
@@ -104,6 +110,9 @@ struct RunResult
     std::uint64_t ledgerDigest = 0;
     std::uint64_t deliveredBytes = 0;
     std::uint64_t auditRuns = 0; ///< invariant-audit sweeps that ran
+    /** Partitioned worlds only: FNV mix of everything thread scheduling
+     *  could perturb (clocks, event and window totals, crossings). */
+    std::uint64_t kernelFingerprint = 0;
     std::string failureReport;   ///< nonempty iff the run failed
 
     bool ok() const { return completed && oraclePassed; }
@@ -115,20 +124,47 @@ using PacketMutator = std::function<void(net::Packet &)>;
 namespace detail
 {
 
-inline RunResult
-drive(sim::Simulation &sim, net::Link &link, apps::SocketApi &client_api,
+/** FNV-1a over the little-endian bytes of each mixed value. */
+struct Fnv
+{
+    std::uint64_t value = 0xcbf29ce484222325ULL;
+
+    void
+    mix(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            value = (value ^ (v & 0xff)) * 0x100000001b3ULL;
+            v >>= 8;
+        }
+    }
+};
+
+/**
+ * Run @p sc over @p link until every connection settles or the
+ * deadline passes. @p kernel is a Simulation or a world with
+ * run(limit)/now() over either placement; between run() calls a
+ * partitioned world's workers are parked, so reading client state is
+ * safe.
+ */
+template <typename Kernel>
+RunResult
+drive(Kernel &kernel, net::Link &link, apps::SocketApi &client_api,
       apps::SocketApi &server_api, const Scenario &sc,
       const char *world_name, const PacketMutator &mutate)
 {
     net::StreamOracle oracle;
-    TraceRing trace;
-    link.aToB().setTap([&](net::Packet &pkt) {
+    // One ring per direction, stamped with that direction's clock: on
+    // a partitioned world each tap runs on its sender's worker thread.
+    net::LinkDirection &ab = link.aToB();
+    net::LinkDirection &ba = link.bToA();
+    TraceRing trace_ab, trace_ba;
+    ab.setTap([&](net::Packet &pkt) {
         if (mutate)
             mutate(pkt);
-        trace.record(sim.now(), "A->B", pkt);
+        trace_ab.record(ab.now(), "A->B", pkt);
     });
-    link.bToA().setTap(
-        [&](net::Packet &pkt) { trace.record(sim.now(), "B->A", pkt); });
+    ba.setTap(
+        [&](net::Packet &pkt) { trace_ba.record(ba.now(), "B->A", pkt); });
 
     FuzzServer server(server_api, oracle);
     server.start();
@@ -139,10 +175,10 @@ drive(sim::Simulation &sim, net::Link &link, apps::SocketApi &client_api,
     // the queue drains early (now stops short of the slice target) no
     // further event can ever fire: stop rather than spin to deadline.
     const sim::Tick slice = sim::microsecondsToTicks(200);
-    while (!client.done() && sim.now() < sc.deadline) {
-        sim::Tick target = sim.now() + slice;
-        sim.run(target);
-        if (sim.now() < target)
+    while (!client.done() && kernel.now() < sc.deadline) {
+        sim::Tick target = kernel.now() + slice;
+        kernel.run(target);
+        if (kernel.now() < target)
             break;
     }
 
@@ -156,7 +192,9 @@ drive(sim::Simulation &sim, net::Link &link, apps::SocketApi &client_api,
     result.oraclePassed = oracle.passed();
     result.ledgerDigest = oracle.ledgerDigest();
     result.deliveredBytes = oracle.totalDeliveredBytes();
-    result.auditRuns = sim.auditRuns();
+    result.auditRuns = ab.sim().auditRuns();
+    if (&ba.sim() != &ab.sim())
+        result.auditRuns += ba.sim().auditRuns();
 
     if (!result.ok()) {
         result.failureReport = std::string("fuzz run failed on world ") +
@@ -166,34 +204,59 @@ drive(sim::Simulation &sim, net::Link &link, apps::SocketApi &client_api,
             std::snprintf(buf, sizeof(buf),
                           "\n  deadline hit at %.3fms with connections "
                           "still open",
-                          sim::ticksToSeconds(sim.now()) * 1e3);
+                          sim::ticksToSeconds(kernel.now()) * 1e3);
             result.failureReport += buf;
         }
         result.failureReport += "\n  " + oracle.report();
-        result.failureReport += "\n  " + trace.dump();
+        result.failureReport += "\n  A->B " + trace_ab.dump();
+        result.failureReport += "\n  B->A " + trace_ba.dump();
     }
     return result;
 }
 
 } // namespace detail
 
+/** The FtEngine pair world in @p placement. */
+inline RunResult
+runEnginePair(const Scenario &sc, testbed::Placement placement,
+              const PacketMutator &mutate = {})
+{
+    core::EngineConfig config;
+    config.numFpcs = 2;
+    config.flowsPerFpc = 32;
+    config.maxFlows = 1024;
+    testbed::EnginePairWorld world(1, config, sc.faultsAtoB, sc.bandwidthBps,
+                                   sc.faultsBtoA,
+                                   sim::nanosecondsToTicks(500), placement);
+    auto client_api = world.apiA(0);
+    auto server_api = world.apiB(0);
+    WorldKind kind = placement.partitioned ? WorldKind::enginePairPartitioned
+                                           : WorldKind::enginePair;
+    RunResult result = detail::drive(world, *world.link, client_api,
+                                     server_api, sc, toString(kind), mutate);
+    if (placement.partitioned) {
+        detail::Fnv fp;
+        fp.mix(result.ledgerDigest);
+        fp.mix(result.deliveredBytes);
+        fp.mix(world.sim.now());
+        fp.mix(world.simB.now());
+        fp.mix(world.executor.eventsProcessed());
+        fp.mix(world.executor.windowsRun());
+        fp.mix(world.executor.crossEventsDelivered());
+        result.kernelFingerprint = fp.value;
+    }
+    return result;
+}
+
 inline RunResult
 runScenario(WorldKind kind, const Scenario &sc,
             const PacketMutator &mutate = {})
 {
     switch (kind) {
-      case WorldKind::enginePair: {
-        core::EngineConfig config;
-        config.numFpcs = 2;
-        config.flowsPerFpc = 32;
-        config.maxFlows = 1024;
-        testbed::EnginePairWorld world(1, config, sc.faultsAtoB,
-                                       sc.bandwidthBps, sc.faultsBtoA);
-        auto client_api = world.apiA(0);
-        auto server_api = world.apiB(0);
-        return detail::drive(world.sim, *world.link, client_api,
-                             server_api, sc, toString(kind), mutate);
-      }
+      case WorldKind::enginePair:
+        return runEnginePair(sc, {}, mutate);
+      case WorldKind::enginePairPartitioned:
+        return runEnginePair(sc, {true, 2}, mutate);
       case WorldKind::engineLinux: {
         core::EngineConfig config;
         config.numFpcs = 1;
@@ -245,7 +308,7 @@ dumpWorldRecorders(std::uint64_t seed, const sim::fr::Snapshot *snaps,
 }
 
 /**
- * Run one seed on all three worlds and cross-check. Returns an empty
+ * Run one seed on all four worlds and cross-check. Returns an empty
  * string on agreement; otherwise a report naming the seed, the
  * scenario, and what diverged, plus per-world flight-recorder dumps
  * written to $F4T_DUMP_DIR.
@@ -258,11 +321,11 @@ runDifferential(std::uint64_t seed)
     // Each world runs against a freshly cleared flight recorder and its
     // rings are snapshotted before the next world overwrites them —
     // a failure at any point can dump every world it has.
-    sim::fr::Snapshot snaps[3];
-    RunResult results[3];
+    sim::fr::Snapshot snaps[worldCount];
+    RunResult results[worldCount];
     std::size_t ran = 0;
     std::string report;
-    for (std::size_t i = 0; i < 3; ++i) {
+    for (std::size_t i = 0; i < worldCount; ++i) {
         sim::fr::clear();
         results[i] = runScenario(allWorlds[i], sc);
         snaps[i] = sim::fr::snapshot();
@@ -274,7 +337,7 @@ runDifferential(std::uint64_t seed)
     }
 
     if (report.empty()) {
-        for (std::size_t i = 1; i < 3; ++i) {
+        for (std::size_t i = 1; i < worldCount; ++i) {
             if (results[i].ledgerDigest != results[0].ledgerDigest ||
                 results[i].deliveredBytes != results[0].deliveredBytes) {
                 char buf[256];

@@ -5,9 +5,11 @@
  *   fuzz_sweep [first_seed] [count]
  *
  * Runs `count` consecutive seeds starting at `first_seed` (defaults:
- * 1000, 50), each as a full three-world differential run, and exits
- * nonzero on the first divergence or oracle violation. The failure
- * report names the seed; replay it with `fuzz_sweep <seed> 1`.
+ * 1000, 50), each as a full four-world differential run (the FtEngine
+ * pair in one Simulation and partitioned at 2 executor workers,
+ * FtEngine/Linux, Linux/Linux), and exits nonzero on the first
+ * divergence or oracle violation. The failure report names the seed;
+ * replay it with `fuzz_sweep <seed> 1`.
  *
  * The command line is strict: a value that is not a plain decimal
  * number, a count of 0 or a seed range past 2^64, an extra argument,

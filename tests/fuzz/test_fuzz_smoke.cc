@@ -4,9 +4,10 @@
  *
  * Each seed is a full differential run: the same generated scenario —
  * nonzero drop/duplicate/reorder rates included — executes on the
- * FtEngine pair, the FtEngine-vs-Linux pair, and the Linux pair, and
- * the three ledgers must agree byte-for-byte. The corpus seeds are
- * fixed so CI is deterministic; `fuzz_sweep` explores fresh seeds.
+ * FtEngine pair (in one Simulation and partitioned at 2 executor
+ * workers), the FtEngine-vs-Linux pair, and the Linux pair, and the
+ * four ledgers must agree byte-for-byte. The corpus seeds are fixed
+ * so CI is deterministic; `fuzz_sweep` explores fresh seeds.
  *
  * Also here: the oracle's teeth are proven by corrupting one payload
  * byte in flight and requiring a violation that names the reproducing
@@ -36,7 +37,7 @@ runCorpus(std::uint64_t first_seed, std::uint64_t count)
     }
 }
 
-// 24 seeds x 3 worlds, split so ctest can run the slices in parallel.
+// 24 seeds x 4 worlds, split so ctest can run the slices in parallel.
 TEST(FuzzSmoke, CorpusSlice0) { runCorpus(1, 6); }
 TEST(FuzzSmoke, CorpusSlice1) { runCorpus(7, 6); }
 TEST(FuzzSmoke, CorpusSlice2) { runCorpus(13, 6); }

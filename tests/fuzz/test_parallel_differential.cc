@@ -4,27 +4,24 @@
  *
  * The conservative parallel executor (sim/parallel.hh) may not change
  * anything an application observes: every corpus seed — fault
- * injection included — runs on the serial single-Simulation FtEngine
- * pair (the determinism oracle) and on the partitioned
- * ParallelEnginePairWorld, and both must complete, pass the
- * byte-stream oracle, and agree byte-exactly on ledger digests and
- * delivered byte counts.
+ * injection included — runs on the FtEngine pair placed in one
+ * Simulation (the determinism oracle) and with one partition per
+ * endpoint, and both must complete, pass the byte-stream oracle, and
+ * agree byte-exactly on ledger digests and delivered byte counts.
  *
- * The parallel world additionally runs at one and two worker threads;
- * the two runs must produce identical determinism fingerprints
- * (simulated clocks, event counts, window counts, cross-partition
- * traffic, ledger) — thread scheduling must be invisible to the
- * simulation.
+ * The partitioned world additionally runs at one and two worker
+ * threads; the two runs must produce identical determinism
+ * fingerprints (simulated clocks, event counts, window counts,
+ * cross-partition traffic, ledger) — thread scheduling must be
+ * invisible to the simulation.
  */
 
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "apps/kv.hh"
-#include "apps/testbed_parallel.hh"
 #include "apps/testbed_star.hh"
 #include "load/open_loop.hh"
 
@@ -36,103 +33,6 @@ namespace
 using namespace f4t;
 using namespace f4t::fuzz;
 
-struct ParallelRunResult
-{
-    RunResult base;
-    /** FNV mix of everything thread scheduling could perturb. */
-    std::uint64_t fingerprint = 0;
-    std::uint64_t windows = 0;
-    std::uint64_t crossEvents = 0;
-};
-
-ParallelRunResult
-runParallelScenario(const Scenario &sc, std::size_t threads)
-{
-    core::EngineConfig config;
-    config.numFpcs = 2;
-    config.flowsPerFpc = 32;
-    config.maxFlows = 1024;
-    testbed::ParallelEnginePairWorld world(
-        1, config, sc.faultsAtoB, sc.bandwidthBps, sc.faultsBtoA,
-        sim::nanosecondsToTicks(500), threads);
-
-    auto client_api = world.apiA(0);
-    auto server_api = world.apiB(0);
-
-    net::StreamOracle oracle;
-    // One trace ring per direction: each tap runs on its sending
-    // partition's worker thread.
-    TraceRing trace_ab, trace_ba;
-    world.link->aToB().setTap([&](net::Packet &pkt) {
-        trace_ab.record(world.simA.now(), "A->B", pkt);
-    });
-    world.link->bToA().setTap([&](net::Packet &pkt) {
-        trace_ba.record(world.simB.now(), "B->A", pkt);
-    });
-
-    FuzzServer server(server_api, oracle);
-    server.start();
-    FuzzClient client(client_api, sc, oracle);
-    client.start();
-
-    // Same slice-driven loop as the serial runner; between run() calls
-    // all workers are parked, so reading client state is safe.
-    const sim::Tick slice = sim::microsecondsToTicks(200);
-    while (!client.done() && world.now() < sc.deadline) {
-        sim::Tick target = world.now() + slice;
-        world.run(target);
-        if (world.now() < target)
-            break;
-    }
-
-    ParallelRunResult result;
-    result.base.completed = client.done();
-    for (std::size_t i = 0; i < sc.conns.size(); ++i) {
-        auto conn = static_cast<std::uint32_t>(i);
-        oracle.expectFullyDelivered(upStream(conn));
-        oracle.expectFullyDelivered(downStream(conn));
-    }
-    result.base.oraclePassed = oracle.passed();
-    result.base.ledgerDigest = oracle.ledgerDigest();
-    result.base.deliveredBytes = oracle.totalDeliveredBytes();
-    result.base.auditRuns = world.simA.auditRuns() + world.simB.auditRuns();
-
-    result.windows = world.executor.windowsRun();
-    result.crossEvents = world.executor.crossEventsDelivered();
-    std::uint64_t fp = 0xcbf29ce484222325ULL;
-    auto mix = [&fp](std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            fp = (fp ^ (v & 0xff)) * 0x100000001b3ULL;
-            v >>= 8;
-        }
-    };
-    mix(result.base.ledgerDigest);
-    mix(result.base.deliveredBytes);
-    mix(world.simA.now());
-    mix(world.simB.now());
-    mix(world.executor.eventsProcessed());
-    mix(result.windows);
-    mix(result.crossEvents);
-    result.fingerprint = fp;
-
-    if (!result.base.ok()) {
-        result.base.failureReport =
-            "parallel fuzz run failed\n  " + sc.describe();
-        if (!result.base.completed) {
-            char buf[128];
-            std::snprintf(buf, sizeof(buf),
-                          "\n  deadline hit at %.3fms with connections "
-                          "still open",
-                          sim::ticksToSeconds(world.now()) * 1e3);
-            result.base.failureReport += buf;
-        }
-        result.base.failureReport += "\n  " + oracle.report();
-        result.base.failureReport += "\n  A->B " + trace_ab.dump();
-        result.base.failureReport += "\n  B->A " + trace_ba.dump();
-    }
-    return result;
-}
-
 void
 runParallelCorpus(std::uint64_t first_seed, std::uint64_t count)
 {
@@ -143,35 +43,33 @@ runParallelCorpus(std::uint64_t first_seed, std::uint64_t count)
             << "corpus seed " << seed << " lost its fault injection";
 
         RunResult serial = runScenario(WorldKind::enginePair, sc);
-        ParallelRunResult solo = runParallelScenario(sc, 1);
-        ParallelRunResult multi = runParallelScenario(sc, 2);
+        RunResult solo = runEnginePair(sc, {true, 1});
+        RunResult multi = runEnginePair(sc, {true, 2});
 
         EXPECT_TRUE(serial.ok())
             << "serial oracle run failed; reproduce with: fuzz_sweep "
             << seed << " 1\n" << serial.failureReport;
-        EXPECT_TRUE(solo.base.ok())
+        EXPECT_TRUE(solo.ok())
             << "1-thread parallel run failed, seed " << seed << "\n"
-            << solo.base.failureReport;
-        EXPECT_TRUE(multi.base.ok())
+            << solo.failureReport;
+        EXPECT_TRUE(multi.ok())
             << "2-thread parallel run failed, seed " << seed << "\n"
-            << multi.base.failureReport;
+            << multi.failureReport;
 
         // Parallel must be byte-exact against the serial oracle.
-        EXPECT_EQ(solo.base.ledgerDigest, serial.ledgerDigest)
+        EXPECT_EQ(solo.ledgerDigest, serial.ledgerDigest)
             << "seed " << seed << ": partitioned kernel changed the "
             << "application-visible byte streams\n  " << sc.describe();
-        EXPECT_EQ(solo.base.deliveredBytes, serial.deliveredBytes)
+        EXPECT_EQ(solo.deliveredBytes, serial.deliveredBytes)
             << "seed " << seed << "\n  " << sc.describe();
-        EXPECT_GT(solo.base.deliveredBytes, 0u) << "seed " << seed;
+        EXPECT_GT(solo.deliveredBytes, 0u) << "seed " << seed;
 
         // ... and invariant under the worker count, down to the
         // simulated clocks and event totals.
-        EXPECT_EQ(solo.fingerprint, multi.fingerprint)
+        EXPECT_EQ(solo.kernelFingerprint, multi.kernelFingerprint)
             << "seed " << seed << ": thread count leaked into simulated "
-            << "behavior (windows " << solo.windows << "/"
-            << multi.windows << ", cross events " << solo.crossEvents
-            << "/" << multi.crossEvents << ")\n  " << sc.describe();
-        EXPECT_EQ(solo.base.ledgerDigest, multi.base.ledgerDigest)
+            << "behavior\n  " << sc.describe();
+        EXPECT_EQ(solo.ledgerDigest, multi.ledgerDigest)
             << "seed " << seed << "\n  " << sc.describe();
     }
 }
@@ -187,11 +85,11 @@ TEST(ParallelDifferential, CorpusSlice3) { runParallelCorpus(19, 6); }
 // Open-loop incast differential: N clients behind the shared-buffer
 // switch synchronously burst SETs at one server over a faulty
 // bottleneck downlink. Switch tail drops plus injected loss force the
-// RTO/go-back-N recovery path, and the serial StarWorld must agree
-// byte-exactly (oracle ledger, per-key byte counts, every client- and
-// server-side counter) with the ParallelStarWorld, which itself must
-// be invariant down to switch packet counts and kernel event totals
-// across one and two worker threads.
+// RTO/go-back-N recovery path, and the StarWorld in one Simulation
+// must agree byte-exactly (oracle ledger, per-key byte counts, every
+// client- and server-side counter) with the partitioned StarWorld,
+// which itself must be invariant down to switch packet counts and
+// kernel event totals across one and two worker threads.
 
 constexpr std::size_t incastClients = 4;
 constexpr std::uint64_t incastRequestsPerClient = 4;
@@ -223,16 +121,15 @@ struct IncastRun
     std::uint64_t switchDrops = 0;
     /** FNV mix of every application-visible counter. */
     std::uint64_t appFingerprint = 0;
-    /** Parallel runs only: executor-level determinism fingerprint. */
+    /** Partitioned runs only: executor-level determinism fingerprint. */
     std::uint64_t kernelFingerprint = 0;
     std::string report;
 };
 
-template <typename World>
 IncastRun
-runIncastWorld(World &world, sim::Simulation &client_sim,
-               const std::function<sim::Tick(sim::Tick)> &run_for)
+runIncast(testbed::Placement placement)
 {
+    testbed::StarWorld world(incastConfig(), placement);
     net::StreamOracle oracle;
 
     apps::F4tSocketApi server_api = world.serverApi();
@@ -272,8 +169,8 @@ runIncastWorld(World &world, sim::Simulation &client_sim,
                 return false;
         return true;
     };
-    while (!all_done() && client_sim.now() < deadline)
-        run_for(sim::millisecondsToTicks(1));
+    while (!all_done() && world.now() < deadline)
+        world.runFor(sim::millisecondsToTicks(1));
 
     IncastRun result;
     result.completed = all_done();
@@ -293,76 +190,48 @@ runIncastWorld(World &world, sim::Simulation &client_sim,
     // — partitioning may legally reorder same-tick events across the
     // cut, which can change how many duplicate ACKs/retransmissions
     // cross the fabric without changing a single application byte.
-    std::uint64_t fp = 0xcbf29ce484222325ULL;
-    auto mix = [&fp](std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            fp = (fp ^ (v & 0xff)) * 0x100000001b3ULL;
-            v >>= 8;
-        }
-    };
+    detail::Fnv app;
     for (auto &client : clients) {
-        mix(client->issued());
-        mix(client->dispatched());
-        mix(client->completed());
-        mix(client->valueBytesSent());
-        mix(client->valueBytesReceived());
+        app.mix(client->issued());
+        app.mix(client->dispatched());
+        app.mix(client->completed());
+        app.mix(client->valueBytesSent());
+        app.mix(client->valueBytesReceived());
     }
-    mix(server.gets());
-    mix(server.sets());
-    mix(server.valueBytesIn());
-    mix(server.valueBytesOut());
+    app.mix(server.gets());
+    app.mix(server.sets());
+    app.mix(server.valueBytesIn());
+    app.mix(server.valueBytesOut());
     for (const auto &[key, bytes] : server.setBytesByKey()) {
-        mix(key);
-        mix(bytes);
+        app.mix(key);
+        app.mix(bytes);
     }
-    mix(result.ledgerDigest);
-    result.appFingerprint = fp;
+    app.mix(result.ledgerDigest);
+    result.appFingerprint = app.value;
+
+    if (placement.partitioned) {
+        detail::Fnv kernel;
+        kernel.mix(result.appFingerprint);
+        // Packet-level switch counters ARE pinned across worker counts:
+        // the same partitioning must replay identically at 1 and N
+        // threads.
+        kernel.mix(world.fabric->totalForwarded());
+        kernel.mix(world.fabric->totalDropped());
+        kernel.mix(world.sim.now());
+        kernel.mix(world.simServer.now());
+        kernel.mix(world.executor.eventsProcessed());
+        kernel.mix(world.executor.windowsRun());
+        kernel.mix(world.executor.crossEventsDelivered());
+        result.kernelFingerprint = kernel.value;
+    }
     return result;
-}
-
-IncastRun
-runIncastSerial()
-{
-    testbed::StarWorld world(incastConfig());
-    return runIncastWorld(world, world.sim, [&](sim::Tick d) {
-        return world.sim.runFor(d);
-    });
-}
-
-IncastRun
-runIncastParallel(std::size_t threads)
-{
-    testbed::ParallelStarWorld world(incastConfig(), threads);
-    IncastRun run = runIncastWorld(
-        world, world.simClients,
-        [&](sim::Tick d) { return world.runFor(d); });
-
-    std::uint64_t fp = 0xcbf29ce484222325ULL;
-    auto mix = [&fp](std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            fp = (fp ^ (v & 0xff)) * 0x100000001b3ULL;
-            v >>= 8;
-        }
-    };
-    mix(run.appFingerprint);
-    // Packet-level switch counters ARE pinned across worker counts:
-    // the same partitioning must replay identically at 1 and N threads.
-    mix(world.fabric->totalForwarded());
-    mix(world.fabric->totalDropped());
-    mix(world.simClients.now());
-    mix(world.simServer.now());
-    mix(world.executor.eventsProcessed());
-    mix(world.executor.windowsRun());
-    mix(world.executor.crossEventsDelivered());
-    run.kernelFingerprint = fp;
-    return run;
 }
 
 TEST(ParallelDifferential, OpenLoopIncastStarWorld)
 {
-    IncastRun serial = runIncastSerial();
-    IncastRun solo = runIncastParallel(1);
-    IncastRun multi = runIncastParallel(2);
+    IncastRun serial = runIncast({});
+    IncastRun solo = runIncast({true, 1});
+    IncastRun multi = runIncast({true, 2});
 
     ASSERT_TRUE(serial.completed) << "serial incast run hit the deadline";
     ASSERT_TRUE(solo.completed) << "1-thread incast run hit the deadline";

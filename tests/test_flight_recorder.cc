@@ -18,12 +18,14 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <stdlib.h>
 
+#include "apps/testbed.hh"
 #include "sim/flight_recorder.hh"
 #include "sim/parallel.hh"
 #include "sim/simulation.hh"
@@ -291,6 +293,68 @@ TEST(FlightRecorder, DisabledRunRecordsNothingAndBehaviorIsIdentical)
 }
 
 // --- cross-thread merge (named to run under the tsan preset) ------------
+
+TEST(FlightRecorder, FpcRecordsEachAbsorbedEventKind)
+{
+    // One connection through an FtEngine pair: connect, a 64 B echo,
+    // close. The FPCs absorbing those events must record each kind
+    // under their own module.
+    fr::setEnabled(true);
+    core::EngineConfig config;
+    config.numFpcs = 1;
+    config.flowsPerFpc = 16;
+    config.maxFlows = 64;
+    testbed::EnginePairWorld world(1, config);
+    auto client = world.apiA(0);
+    auto server = world.apiB(0);
+
+    std::vector<std::uint8_t> buf(256, 0x5a);
+    apps::SocketApi::Handlers server_handlers;
+    server_handlers.onReadable = [&](int conn, std::size_t) {
+        std::size_t n = server.recv(conn, buf);
+        server.send(conn, std::span<const std::uint8_t>(buf.data(), n));
+    };
+    server_handlers.onPeerClosed = [&](int conn) { server.close(conn); };
+    // The passive closer finishes without TIME_WAIT.
+    bool closed = false;
+    server_handlers.onClosed = [&](int) { closed = true; };
+    server.setHandlers(server_handlers);
+    server.listen(7);
+
+    apps::SocketApi::Handlers client_handlers;
+    client_handlers.onConnected = [&](int conn) {
+        client.send(conn, std::span<const std::uint8_t>(buf.data(), 64));
+    };
+    client_handlers.onReadable = [&](int conn, std::size_t) {
+        client.recv(conn, buf);
+        client.close(conn);
+    };
+    client.setHandlers(client_handlers);
+    client.connect(testbed::ipB(), 7);
+
+    // Collect in short slices, clearing between them, so the ring
+    // never wraps over an early record.
+    std::set<fr::Kind> fpc_kinds;
+    fr::clear();
+    for (int slice = 0; slice < 400 && !closed; ++slice) {
+        world.runFor(sim::microsecondsToTicks(5));
+        fr::Snapshot snap = fr::snapshot();
+        for (const auto &ring : snap.rings) {
+            ASSERT_LE(ring.totalWritten, fr::ringCapacity);
+            for (const fr::Record &rec : ring.records) {
+                ASSERT_LT(rec.module, snap.modules.size());
+                if (snap.modules[rec.module].find(".fpc") !=
+                    std::string::npos)
+                    fpc_kinds.insert(static_cast<fr::Kind>(rec.kind));
+            }
+        }
+        fr::clear();
+    }
+    ASSERT_TRUE(closed) << "echo connection never closed";
+    for (fr::Kind kind : {fr::Kind::fpcUserConnect, fr::Kind::fpcUserSend,
+                          fr::Kind::fpcRxSegment, fr::Kind::fpcUserClose})
+        EXPECT_TRUE(fpc_kinds.count(kind)) << fr::toString(kind);
+}
 
 TEST(FlightRecorderParallel, TwoThreadMergeIsTickSorted)
 {

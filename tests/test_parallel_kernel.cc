@@ -3,8 +3,9 @@
  * Unit tests for the conservative parallel kernel building blocks:
  * the SPSC mailbox, the event-queue lower bound, the executor's
  * window/barrier mechanics, and cross-partition delivery through a
- * SplitLink — all at the level below the full-stack differential
- * fuzzer (tests/fuzz/test_parallel_differential.cc).
+ * net::Link split between two partitions — all at the level below the
+ * full-stack differential fuzzer
+ * (tests/fuzz/test_parallel_differential.cc).
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +14,7 @@
 #include <thread>
 #include <vector>
 
-#include "net/split_link.hh"
+#include "net/link.hh"
 #include "sim/parallel.hh"
 #include "sim/simulation.hh"
 #include "sim/spsc_mailbox.hh"
@@ -224,7 +225,7 @@ TEST(ParallelExecutor, CrossEventsDeliveredAtBarriers)
     EXPECT_EQ(ex.crossEventsDelivered(), 1u);
 }
 
-// --- SplitLink end-to-end ------------------------------------------------
+// --- Split net::Link end-to-end -------------------------------------------
 
 struct RecordingSink : net::PacketSink
 {
@@ -250,12 +251,20 @@ makePacket(std::size_t payload_bytes)
     return pkt;
 }
 
-TEST(SplitLink, DeliversAcrossPartitionsAtModeledArrival)
+TEST(LinkCrossingDeathTest, RegisterChannelsOnDirectCableDies)
+{
+    sim::Simulation sim;
+    net::Link link(sim, "cable", 100e9, sim::nanosecondsToTicks(500));
+    sim::ParallelExecutor ex(1);
+    EXPECT_DEATH(link.registerChannels(ex), "only a split cable");
+}
+
+TEST(ParallelLink, DeliversAcrossPartitionsAtModeledArrival)
 {
     for (std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
         sim::Simulation pa, pb;
-        net::SplitLink link(pa, pb, "cable", 100e9,
-                            sim::nanosecondsToTicks(500));
+        net::Link link(pa, pb, "cable", 100e9,
+                       sim::nanosecondsToTicks(500));
         RecordingSink sink_a(pa), sink_b(pb);
         link.connect(sink_a, sink_b);
 
@@ -281,12 +290,12 @@ TEST(SplitLink, DeliversAcrossPartitionsAtModeledArrival)
     }
 }
 
-TEST(SplitLink, ThreadCountInvariantDeliverySchedule)
+TEST(ParallelLink, ThreadCountInvariantDeliverySchedule)
 {
     auto run = [](std::size_t threads) {
         sim::Simulation pa, pb;
-        net::SplitLink link(pa, pb, "cable", 100e9,
-                            sim::nanosecondsToTicks(500));
+        net::Link link(pa, pb, "cable", 100e9,
+                       sim::nanosecondsToTicks(500));
         RecordingSink sink_a(pa), sink_b(pb);
         link.connect(sink_a, sink_b);
         sim::ParallelExecutor ex(threads);

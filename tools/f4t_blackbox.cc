@@ -10,16 +10,19 @@
  *   f4t_blackbox --selftest             # synthesize, dump, re-decode
  *
  * Multiple dumps decode in sequence (the fuzz harness writes one per
- * world, side by side). The decoding core lives in
+ * world, side by side). An unknown flag, a missing value or a value
+ * that is not a non-negative number (decimal or 0x hex) exits 2 with
+ * usage before any dump is read. The decoding core lives in
  * sim/flight_recorder.{hh,cc} so tests can round-trip without
  * spawning this binary.
  */
 
+#include "cli_args.hh"
 #include "sim/flight_recorder.hh"
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <string>
 #include <thread>
@@ -164,37 +167,25 @@ selftest()
 int
 main(int argc, char **argv)
 {
-    std::size_t last_k = 50;
+    bool selftest_only = false;
+    std::uint64_t last_k = 50;
+    std::uint64_t flow = 0;
     bool flow_set = false;
-    std::uint32_t flow = 0;
     std::vector<std::string> paths;
-
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--selftest") == 0) {
-            return selftest();
-        } else if (std::strcmp(argv[i], "--last") == 0 && i + 1 < argc) {
-            last_k = static_cast<std::size_t>(
-                std::strtoull(argv[++i], nullptr, 0));
-        } else if (std::strcmp(argv[i], "--flow") == 0 && i + 1 < argc) {
-            flow_set = true;
-            flow = static_cast<std::uint32_t>(
-                std::strtoul(argv[++i], nullptr, 0));
-        } else if (argv[i][0] == '-') {
-            std::fprintf(stderr,
-                         "usage: f4t_blackbox [--last K] [--flow N] "
-                         "[--selftest] dump.f4tfr...\n");
-            return 2;
-        } else {
-            paths.emplace_back(argv[i]);
-        }
+    f4t::bench::CliArgs args(
+        "f4t_blackbox", "[--last K] [--flow N] [--selftest] dump.f4tfr...");
+    args.flag("--selftest", selftest_only)
+        .number("--last", SIZE_MAX, last_k)
+        .number("--flow", UINT32_MAX, flow, &flow_set)
+        .parse(argc, argv, &paths);
+    if (selftest_only) {
+        if (!paths.empty())
+            args.fail("--selftest reads no dumps");
+        return selftest();
     }
-    if (paths.empty()) {
-        std::fprintf(stderr,
-                     "usage: f4t_blackbox [--last K] [--flow N] "
-                     "[--selftest] dump.f4tfr...\n");
-        return 2;
-    }
+    if (paths.empty())
+        args.fail("no dump given");
     for (const std::string &path : paths)
-        printDump(path, last_k, flow_set, flow);
+        printDump(path, last_k, flow_set, static_cast<std::uint32_t>(flow));
     return 0;
 }
