@@ -139,8 +139,9 @@ mrps(std::uint64_t count, sim::Tick window)
  * binaries with strict parsers never see them) and hooks simulation
  * and link construction so capture needs no per-binary wiring:
  *
- *   --trace=SPEC            per-module text tracepoints (glob over flag
- *                           names, '-' negates: "fpc,sched*,-timer")
+ *   --trace=SPEC            text trace of the probe kinds matching SPEC
+ *                           (glob over kind names, '-' negates:
+ *                           "fpc*,sched_*,-timer_fire"; sim/probe.cc)
  *   --pcap=PATH             one .pcap (+ .index sidecar) per Link
  *   --timeline=PATH         Chrome trace-event JSON per Simulation
  *   --stat-sample=PATH[@US] stat time-series CSV per Simulation,
@@ -255,7 +256,7 @@ class Obs
             } else if (dest != nullptr) {
                 *dest = arg.substr(eq + 1);
             } else {
-                sim::trace::setFlags(std::string(arg.substr(eq + 1)));
+                sim::trace::select(std::string(arg.substr(eq + 1)));
             }
         }
         argc = out;

@@ -14,6 +14,7 @@ main(int argc, char **argv)
 {
     using namespace f4t;
     bench::Obs::install(argc, argv);
+    bench::CliArgs("fig01_nginx_linux", "[capture flags]").parse(argc, argv);
     sim::setVerbose(false);
 
     bench::banner("Figure 1", "Nginx on the Linux TCP stack");

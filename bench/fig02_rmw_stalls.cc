@@ -57,6 +57,7 @@ main(int argc, char **argv)
 {
     using namespace f4t;
     bench::Obs::install(argc, argv);
+    bench::CliArgs("fig02_rmw_stalls", "[capture flags]").parse(argc, argv);
     sim::setVerbose(false);
 
     bench::banner("Figure 2",

@@ -14,6 +14,7 @@ main(int argc, char **argv)
 {
     using namespace f4t;
     bench::Obs::install(argc, argv);
+    bench::CliArgs("fig07_resources", "[capture flags]").parse(argc, argv);
 
     bench::banner("Figure 7b", "FtEngine resource utilization (U280)");
 

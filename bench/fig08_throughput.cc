@@ -178,6 +178,7 @@ main(int argc, char **argv)
 {
     using namespace f4t;
     bench::Obs::install(argc, argv);
+    bench::CliArgs("fig08_throughput", "[capture flags]").parse(argc, argv);
     sim::setVerbose(false);
 
     bench::banner("Figure 8",

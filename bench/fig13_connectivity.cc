@@ -17,7 +17,6 @@
 #include "apps/testbed.hh"
 #include "apps/workloads.hh"
 #include "bench_util.hh"
-#include "sim/config.hh"
 
 namespace f4t
 {
@@ -136,13 +135,13 @@ main(int argc, char **argv)
     sim::setVerbose(false);
     bench::Obs::install(argc, argv); // strips capture flags from argv
 
-    sim::Config options;
-    options.declare("maxFlows", "4096",
-                    "largest flow count in the sweep; 16384/65536 "
-                    "approach the paper's right edge but need tens of "
-                    "minutes of simulation per row");
-    options.parseArgs(argc, argv);
-    std::size_t max_flows = options.getUint("maxFlows");
+    // The largest flow count in the sweep; 16384/65536 approach the
+    // paper's right edge but need tens of minutes of simulation per row.
+    std::uint64_t max_flows = 4096;
+    bench::CliArgs args("fig13_connectivity", "[--max-flows N]");
+    args.number("--max-flows", 65536, max_flows).parse(argc, argv);
+    if (max_flows < 256)
+        args.fail("--max-flows needs at least 256, the first row");
 
     bench::banner("Figure 13",
                   "128 B echo request rate vs concurrent flows (8 cores)");
@@ -183,8 +182,8 @@ main(int argc, char **argv)
         "flows, throughput is a mix of resident flows at full rate and\n"
         "migration-bound rotation; the DRAM-vs-HBM divergence the paper\n"
         "reports (12x vs 44x Linux at 64 K) emerges when essentially\n"
-        "all traffic is migration-bound — reach it with maxFlows=16384\n"
-        "or 65536 (tens of minutes of simulation per row). TONIC stops\n"
-        "existing past its 1 K SRAM bound.\n");
+        "all traffic is migration-bound — reach it with --max-flows\n"
+        "16384 or 65536 (tens of minutes of simulation per row). TONIC\n"
+        "stops existing past its 1 K SRAM bound.\n");
     return 0;
 }

@@ -144,6 +144,7 @@ main(int argc, char **argv)
 {
     using namespace f4t;
     bench::Obs::install(argc, argv);
+    bench::CliArgs("fig15_versatility", "[capture flags]").parse(argc, argv);
     sim::setVerbose(false);
 
     bench::banner("Figure 15",

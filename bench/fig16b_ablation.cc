@@ -156,6 +156,7 @@ main(int argc, char **argv)
 {
     using namespace f4t;
     bench::Obs::install(argc, argv);
+    bench::CliArgs("fig16b_ablation", "[capture flags]").parse(argc, argv);
     sim::setVerbose(false);
 
     bench::banner("Figure 16b",

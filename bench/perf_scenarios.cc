@@ -40,7 +40,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -461,17 +460,10 @@ main(int argc, char **argv)
     // EXPERIMENTS.md reports.
     bool smoke = false;
     std::string out_path = "BENCH_scenarios.json";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0) {
-            smoke = true;
-        } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-            out_path = argv[++i];
-        } else {
-            std::fprintf(stderr, "usage: %s [--smoke] [--out FILE]\n",
-                         argv[0]);
-            return 2;
-        }
-    }
+    bench::CliArgs("perf_scenarios", "[--smoke] [--out FILE]")
+        .flag("--smoke", smoke)
+        .text("--out", out_path)
+        .parse(argc, argv);
 
     bench::banner("perf_scenarios",
                   "open-loop tail latency and goodput scenarios");

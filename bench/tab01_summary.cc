@@ -13,6 +13,7 @@ main(int argc, char **argv)
 {
     using namespace f4t;
     bench::Obs::install(argc, argv);
+    bench::CliArgs("tab01_summary", "[capture flags]").parse(argc, argv);
 
     bench::banner("Table 1", "summary of existing TCP implementations");
 

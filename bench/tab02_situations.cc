@@ -74,6 +74,7 @@ main(int argc, char **argv)
 {
     using namespace f4t;
     bench::Obs::install(argc, argv);
+    bench::CliArgs("tab02_situations", "[capture flags]").parse(argc, argv);
     sim::setVerbose(false);
 
     bench::banner("Table 2", "target situations of F4T's solutions");

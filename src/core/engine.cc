@@ -234,12 +234,7 @@ FtEngine::acceptPassiveFlow(const net::FourTuple &tuple,
     MigratingTcb fresh;
     fresh.tcb = freshTcb(flow, tuple, /*passive=*/true);
     scheduler_->allocateFlow(fresh);
-    F4T_TRACE(Engine, "%s: accept flow %u on port %u (%llu active)",
-              name().c_str(), flow, tuple.localPort,
-              static_cast<unsigned long long>(activeFlows_));
-    if (auto *tl = sim().timeline())
-        tl->instant(name(), "flow",
-                    "accept flow " + std::to_string(flow), now());
+    probe(sim::fr::Kind::engineAccept, flow, tuple.localPort, activeFlows_);
     return flow;
 }
 
@@ -292,12 +287,7 @@ FtEngine::openActiveFlow(const host::Command &command, std::size_t queue)
     MigratingTcb fresh;
     fresh.tcb = freshTcb(flow, tuple, /*passive=*/false);
     scheduler_->allocateFlow(fresh);
-    F4T_TRACE(Engine, "%s: connect flow %u -> %s:%u (%llu active)",
-              name().c_str(), flow, remote_ip.toString().c_str(),
-              remote_port, static_cast<unsigned long long>(activeFlows_));
-    if (auto *tl = sim().timeline())
-        tl->instant(name(), "flow",
-                    "connect flow " + std::to_string(flow), now());
+    probe(sim::fr::Kind::engineConnect, flow, remote_port, activeFlows_);
 
     tcp::TcpEvent open;
     open.flow = flow;
@@ -442,12 +432,7 @@ FtEngine::recycleFlow(tcp::FlowId flow)
         timerWheel_->cancelAll(flow);
         hostInterface_->dropFlow(flow);
         ++flowsClosed_;
-        F4T_TRACE(Engine, "%s: recycle flow %u (%llu active)",
-                  name().c_str(), flow,
-                  static_cast<unsigned long long>(activeFlows_ - 1));
-        if (auto *tl = sim().timeline())
-            tl->instant(name(), "flow",
-                        "recycle flow " + std::to_string(flow), now());
+        probe(sim::fr::Kind::engineRecycle, flow, activeFlows_ - 1);
     }
     info = FlowInfo{};
     freeFlowIds_.push_back(flow);

@@ -4,7 +4,6 @@
 #include <iterator>
 
 #include "sim/causal_trace.hh"
-#include "sim/flight_recorder.hh"
 
 namespace f4t::core
 {
@@ -16,7 +15,7 @@ namespace
 {
 
 /** How an absorbed TCP event kind is observed: its fine-grained
- *  profiling bucket and its (always compiled in) flight-recorder kind. */
+ *  profiling bucket and its probe kind. */
 struct EventProbe
 {
     tcp::TcpEventType type;
@@ -81,7 +80,6 @@ Fpc::Fpc(sim::Simulation &sim, std::string name, sim::ClockDomain &domain,
                         "single-cycle duplicate-ACK RMW operations")
 {
     f4t_assert(config_.slots > 0, "FPC needs at least one slot");
-    frModule_ = sim::fr::internModule(this->name());
     sim.registerAudit(this, statName("audit"),
                       [this] { auditInvariants(); });
 }
@@ -201,14 +199,7 @@ Fpc::installTcb(const MigratingTcb &incoming)
     lastInstallCycle_ = curCycle();
     installUsedThisWindow_ = true;
     ++swapIns_;
-    sim::fr::record(sim::fr::Kind::fpcInstall, now(), frModule_,
-                    incoming.tcb.flowId, slot_index);
-    F4T_TRACE_CD(Fpc, clock(), "%s: swap-in flow %u -> slot %zu",
-                 name().c_str(), incoming.tcb.flowId, slot_index);
-    if (auto *tl = sim().timeline())
-        tl->instant(name(), "migration",
-                    "swap-in flow " + std::to_string(incoming.tcb.flowId),
-                    now());
+    probe(sim::fr::Kind::fpcInstall, incoming.tcb.flowId, slot_index);
     activate();
 }
 
@@ -436,22 +427,11 @@ Fpc::handleEvent(const tcp::TcpEvent &event, sim::Cycles cycle)
     });
     // Nested under the FPC tick's module scope: self-time accounting
     // moves this event's cost out of fpc_exec into its kind bucket.
-    const EventProbe &probe =
+    const EventProbe &row =
         eventProbes[static_cast<std::size_t>(event.type)];
-    sim::prof::Scope event_scope(probe.category);
+    sim::prof::Scope event_scope(row.category);
     ++eventsHandled_;
-    sim::fr::record(probe.record, now(), frModule_, event.flow, cycle);
-    F4T_TRACE_CD(Fpc, clock(), "%s: absorb %s flow=%u", name().c_str(),
-                 tcp::toString(event.type), event.flow);
-    // Per-event timeline instants sit on the hottest loop in the
-    // simulator, so they compile out with the tracepoints.
-    if constexpr (sim::trace::compiledIn) {
-        if (auto *tl = sim().timeline())
-            tl->instant(name(), "event",
-                        std::string(tcp::toString(event.type)) + " flow " +
-                            std::to_string(event.flow),
-                        now());
-    }
+    probe(row.record, event.flow, cycle);
     std::size_t index = cam_.lookup(event.flow);
     lastActiveCycle_[index] = cycle;
 
@@ -515,20 +495,11 @@ Fpc::writeback(FpuJob &job, sim::Cycles cycle)
     tcp::FpuActions actions;
     program_.process(job.merged, nowUs(), actions);
 
-    F4T_TRACE_CD(Fpc, clock(), "%s: writeback flow %u slot %zu%s",
-                 name().c_str(), job.flow, job.slotIndex,
-                 testBit(evictBits_, job.slotIndex) ? " (evict pending)"
-                                                    : "");
-    if constexpr (sim::trace::compiledIn) {
-        // One span per FPU pass: issue happened fpuLatency_ cycles ago.
-        if (auto *tl = sim().timeline()) {
-            sim::Tick start =
-                clock().cyclesToTicks(job.readyCycle - fpuLatency_);
-            tl->span(name(), "fpu",
-                     "pass flow " + std::to_string(job.flow), start,
-                     now());
-        }
-    }
+    // One span per FPU pass, from entering the pipe fpuLatency_ cycles
+    // ago to this write-back.
+    probeSpan(sim::fr::Kind::fpuPass, job.flow, job.slotIndex,
+              testBit(evictBits_, job.slotIndex),
+              clock().cyclesToTicks(job.readyCycle - fpuLatency_), now());
 
     F4T_IF_CHECKS({
         tcp::checkTcbInvariants(job.merged, name().c_str());
@@ -593,13 +564,7 @@ Fpc::writeback(FpuJob &job, sim::Cycles cycle)
         recycleSlot(job.slotIndex);
         --pendingEvictions_;
         ++evictions_;
-        sim::fr::record(sim::fr::Kind::fpcEvict, now(), frModule_,
-                        job.flow, job.slotIndex);
-        F4T_TRACE_CD(Fpc, clock(), "%s: evict flow %u toward DRAM",
-                     name().c_str(), job.flow);
-        if (auto *tl = sim().timeline())
-            tl->instant(name(), "migration",
-                        "evict flow " + std::to_string(job.flow), now());
+        probe(sim::fr::Kind::fpcEvict, job.flow, job.slotIndex);
         if (evictSink_)
             evictSink_(std::move(leaving));
     } else {

@@ -376,8 +376,6 @@ class Fpc : public sim::ClockedObject
     /** Count of slots with evictFlag set (see pendingEvictions()). */
     std::size_t pendingEvictions_ = 0;
     bool installUsedThisWindow_ = false;
-    /** Flight-recorder module id (interned once at construction). */
-    std::uint16_t frModule_ = 0;
 
     ActionSink actionSink_;
     EvictSink evictSink_;

@@ -90,8 +90,7 @@ MemoryManager::cacheAccess(tcp::FlowId flow, bool dirty,
     }
     cache_.recordMiss();
     ++cacheMisses_;
-    F4T_TRACE_CD(MemoryManager, clock(), "%s: TCB cache miss flow=%u",
-                 name().c_str(), flow);
+    probe(sim::fr::Kind::memCacheMiss, flow);
     // Fetch the line; a displaced dirty resident is written back.
     auto victim = cache_.insert(flow, 0, dirty);
     sim::Tick ready = dram_.accessTime(tcp::tcbWireBytes);
@@ -109,8 +108,7 @@ MemoryManager::insertFlow(MigratingTcb &&incoming,
                           std::function<void()> on_complete)
 {
     tcp::FlowId flow = incoming.tcb.flowId;
-    F4T_TRACE(MemoryManager, "%s: insert flow %u (%zu resident)",
-              name().c_str(), flow, backing_.size() + 1);
+    probe(sim::fr::Kind::memInsert, flow, backing_.size() + 1);
     backing_[flow] = std::move(incoming);
     // The line lands in the cache dirty; DRAM sees it on writeback.
     auto victim = cache_.insert(flow, 0, true);
@@ -140,8 +138,7 @@ MemoryManager::extractFlow(tcp::FlowId flow,
     MigratingTcb leaving = std::move(it->second);
     backing_.erase(it);
     swapRequested_.erase(flow);
-    F4T_TRACE(MemoryManager, "%s: extract flow %u (%zu resident)",
-              name().c_str(), flow, backing_.size());
+    probe(sim::fr::Kind::memExtract, flow, backing_.size());
 
     // Events parked behind an in-flight fetch travel with the TCB so
     // nothing is lost when the flow leaves mid-miss.
@@ -280,12 +277,7 @@ MemoryManager::checkLogic(tcp::FlowId flow)
             // A taken request extracts the flow from DRAM synchronously,
             // so nothing remains resident to mark as requested.
             ++swapInRequests_;
-            F4T_TRACE(MemoryManager, "%s: flow %u sendable, swap-in "
-                      "requested", name().c_str(), flow);
-            if (auto *tl = sim().timeline())
-                tl->instant(name(), "migration",
-                            "swap-in request flow " + std::to_string(flow),
-                            now());
+            probe(sim::fr::Kind::memSwapRequest, flow);
         } else {
             // Mid-migration: suppress re-requests until the scheduler
             // pokes us via recheckFlow() once the location settles.

@@ -104,18 +104,12 @@ PacketGenerator::requestSegments(const tcp::SegmentRequest &request)
         }
 
         ++segments_;
-        if (request.retransmission) {
+        if (request.retransmission)
             ++retransmits_;
-            if (auto *tl = sim().timeline())
-                tl->instant(name(), "retransmit",
-                            "rtx flow " + std::to_string(request.flow),
-                            now());
-        }
         payloadBytes_ += chunk;
-        F4T_TRACE(PacketGenerator, "%s: segment flow=%u seq=%u len=%u%s%s",
-                  name().c_str(), request.flow, seq, chunk,
-                  request.retransmission ? " (rtx)" : "",
-                  (request.fin && last) ? " FIN" : "");
+        probe(request.retransmission ? sim::fr::Kind::pktgenRetransmit
+                                     : sim::fr::Kind::pktgenSegment,
+              request.flow, seq, chunk);
 
         sim::Tick slot = nextSlot();
         emit(std::move(pkt), slot > data_ready ? slot : data_ready);
@@ -156,8 +150,8 @@ PacketGenerator::requestControl(const tcp::ControlRequest &request)
                                            addr.tuple.remoteIp, tcp,
                                            std::move(payload));
     ++controls_;
-    F4T_TRACE(PacketGenerator, "%s: control flow=%u seq=%u ack=%u",
-              name().c_str(), request.flow, request.seq, request.ack);
+    probe(sim::fr::Kind::pktgenControl, request.flow, request.seq,
+          request.ack);
     sim::Tick slot = nextSlot();
     emit(std::move(pkt), slot > data_ready ? slot : data_ready);
 }

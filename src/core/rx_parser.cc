@@ -48,20 +48,15 @@ RxParser::processPacket(const net::Packet &pkt)
                         !tcp.hasFlag(TcpFlags::ack);
         if (!pure_syn || !synHandler_) {
             ++packetsDropped_;
-            F4T_TRACE(RxParser, "%s: drop packet for unknown tuple "
-                      "(port %u -> %u)", name().c_str(), tcp.srcPort,
-                      tcp.dstPort);
-            if (auto *tl = sim().timeline())
-                tl->instant(name(), "drop", "unknown tuple", now());
+            probe(sim::fr::Kind::rxDropUnknown, pkt.flowHash32(),
+                  tcp.srcPort, tcp.dstPort);
             return;
         }
         flow = synHandler_(tuple, pkt.eth.src);
         if (flow == tcp::invalidFlowId) {
             ++packetsDropped_;
-            F4T_TRACE(RxParser, "%s: SYN rejected (no flow available)",
-                      name().c_str());
-            if (auto *tl = sim().timeline())
-                tl->instant(name(), "drop", "SYN rejected", now());
+            probe(sim::fr::Kind::rxSynReject, pkt.flowHash32(),
+                  tcp.srcPort, tcp.dstPort);
             return;
         }
     } else {
@@ -69,9 +64,7 @@ RxParser::processPacket(const net::Packet &pkt)
     }
 
     ++packetsParsed_;
-    F4T_TRACE(RxParser, "%s: parse flow=%u seq=%u ack=%u payload=%zuB",
-              name().c_str(), flow, tcp.seq, tcp.ack,
-              pkt.payload.size());
+    probe(sim::fr::Kind::rxParse, flow, tcp.seq, pkt.payload.size());
     FlowState &state = flowSlot(flow);
 
     tcp::TcpEvent event;
@@ -116,13 +109,8 @@ RxParser::processPacket(const net::Packet &pkt)
                 accept_lo != state.rcvUpToExt) {
                 // Chunk storage exhausted: drop; retransmission heals.
                 ++packetsDropped_;
-                F4T_TRACE(RxParser,
-                          "%s: flow %u OOO chunk storage full, dropping",
-                          name().c_str(), flow);
-                if (auto *tl = sim().timeline())
-                    tl->instant(name(), "drop",
-                                "ooo overflow flow " + std::to_string(flow),
-                                now());
+                probe(sim::fr::Kind::rxOooDrop, flow, tcp.seq,
+                      pkt.payload.size());
             } else {
                 std::size_t skip =
                     static_cast<std::size_t>(accept_lo - seg_start);

@@ -2,7 +2,6 @@
 
 #include "core/memory_manager.hh"
 #include "sim/causal_trace.hh"
-#include "sim/flight_recorder.hh"
 
 #include <algorithm>
 #include <limits>
@@ -42,7 +41,6 @@ Scheduler::Scheduler(sim::Simulation &sim, std::string name,
                    static_cast<std::size_t>(
                        std::numeric_limits<std::int32_t>::max()),
                "flow ids must fit the dense SoA indices");
-    frModule_ = sim::fr::internModule(this->name());
     sim.registerAudit(this, statName("audit"),
                       [this] { auditInvariants(); });
 }
@@ -321,15 +319,14 @@ Scheduler::allocateFlow(const MigratingTcb &initial)
     // the memory manager's check logic will swap it in when it has work.
     f4t_assert(memoryManager_ != nullptr,
                "%s: FPCs full and no DRAM attached", name().c_str());
-    F4T_TRACE(Scheduler, "%s: allocate flow %u to DRAM (FPCs full)",
-              name().c_str(), flow);
+    probe(sim::fr::Kind::schedAllocDram, flow);
     loc = Location{Location::Kind::moving, 0};
     MigratingTcb copy = initial;
     sim::Tick started = now();
     memoryManager_->insertFlow(std::move(copy), [this, flow, started] {
         lut(flow) = Location{Location::Kind::dram, 0};
         ++migrations_;
-        noteMigrationDone(flow, "alloc->dram", started);
+        noteMigrationDone(flow, Route::allocToDram, started);
         // Work may have accumulated while the LUT said MOVING.
         settleFlow(flow, /*in_tick=*/false);
         memoryManager_->recheckFlow(flow);
@@ -429,11 +426,8 @@ Scheduler::routeEvent(const tcp::TcpEvent &event)
                 }
                 if (idlest && best + 2 < fpc->inputBacklog()) {
                     ++rebalances_;
-                    F4T_TRACE(Scheduler,
-                              "%s: congestion rebalance flow %u "
-                              "fpc%u (backlog %zu) -> fpc%zu (%zu)",
-                              name().c_str(), event.flow, loc.fpcIndex,
-                              fpc->inputBacklog(), *idlest, best);
+                    probe(sim::fr::Kind::schedRebalance, event.flow,
+                          loc.fpcIndex, *idlest);
                     startEviction(event.flow, /*to_dram=*/false,
                                   static_cast<std::uint8_t>(*idlest));
                 }
@@ -472,12 +466,8 @@ Scheduler::startEviction(tcp::FlowId flow, bool to_dram,
     state.toDram = to_dram;
     state.destFpc = dest_fpc;
     state.startedAt = now();
-    F4T_TRACE(Scheduler, "%s: start eviction of flow %u from fpc%u -> %s",
-              name().c_str(), flow, loc.fpcIndex,
-              to_dram ? "dram" : "fpc");
+    probe(sim::fr::Kind::schedEvict, flow, loc.fpcIndex, to_dram);
     startMoving(flow, std::move(state));
-    sim::fr::record(sim::fr::Kind::schedEvict, now(), frModule_, flow,
-                    loc.fpcIndex, to_dram ? 1 : 0);
     loc = Location{Location::Kind::moving, 0};
     source->requestEvict(flow);
 }
@@ -498,7 +488,7 @@ Scheduler::onEvicted(MigratingTcb &&leaving)
             stopMoving(flow);
             lut(flow) = Location{Location::Kind::dram, 0};
             ++migrations_;
-            noteMigrationDone(flow, "fpc->dram", started);
+            noteMigrationDone(flow, Route::fpcToDram, started);
             settleFlow(flow, /*in_tick=*/false);
             memoryManager_->recheckFlow(flow);
             activate();
@@ -537,8 +527,7 @@ Scheduler::requestSwapIn(tcp::FlowId flow)
     state.destFpc = dest;
     state.extractPending = true;
     state.startedAt = now();
-    F4T_TRACE(Scheduler, "%s: swap-in flow %u from DRAM -> fpc%u",
-              name().c_str(), flow, dest);
+    probe(sim::fr::Kind::schedSwapIn, flow, dest);
     startMoving(flow, std::move(state));
     loc = Location{Location::Kind::moving, 0};
 
@@ -563,20 +552,11 @@ Scheduler::makeRoom(std::size_t fpc_index)
 }
 
 void
-Scheduler::noteMigrationDone(tcp::FlowId flow, const char *kind,
+Scheduler::noteMigrationDone(tcp::FlowId flow, Route route,
                              sim::Tick started_at)
 {
-    sim::fr::record(sim::fr::Kind::schedMigrate, now(), frModule_, flow,
-                    now() - started_at);
-    F4T_TRACE(Scheduler, "%s: migration %s of flow %u complete (%llu ns)",
-              name().c_str(), kind, flow,
-              static_cast<unsigned long long>((now() - started_at) /
-                                              sim::nanosecondsToTicks(1)));
-    if (auto *tl = sim().timeline())
-        tl->span(name(), "migration",
-                 std::string("migrate ") + kind + " flow " +
-                     std::to_string(flow),
-                 started_at, now());
+    probeSpan(sim::fr::Kind::schedMigrate, flow, now() - started_at,
+              static_cast<std::uint64_t>(route), started_at, now());
 }
 
 Scheduler::MoveState *
@@ -758,7 +738,7 @@ Scheduler::progressInstalls()
         sim::Tick started = mv->startedAt;
         stopMoving(flow);
         ++migrations_;
-        noteMigrationDone(flow, "->fpc", started);
+        noteMigrationDone(flow, Route::toFpc, started);
         settleFlow(flow, /*in_tick=*/true);
         ready.pop_front();
         --installsQueued_;

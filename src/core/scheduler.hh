@@ -180,8 +180,16 @@ class Scheduler : public sim::ClockedObject
     /** Ensure space in @p fpc by evicting its coldest flow to DRAM. */
     void makeRoom(std::size_t fpc_index);
 
-    /** Trace + timeline span for a migration that just completed. */
-    void noteMigrationDone(tcp::FlowId flow, const char *kind,
+    /** sched_migrate's route word (DESIGN.md §10). */
+    enum class Route : std::uint8_t
+    {
+        allocToDram,
+        fpcToDram,
+        toFpc,
+    };
+
+    /** Probe span for a migration that just completed. */
+    void noteMigrationDone(tcp::FlowId flow, Route route,
                            sim::Tick started_at);
 
     // --- SoA per-flow state accessors (DESIGN.md §17) ---------------------
@@ -250,8 +258,6 @@ class Scheduler : public sim::ClockedObject
      *  make progressInstalls O(#FPCs) instead of O(stuck installs). */
     std::vector<std::deque<tcp::FlowId>> installQueues_;
     std::size_t installsQueued_ = 0;
-    /** Flight-recorder module id (interned once at construction). */
-    std::uint16_t frModule_ = 0;
 
     sim::Counter eventsRouted_;
     sim::Counter eventsCoalesced_;

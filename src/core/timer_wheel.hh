@@ -58,14 +58,8 @@ class TimerWheel : public sim::SimObject
             event.type = tcp::TcpEventType::timeout;
             event.timeoutKind = key.kind;
             ++timeoutsFired_;
-            F4T_TRACE(Timer, "%s: fire kind=%d flow=%u", name().c_str(),
-                      static_cast<int>(key.kind), key.flow);
-            if (auto *tl = sim().timeline())
-                tl->instant(name(), "timer",
-                            "timeout kind " +
-                                std::to_string(static_cast<int>(key.kind)) +
-                                " flow " + std::to_string(key.flow),
-                            now());
+            probe(sim::fr::Kind::timerFire, key.flow,
+                  static_cast<std::uint64_t>(key.kind));
             if (sink_)
                 sink_(event);
         });

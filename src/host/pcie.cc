@@ -1,7 +1,5 @@
 #include "pcie.hh"
 
-#include "sim/flight_recorder.hh"
-
 namespace f4t::host
 {
 
@@ -14,9 +12,7 @@ PcieModel::PcieModel(sim::Simulation &sim, std::string name,
                 "device-to-host bytes transferred"),
       transactions_(sim.stats(), statName("transactions"),
                     "DMA transactions issued")
-{
-    frModule_ = sim::fr::internModule(this->name());
-}
+{}
 
 sim::Tick
 PcieModel::transfer(std::size_t bytes, sim::Tick &busy_until,
@@ -31,20 +27,10 @@ PcieModel::transfer(std::size_t bytes, sim::Tick &busy_until,
     sim::Tick start = busy_until > now() ? busy_until : now();
     busy_until = start + sim::secondsToTicks(seconds);
     sim::Tick done = busy_until + config_.dmaLatency;
-    sim::fr::record(sim::fr::Kind::pcieDma, now(), frModule_, 0, bytes,
-                    &counter == &d2hBytes_ ? 1 : 0);
-    F4T_TRACE(Pcie, "%s: %s DMA %zuB [%llu..%llu]", name().c_str(), what,
-              bytes, static_cast<unsigned long long>(start),
-              static_cast<unsigned long long>(done));
     // The whole transaction is known at issue time, so the span can be
-    // emitted up front. Hot under bulk transfers; compiled out with the
-    // tracepoints.
-    if constexpr (sim::trace::compiledIn) {
-        if (auto *tl = sim().timeline())
-            tl->span(name(), "dma",
-                     std::string(what) + " " + std::to_string(bytes) + "B",
-                     start, done);
-    }
+    // drawn up front.
+    probeSpan(sim::fr::Kind::pcieDma, 0, bytes, &counter == &d2hBytes_,
+              start, done);
     if (on_complete)
         queue().scheduleCallback(done, what, std::move(on_complete));
     return done;
@@ -68,12 +54,7 @@ sim::Tick
 PcieModel::mmioDoorbell(sim::SmallFunction on_observed)
 {
     sim::Tick done = now() + config_.mmioLatency;
-    sim::fr::record(sim::fr::Kind::pcieDoorbell, now(), frModule_, 0);
-    F4T_TRACE(Pcie, "%s: MMIO doorbell", name().c_str());
-    if constexpr (sim::trace::compiledIn) {
-        if (auto *tl = sim().timeline())
-            tl->instant(name(), "mmio", "doorbell", now());
-    }
+    probe(sim::fr::Kind::pcieDoorbell, 0);
     if (on_observed)
         queue().scheduleCallback(done, "pcie.doorbell",
                                  std::move(on_observed));

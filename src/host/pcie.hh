@@ -66,8 +66,6 @@ class PcieModel : public sim::SimObject
     PcieConfig config_;
     sim::Tick h2dBusyUntil_ = 0;
     sim::Tick d2hBusyUntil_ = 0;
-    /** Flight-recorder module id (interned once at construction). */
-    std::uint16_t frModule_ = 0;
 
     sim::Counter h2dBytes_;
     sim::Counter d2hBytes_;

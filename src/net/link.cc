@@ -2,7 +2,6 @@
 
 #include "net/pcap_writer.hh"
 #include "sim/causal_trace.hh"
-#include "sim/flight_recorder.hh"
 #include "sim/parallel.hh"
 #include "sim/spsc_mailbox.hh"
 #include "sim/trace.hh"
@@ -61,7 +60,6 @@ LinkDirection::LinkDirection(sim::Simulation &sim, std::string name,
 {
     f4t_assert(bandwidth_ > 0, "link '%s' needs positive bandwidth",
                this->name().c_str());
-    frModule_ = sim::fr::internModule(this->name());
 }
 
 sim::Tick
@@ -82,9 +80,7 @@ LinkDirection::send(Packet &&pkt)
     ++packetsSent_;
     std::size_t wire_bytes = pkt.wireBytes();
     bytesSent_ += wire_bytes;
-    sim::fr::record(sim::fr::Kind::linkTx, ready, frModule_,
-                    pkt.flowHash32(), wire_bytes);
-    F4T_TRACE(Link, "%s: send %zuB wire", name().c_str(), wire_bytes);
+    probeAt(ready, sim::fr::Kind::linkTx, pkt.flowHash32(), wire_bytes);
 
     // Serialization: the transmitter is busy for the wire time of this
     // packet starting at max(ready, busyUntil).
@@ -108,29 +104,26 @@ LinkDirection::send(Packet &&pkt)
         ready >= faults_.dropAtTicks[nextScheduledDrop_]) {
         ++nextScheduledDrop_;
         ++packetsDropped_;
-        F4T_TRACE(Link, "%s: scheduled drop", name().c_str());
         if (pcap_ != nullptr)
             pcap_->annotate(pcap_record, "drop(scheduled)");
-        noteFault("drop(scheduled)", pkt, 1);
+        probe(sim::fr::Kind::linkFault, pkt.flowHash32(), 1);
         return arrival;
     }
 
     if (faults_.dropProbability > 0 && rng_.chance(faults_.dropProbability)) {
         ++packetsDropped_;
-        F4T_TRACE(Link, "%s: random drop", name().c_str());
         if (pcap_ != nullptr)
             pcap_->annotate(pcap_record, "drop");
-        noteFault("drop", pkt, 2);
+        probe(sim::fr::Kind::linkFault, pkt.flowHash32(), 2);
         return arrival;
     }
 
     if (faults_.duplicateProbability > 0 &&
         rng_.chance(faults_.duplicateProbability)) {
         ++packetsDuplicated_;
-        F4T_TRACE(Link, "%s: duplicate", name().c_str());
         if (pcap_ != nullptr)
             pcap_->annotate(pcap_record, "duplicate");
-        noteFault("duplicate", pkt, 3);
+        probe(sim::fr::Kind::linkFault, pkt.flowHash32(), 3);
         Packet copy = pkt;
         target_.deliver(std::move(copy),
                         arrival + sim::nanosecondsToTicks(100));
@@ -140,30 +133,15 @@ LinkDirection::send(Packet &&pkt)
         rng_.chance(faults_.reorderProbability)) {
         ++packetsReordered_;
         sim::Tick extra = rng_.below(faults_.reorderMaxDelay + 1);
-        F4T_TRACE(Link, "%s: reorder +%lluns", name().c_str(),
-                  static_cast<unsigned long long>(
-                      extra / sim::nanosecondsToTicks(1)));
         if (pcap_ != nullptr)
             pcap_->annotate(pcap_record,
                             "reorder+" + std::to_string(extra) + "ps");
-        noteFault("reorder", pkt, 4);
+        probe(sim::fr::Kind::linkFault, pkt.flowHash32(), 4, extra);
         arrival += extra;
     }
 
     target_.deliver(std::move(pkt), arrival);
     return arrival;
-}
-
-/** Fault bookkeeping (cold path by construction): a timeline instant
- *  plus a flight-recorder record carrying the fault code. */
-void
-LinkDirection::noteFault(const char *kind, const Packet &pkt,
-                         std::uint64_t fault_code)
-{
-    sim::fr::record(sim::fr::Kind::linkFault, now(), frModule_,
-                    pkt.flowHash32(), fault_code);
-    if (auto *tl = sim().timeline())
-        tl->instant(name(), "fault", kind, now());
 }
 
 void

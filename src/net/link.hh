@@ -233,12 +233,7 @@ class LinkDirection : public sim::SimObject
     static constexpr sim::Tick maxBurstHold = DeliveryPort::maxBurstHold;
 
   private:
-    void noteFault(const char *kind, const Packet &pkt,
-                   std::uint64_t fault_code);
-
     Tap tap_;
-    /** Flight-recorder module id (interned once at construction). */
-    std::uint16_t frModule_ = 0;
     PcapWriter *pcap_ = nullptr;
     const char *pcapLabel_ = "";
     double bandwidth_;

@@ -1,7 +1,5 @@
 #include "net/switch.hh"
 
-#include "sim/flight_recorder.hh"
-
 #include <algorithm>
 
 namespace f4t::net
@@ -24,7 +22,6 @@ Switch::Switch(sim::Simulation &sim, std::string name,
 {
     f4t_assert(config_.numPorts >= 2, "switch '%s' needs >= 2 ports",
                this->name().c_str());
-    frModule_ = sim::fr::internModule(this->name());
     egress_.reserve(config_.numPorts);
     for (std::size_t i = 0; i < config_.numPorts; ++i) {
         ports_[i].switch_ = this;
@@ -99,8 +96,8 @@ Switch::enqueue(std::size_t out_port, Packet &&pkt)
     std::size_t wire = pkt.wireBytes();
     if (sharedUsed_ + wire > config_.sharedEgressBytes) {
         ++e.droppedOverflow;
-        sim::fr::record(sim::fr::Kind::switchDrop, now(), frModule_,
-                        pkt.flowHash32(), out_port, sharedUsed_);
+        probe(sim::fr::Kind::switchDrop, pkt.flowHash32(), out_port,
+              sharedUsed_);
         return;
     }
     sharedUsed_ += wire;
@@ -114,8 +111,8 @@ Switch::enqueue(std::size_t out_port, Packet &&pkt)
     // switch's own transmitter.
     pkt.txReady = 0;
 
-    sim::fr::record(sim::fr::Kind::switchEnqueue, now(), frModule_,
-                    pkt.flowHash32(), out_port, e.queuedBytes);
+    probe(sim::fr::Kind::switchEnqueue, pkt.flowHash32(), out_port,
+          e.queuedBytes);
     sim::Tick ready = now() + config_.forwardingLatency;
     e.fifo.push_back(QueuedFrame{ready, std::move(pkt)});
     // An armed drain always targets the queue head, which is no later
@@ -149,8 +146,8 @@ Switch::drain(std::size_t out_port)
         sharedUsed_ -= wire;
         ++e.forwarded;
         e.bytesForwarded += wire;
-        sim::fr::record(sim::fr::Kind::switchForward, now(), frModule_,
-                        pkt.flowHash32(), out_port, wire);
+        probe(sim::fr::Kind::switchForward, pkt.flowHash32(), out_port,
+              wire);
         e.tx->send(std::move(pkt));
     }
 }

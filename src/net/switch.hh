@@ -183,8 +183,6 @@ class Switch : public sim::SimObject
     std::map<Ipv4Address, std::size_t> routes_;
     std::size_t sharedUsed_ = 0;
     sim::Counter routeMisses_;
-    /** Flight-recorder module id (interned once at construction). */
-    std::uint16_t frModule_ = 0;
 };
 
 } // namespace f4t::net

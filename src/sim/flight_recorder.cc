@@ -1,5 +1,7 @@
 #include "flight_recorder.hh"
 
+#include "sim/probe.hh"
+
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
@@ -132,7 +134,8 @@ writeLiveRawFd(int fd, const char *reason)
         std::uint64_t total = ring->head.load(std::memory_order_relaxed);
         std::uint64_t start = total > ringCapacity ? total - ringCapacity : 0;
         std::uint32_t count = static_cast<std::uint32_t>(total - start);
-        if (!writeU32(fd, ring->threadId) || !writeU64(fd, total) ||
+        if (!writeU32(fd, ring->threadId.load(std::memory_order_relaxed)) ||
+            !writeU64(fd, total) ||
             !writeU32(fd, count)) {
             return false;
         }
@@ -346,53 +349,71 @@ globals()
     return *g;
 }
 
+namespace
+{
+
+/** Hands the thread's ring back when the thread exits: a registered
+ *  ring is retired (dumpable until reused), an unregistered one —
+ *  the table was full — is freed, since no dump can reach it. */
+class RingLease
+{
+  public:
+    RingLease(Ring *ring, bool registered)
+        : ring_(ring), registered_(registered)
+    {}
+
+    ~RingLease()
+    {
+        if (registered_)
+            ring_->retired.store(true, std::memory_order_release);
+        else
+            delete ring_;
+    }
+
+    RingLease(const RingLease &) = delete;
+    RingLease &operator=(const RingLease &) = delete;
+
+    Ring &ring() const { return *ring_; }
+
+  private:
+    Ring *ring_;
+    bool registered_;
+};
+
+} // namespace
+
 Ring &
 threadRingSlow()
 {
-    auto *ring = new Ring; /* leaked: dumps outlive the thread */
-    ring->threadId = nextThreadId.fetch_add(1, std::memory_order_relaxed);
     Globals &g = globals();
-    std::lock_guard<std::mutex> lock(coldMutex());
-    std::uint32_t count = g.ringCount.load(std::memory_order_relaxed);
-    if (count < maxRings) {
-        g.rings[count] = ring;
-        g.ringCount.store(count + 1, std::memory_order_release);
+    std::uint32_t id = nextThreadId.fetch_add(1, std::memory_order_relaxed);
+    Ring *ring = nullptr;
+    bool registered = true;
+    {
+        std::lock_guard<std::mutex> lock(coldMutex());
+        std::uint32_t count = g.ringCount.load(std::memory_order_relaxed);
+        for (std::uint32_t r = 0; r < count && ring == nullptr; ++r) {
+            if (g.rings[r]->retired.load(std::memory_order_acquire))
+                ring = g.rings[r];
+        }
+        if (ring != nullptr) {
+            ring->head.store(0, std::memory_order_relaxed);
+            ring->retired.store(false, std::memory_order_relaxed);
+        } else {
+            ring = new Ring; /* never freed: dumps outlive the thread */
+            registered = count < maxRings;
+            if (registered) {
+                g.rings[count] = ring;
+                g.ringCount.store(count + 1, std::memory_order_release);
+            }
+        }
+        ring->threadId.store(id, std::memory_order_relaxed);
     }
-    return *ring;
+    thread_local RingLease lease(ring, registered);
+    return lease.ring();
 }
 
 } // namespace detail
-
-const char *
-toString(Kind kind)
-{
-    switch (kind) {
-    case Kind::none: return "none";
-    case Kind::evDispatch: return "ev_dispatch";
-    case Kind::fpcUserSend: return "fpc_user_send";
-    case Kind::fpcUserRecv: return "fpc_user_recv";
-    case Kind::fpcUserConnect: return "fpc_user_connect";
-    case Kind::fpcUserClose: return "fpc_user_close";
-    case Kind::fpcRxSegment: return "fpc_rx_segment";
-    case Kind::fpcTimeout: return "fpc_timeout";
-    case Kind::fpcInstall: return "fpc_install";
-    case Kind::fpcEvict: return "fpc_evict";
-    case Kind::schedMigrate: return "sched_migrate";
-    case Kind::schedEvict: return "sched_evict";
-    case Kind::linkTx: return "link_tx";
-    case Kind::linkFault: return "link_fault";
-    case Kind::switchEnqueue: return "switch_enqueue";
-    case Kind::switchDrop: return "switch_drop";
-    case Kind::switchForward: return "switch_forward";
-    case Kind::pcieDma: return "pcie_dma";
-    case Kind::pcieDoorbell: return "pcie_doorbell";
-    case Kind::parBarrier: return "par_barrier";
-    case Kind::mailboxSpill: return "mailbox_spill";
-    case Kind::mark: return "mark";
-    case Kind::numKinds: break;
-    }
-    return "unknown";
-}
 
 void
 setEnabled(bool on)
@@ -437,7 +458,7 @@ snapshot()
     for (std::uint32_t r = 0; r < rings; ++r) {
         detail::Ring *ring = g.rings[r];
         Snapshot::RingCopy copy;
-        copy.threadId = ring->threadId;
+        copy.threadId = ring->threadId.load(std::memory_order_relaxed);
         copy.totalWritten = ring->head.load(std::memory_order_relaxed);
         std::uint64_t start = copy.totalWritten > ringCapacity
                                   ? copy.totalWritten - ringCapacity
@@ -687,17 +708,11 @@ formatEntry(const Snapshot &snap, const TimelineEntry &entry)
     const char *module = rec.module < snap.modules.size()
                              ? snap.modules[rec.module].c_str()
                              : "?";
-    Kind kind = rec.kind < static_cast<std::uint8_t>(Kind::numKinds)
-                    ? static_cast<Kind>(rec.kind)
-                    : Kind::none;
-    char buf[256];
-    std::snprintf(buf, sizeof buf,
-                  "@%-14llu t%-3u %-22s %-15s flow=%08x a=%llu b=%llu",
+    char buf[96];
+    std::snprintf(buf, sizeof buf, "@%-14llu t%-3u %-22s ",
                   static_cast<unsigned long long>(rec.tick),
-                  entry.threadId, module, toString(kind), rec.flow,
-                  static_cast<unsigned long long>(rec.a),
-                  static_cast<unsigned long long>(rec.b));
-    return buf;
+                  entry.threadId, module);
+    return buf + probe::format(rec);
 }
 
 } // namespace f4t::sim::fr

@@ -5,11 +5,13 @@
  * the machinery that dumps those rings automatically at the point of
  * failure.
  *
- * Unlike every other observability sink in this codebase (trace flags,
- * pcap, timelines, `--profile`), the recorder is **not** behind a
- * compile gate: it is built into the release preset too, because its
- * whole purpose is post-failure forensics for runs that were never
- * expected to fail. The cost budget that makes always-on acceptable:
+ * Every instrumented site writes here through SimObject::probe()
+ * (sim/simulation.hh); the text trace and the Chrome timeline are
+ * views of the same record (sim/probe.hh). Unlike those views, pcap
+ * and `--profile`, the recorder is **not** behind a compile gate: it
+ * is built into the release preset too, because its whole purpose is
+ * post-failure forensics for runs that were never expected to fail.
+ * The cost budget that makes always-on acceptable:
  *
  *  - hot path: one relaxed atomic load (the runtime gate), a handful
  *    of plain stores into a thread-local L2-resident ring slot, and a
@@ -27,11 +29,13 @@
  * domain-specific: TCP-layer records (FPC, scheduler) carry the local
  * flow id; network-layer records carry a folded four-tuple hash; 0
  * means "no flow". Payload words carry kind-specific detail (bytes,
- * priorities, window numbers) — see Kind.
+ * priorities, window numbers), labelled per kind in sim/probe.cc.
  *
  * Ring protocol: each thread owns one Ring, registered in a global
- * fixed-size table and intentionally leaked so a dump can outlive the
- * thread. The writer publishes with a relaxed head bump; readers
+ * fixed-size table and never freed. When the thread exits its ring is
+ * marked retired: it stays in dumps until a later thread takes it
+ * over, so the table holds at most as many rings as threads ever ran
+ * at once. The writer publishes with a relaxed head bump; readers
  * (dump paths) take a racy-but-harmless snapshot — a record being
  * overwritten mid-dump decodes as garbage for that one slot, which is
  * acceptable for forensics and keeps the writer wait-free. The module
@@ -67,36 +71,59 @@
 namespace f4t::sim::fr
 {
 
-/** Event kinds. Append only — the dump format stores raw values. */
+/**
+ * Event kinds: the one name of every probe point. Append only — dumps
+ * store the raw byte. What each kind's payload words mean, its text
+ * name and its timeline category are the rows of sim/probe.cc.
+ */
 enum class Kind : std::uint8_t
 {
     none = 0,
-    evDispatch,    ///< EventQueue::fire; a = event priority, b = seq no
-    fpcUserSend,   ///< Fpc::handleEvent by TcpEventType; a = byte count
+    evDispatch,
+    fpcUserSend,
     fpcUserRecv,
     fpcUserConnect,
     fpcUserClose,
-    fpcRxSegment,  ///< a = seq, b = payload bytes
+    fpcRxSegment,
     fpcTimeout,
-    fpcInstall,    ///< TCB swap-in; a = slot
-    fpcEvict,      ///< TCB writeback/eviction; a = slot
-    schedMigrate,  ///< a = from FPC, b = to FPC
-    schedEvict,    ///< a = FPC
-    linkTx,        ///< serialization accepted; a = wire bytes
-    linkFault,     ///< injected fault; a = FaultKind
-    switchEnqueue, ///< a = egress port, b = queued bytes after
-    switchDrop,    ///< shared-pool tail drop; a = egress port
-    switchForward, ///< drain to egress; a = egress port, b = bytes
-    pcieDma,       ///< a = bytes, b = direction (0 h2d, 1 d2h)
-    pcieDoorbell,  ///< a = flow doorbell value
-    parBarrier,    ///< window barrier; a = window seq, b = window end tick
-    mailboxSpill,  ///< a = spill count delta
-    mark,          ///< explicit marker (dump reasons, test probes)
+    fpcInstall,
+    fpcEvict,
+    schedMigrate,
+    schedEvict,
+    linkTx,
+    linkFault,
+    switchEnqueue,
+    switchDrop,
+    switchForward,
+    pcieDma,
+    pcieDoorbell,
+    parBarrier,
+    mailboxSpill,
+    mark,
+    rxParse,
+    rxDropUnknown,
+    rxSynReject,
+    rxOooDrop,
+    pktgenSegment,
+    pktgenRetransmit,
+    pktgenControl,
+    fpuPass,
+    memCacheMiss,
+    memInsert,
+    memExtract,
+    memSwapRequest,
+    schedAllocDram,
+    schedRebalance,
+    schedSwapIn,
+    engineAccept,
+    engineConnect,
+    engineRecycle,
+    timerFire,
+    softTcpState,
     numKinds
 };
 
-/** Stable lower_snake name for decoder output. */
-const char *toString(Kind kind);
+constexpr std::size_t numKinds = static_cast<std::size_t>(Kind::numKinds);
 
 /** One ring slot. Exactly 32 bytes; written raw into dumps. */
 struct Record
@@ -123,7 +150,10 @@ namespace detail
 struct Ring
 {
     std::atomic<std::uint64_t> head{0};
-    std::uint32_t threadId = 0;
+    /** Its thread exited; the next new thread may take it over. */
+    std::atomic<bool> retired{false};
+    /** Atomic: a reused ring is renamed while dumps may read it. */
+    std::atomic<std::uint32_t> threadId{0};
     Record slots[ringCapacity];
 };
 

@@ -35,14 +35,14 @@ std::string format(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 /**
  * Thread-local current-simulation hook. While a Simulation is alive on
  * the constructing thread, warn()/inform() prefix messages with its
- * current tick so interleaved logs are orderable, and the trace layer
- * (sim/trace.hh) stamps tracepoints without threading a Simulation
- * reference through every call site. Registrations form a stack: the
- * most recently constructed Simulation wins, and destroying it exposes
- * the one below (tests routinely run several simulations in one
- * process). The stack is thread-local, so partition workers never race
- * on it; the parallel executor (sim/parallel.hh) pushes a partition's
- * Simulation onto its worker's stack for the duration of each window.
+ * current tick so interleaved logs are orderable, without threading a
+ * Simulation reference through every call site. Registrations form a
+ * stack: the most recently constructed Simulation wins, and destroying
+ * it exposes the one below (tests routinely run several simulations in
+ * one process). The stack is thread-local, so partition workers never
+ * race on it; the parallel executor (sim/parallel.hh) pushes a
+ * partition's Simulation onto its worker's stack for the duration of
+ * each window.
  */
 using TickFn = std::uint64_t (*)(const void *owner);
 void pushCurrentSim(const void *owner, TickFn now_fn);

@@ -36,7 +36,7 @@
  * a generation-counted condition variable between windows. While a
  * worker executes a partition it binds that Simulation as the
  * thread-local current simulation, so f4t_warn()/f4t_inform() tick
- * prefixes and tracepoints stamp the right partition's clock.
+ * prefixes stamp the right partition's clock.
  */
 
 #ifndef F4T_SIM_PARALLEL_HH

@@ -14,6 +14,7 @@
 
 #include "sim/check.hh"
 #include "sim/event_queue.hh"
+#include "sim/flight_recorder.hh"
 #include "sim/stats.hh"
 #include "sim/trace.hh"
 #include "sim/types.hh"
@@ -109,7 +110,7 @@ class Simulation
           hostClock_("clk2g3", 2.3e9, queue_)
     {
         // While this simulation is the innermost live one on the
-        // thread, warn()/inform() and tracepoints stamp its tick.
+        // thread, warn()/inform() stamp its tick.
         detail::pushCurrentSim(this, [](const void *s) -> std::uint64_t {
             return static_cast<const Simulation *>(s)->now();
         });
@@ -131,7 +132,7 @@ class Simulation
     Tick now() const { return queue_.now(); }
 
     // --- observability (see sim/trace.hh) -----------------------------------
-    /** Timeline sink modules emit spans/instants to; nullptr when off. */
+    /** Timeline sink probes draw into; nullptr when off. */
     trace::TraceEventSink *timeline() { return timeline_; }
     void setTimeline(trace::TraceEventSink *sink) { timeline_ = sink; }
 
@@ -140,13 +141,6 @@ class Simulation
      *  under `if constexpr (trace::compiledIn)`. */
     ctrace::CausalTracer *causalTracer() { return ctracer_; }
     void setCausalTracer(ctrace::CausalTracer *tracer) { ctracer_ = tracer; }
-
-    /** Runtime trace-flag selection ("Fpc,Sch*"); see sim/trace.hh. */
-    std::size_t
-    setTraceFlags(const std::string &spec)
-    {
-        return trace::setFlags(spec);
-    }
 
     /** 250 MHz FtEngine control-path clock. */
     ClockDomain &engineClock() { return engineClock_; }
@@ -241,7 +235,8 @@ class SimObject
 {
   public:
     SimObject(Simulation &sim, std::string name)
-        : sim_(sim), name_(std::move(name))
+        : sim_(sim), name_(std::move(name)),
+          probeModule_(fr::internModule(name_))
     {}
 
     virtual ~SimObject() = default;
@@ -261,9 +256,56 @@ class SimObject
         return name_ + "." + leaf;
     }
 
+    /**
+     * The one call of an instrumented site (sim/probe.hh): write a
+     * flight-recorder record of @p kind stamped now under this
+     * object's module, print it as a trace line when the kind is
+     * selected, and draw it as a timeline instant when a sink is
+     * attached and the kind has a category.
+     */
+    void
+    probe(fr::Kind kind, std::uint32_t flow, std::uint64_t a = 0,
+          std::uint64_t b = 0)
+    {
+        probeAt(now(), kind, flow, a, b);
+    }
+
+    /** probe() stamped @p at: the modeled tick of work the call runs
+     *  ahead of (a packet handed over before its readiness tick). */
+    void
+    probeAt(Tick at, fr::Kind kind, std::uint32_t flow, std::uint64_t a = 0,
+            std::uint64_t b = 0)
+    {
+        fr::record(kind, at, probeModule_, flow, a, b);
+        if (trace::selected(kind) || sim_.timeline() != nullptr) [[unlikely]]
+            showProbe({at, a, b, flow, probeModule_,
+                       static_cast<std::uint8_t>(kind), 0},
+                      at, at, false);
+    }
+
+    /** probe() drawn as the timeline span [@p start, @p end]; the
+     *  record is stamped now. */
+    void
+    probeSpan(fr::Kind kind, std::uint32_t flow, std::uint64_t a,
+              std::uint64_t b, Tick start, Tick end)
+    {
+        Tick at = now();
+        fr::record(kind, at, probeModule_, flow, a, b);
+        if (trace::selected(kind) || sim_.timeline() != nullptr) [[unlikely]]
+            showProbe({at, a, b, flow, probeModule_,
+                       static_cast<std::uint8_t>(kind), 0},
+                      start, end, true);
+    }
+
   private:
+    /** The text and timeline views of one record (sim/probe.cc). */
+    [[gnu::cold]] void showProbe(const fr::Record &rec, Tick start, Tick end,
+                                 bool span);
+
     Simulation &sim_;
     std::string name_;
+    /** Flight-recorder module id of name_, interned once. */
+    std::uint16_t probeModule_;
 };
 
 /**

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <fstream>
 
+#include "sim/probe.hh"
 #include "sim/simulation.hh"
 #include "sim/stats.hh"
 
@@ -74,12 +75,12 @@ specSelects(const std::string &spec, const std::string &name)
     return selected;
 }
 
-/* Flag selection from the environment happens once, before main(), so
- * F4T_TRACE=Fpc works on any binary without CLI support. */
+/* Kind selection from the environment happens once, before main(), so
+ * F4T_TRACE='fpc*' works on any binary without CLI support. */
 [[maybe_unused]] const bool envInitialized = [] {
     if (const char *spec = std::getenv("F4T_TRACE")) {
         if (*spec != '\0')
-            setFlags(spec);
+            select(spec);
     }
     return true;
 }();
@@ -89,31 +90,14 @@ specSelects(const std::string &spec, const std::string &name)
 namespace detail
 {
 
-bool flagState[numFlags] = {};
+bool selection[fr::numKinds] = {};
 
 void
-emit(Flag flag, const std::string &msg)
+emit(Tick tick, const std::string &module, const std::string &body)
 {
-    std::uint64_t tick;
-    if (sim::detail::currentSimTick(tick))
-        std::fprintf(out(), "%12llu: %s: %s\n",
-                     static_cast<unsigned long long>(tick), toString(flag),
-                     msg.c_str());
-    else
-        std::fprintf(out(), "%12s: %s: %s\n", "-", toString(flag),
-                     msg.c_str());
-}
-
-void
-emitWithClock(Flag flag, const ClockDomain &domain, const std::string &msg)
-{
-    std::uint64_t tick = 0;
-    sim::detail::currentSimTick(tick);
-    std::fprintf(out(), "%12llu: [%s c%llu] %s: %s\n",
-                 static_cast<unsigned long long>(tick),
-                 domain.name().c_str(),
-                 static_cast<unsigned long long>(domain.curCycle()),
-                 toString(flag), msg.c_str());
+    std::fprintf(out(), "%12llu: %s: %s\n",
+                 static_cast<unsigned long long>(tick), module.c_str(),
+                 body.c_str());
 }
 
 void
@@ -131,26 +115,6 @@ notifySimulationDestroyed(Simulation &sim)
 }
 
 } // namespace detail
-
-const char *
-toString(Flag flag)
-{
-    switch (flag) {
-      case Flag::Engine: return "Engine";
-      case Flag::Fpc: return "Fpc";
-      case Flag::Scheduler: return "Scheduler";
-      case Flag::RxParser: return "RxParser";
-      case Flag::PacketGenerator: return "PacketGenerator";
-      case Flag::MemoryManager: return "MemoryManager";
-      case Flag::HostIf: return "HostIf";
-      case Flag::Pcie: return "Pcie";
-      case Flag::Link: return "Link";
-      case Flag::SoftTcp: return "SoftTcp";
-      case Flag::Timer: return "Timer";
-      case Flag::numFlags: break;
-    }
-    return "?";
-}
 
 bool
 globMatch(const char *pattern, const char *text)
@@ -184,7 +148,7 @@ globMatch(const char *pattern, const char *text)
 }
 
 std::size_t
-setFlags(const std::string &spec)
+select(const std::string &spec)
 {
     std::size_t changes = 0;
     std::size_t pos = 0;
@@ -204,27 +168,27 @@ setFlags(const std::string &spec)
         if (token.empty())
             continue;
         bool matched = false;
-        for (unsigned i = 0; i < numFlags; ++i) {
+        for (std::size_t i = 0; i < fr::numKinds; ++i) {
             if (globMatch(token.c_str(),
-                          toString(static_cast<Flag>(i)))) {
+                          probe::info(static_cast<std::uint8_t>(i)).name)) {
                 matched = true;
-                if (detail::flagState[i] != value) {
-                    detail::flagState[i] = value;
+                if (detail::selection[i] != value) {
+                    detail::selection[i] = value;
                     ++changes;
                 }
             }
         }
         if (!matched)
-            f4t_warn("trace: pattern '%s' matches no flag (try '*')",
+            f4t_warn("trace: pattern '%s' matches no kind (try '*')",
                      token.c_str());
     }
     return changes;
 }
 
 void
-clearFlags()
+clearSelection()
 {
-    for (bool &state : detail::flagState)
+    for (bool &state : detail::selection)
         state = false;
 }
 
@@ -273,7 +237,7 @@ TraceEventSink::span(const std::string &track, const char *category,
         return;
     Tick dur = end > start ? end - start : 0;
     events_.push_back(TraceEvent{'X', trackId(track), category,
-                                 std::move(name), start, dur, 0.0});
+                                 std::move(name), start, dur});
 }
 
 void
@@ -283,17 +247,7 @@ TraceEventSink::instant(const std::string &track, const char *category,
     if (full())
         return;
     events_.push_back(TraceEvent{'i', trackId(track), category,
-                                 std::move(name), at, 0, 0.0});
-}
-
-void
-TraceEventSink::counter(const std::string &track, std::string name, Tick at,
-                        double value)
-{
-    if (full())
-        return;
-    events_.push_back(TraceEvent{'C', trackId(track), nullptr,
-                                 std::move(name), at, 0, value});
+                                 std::move(name), at, 0});
 }
 
 void
@@ -318,21 +272,12 @@ TraceEventSink::write(std::ostream &os) const
            << jsonEscape(ev.name) << "\"";
         if (ev.category != nullptr)
             os << ",\"cat\":\"" << jsonEscape(ev.category) << "\"";
-        switch (ev.phase) {
-          case 'X':
+        if (ev.phase == 'X') {
             std::snprintf(num, sizeof num, "%.6f",
                           static_cast<double>(ev.dur) * 1e-6);
             os << ",\"dur\":" << num;
-            break;
-          case 'i':
+        } else {
             os << ",\"s\":\"t\"";
-            break;
-          case 'C':
-            std::snprintf(num, sizeof num, "%.10g", ev.value);
-            os << ",\"args\":{\"value\":" << num << "}";
-            break;
-          default:
-            break;
         }
         os << "}";
         sep = ",\n ";

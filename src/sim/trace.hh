@@ -1,36 +1,34 @@
 /**
  * @file
- * Observability layer: per-module trace flags, a Chrome trace-event
- * timeline sink, and a periodic statistics sampler.
+ * Observability layer: the text trace's kind selection, a Chrome
+ * trace-event timeline sink, and a periodic statistics sampler.
  *
  * Three complementary views of a run, each zero-cost when unused:
  *
- *  - `F4T_TRACE(Fpc, "absorb %s flow=%u", ...)` — gem5-DPRINTF-style
- *    tracepoints gated by per-module flags. Flags are selected at run
- *    time by name or glob ("Fpc,Sch*", case-insensitive) through the
- *    F4T_TRACE environment variable, trace::setFlags(), or
- *    Simulation::setTraceFlags(); a leading '-' clears matching flags.
- *    Every line is stamped with the current simulation tick, and the
- *    `F4T_TRACE_CD` variant adds a clock domain's name and cycle. The
- *    release preset compiles both macros out (F4T_ENABLE_TRACE=OFF),
- *    exactly like F4T_CHECK, so tracepoints can sit on the hottest
- *    paths without taxing release-build numbers.
+ *  - The text trace: every SimObject::probe() record whose kind is
+ *    selected prints one line, `<tick>: <module>: <record>` (the
+ *    record spelled by sim/probe.hh). Kinds are selected at run time
+ *    by case-insensitive glob over their names ("fpc*,sched_*") through
+ *    the F4T_TRACE environment variable or trace::select(); a leading
+ *    '-' deselects ("*,-link*"). The release preset compiles the
+ *    selection test out (F4T_ENABLE_TRACE=OFF), exactly like
+ *    F4T_CHECK, so probes on the hottest paths cost only their
+ *    flight-recorder write and the timeline pointer test there.
  *
- *  - TraceEventSink — buffers spans, instants, and counter samples and
- *    writes the Chrome trace-event JSON format (open the file in
- *    Perfetto or chrome://tracing). Modules emit through
- *    `if (auto *tl = sim().timeline()) tl->span(...)`; without a sink
- *    attached the cost is one pointer test, and hot per-event sites
- *    additionally compile out with `if constexpr (trace::compiledIn)`.
+ *  - TraceEventSink — buffers spans and instants and writes the Chrome
+ *    trace-event JSON format (open the file in Perfetto or
+ *    chrome://tracing). Probes draw into the simulation's sink when one
+ *    is attached and their kind has a timeline category; without a
+ *    sink the cost is one pointer test.
  *
  *  - StatSampler — snapshots selected StatRegistry entries (plus
  *    arbitrary probe callbacks, e.g. a connection's cwnd) every N ticks
  *    into a CSV time series, so Fig. 14-style curves fall out of any
  *    run without bespoke per-bench sampling loops.
  *
- * This header deliberately depends only on the event queue and logging
- * so simulation.hh can include it; entry points needing the full
- * Simulation type are implemented in trace.cc.
+ * This header deliberately depends only on the event queue, logging
+ * and the recorder's kinds so simulation.hh can include it; entry
+ * points needing the full Simulation type are implemented in trace.cc.
  */
 
 #ifndef F4T_SIM_TRACE_HH
@@ -45,13 +43,13 @@
 #include <vector>
 
 #include "sim/event_queue.hh"
+#include "sim/flight_recorder.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
 
 namespace f4t::sim
 {
 
-class ClockDomain;
 class Simulation;
 
 namespace trace
@@ -63,65 +61,44 @@ constexpr bool compiledIn = true;
 constexpr bool compiledIn = false;
 #endif
 
-/** One flag per traced module; see toString() for the spellings. */
-enum class Flag : unsigned
-{
-    Engine,
-    Fpc,
-    Scheduler,
-    RxParser,
-    PacketGenerator,
-    MemoryManager,
-    HostIf,
-    Pcie,
-    Link,
-    SoftTcp,
-    Timer,
-    numFlags
-};
-
-constexpr unsigned numFlags = static_cast<unsigned>(Flag::numFlags);
-
-const char *toString(Flag flag);
-
 namespace detail
 {
 
-/* Always defined (not just under F4T_ENABLE_TRACE) so the flag API is
- * callable from any build; without the macro compiled in the state is
+/* Always defined (not just under F4T_ENABLE_TRACE) so the selection
+ * API is callable from any build; without the macro the state is
  * simply never consulted. */
-extern bool flagState[numFlags];
+extern bool selection[fr::numKinds];
 
-/** Emit one already-formatted trace line, stamped with the current tick. */
-void emit(Flag flag, const std::string &msg);
-/** As emit(), additionally stamped with @p domain's name and cycle. */
-void emitWithClock(Flag flag, const ClockDomain &domain,
-                   const std::string &msg);
+/** Print one trace line: "<tick>: <module>: <body>". */
+void emit(Tick tick, const std::string &module, const std::string &body);
 
 void notifySimulationCreated(Simulation &sim);
 void notifySimulationDestroyed(Simulation &sim);
 
 } // namespace detail
 
-/** Is @p flag currently selected? (One array load when compiled in.) */
+/** Does the text trace print @p kind? (One array load when compiled
+ *  in; constant false in the release preset.) */
 inline bool
-enabled(Flag flag)
+selected(fr::Kind kind)
 {
     if constexpr (!compiledIn)
         return false;
-    return detail::flagState[static_cast<unsigned>(flag)];
+    return detail::selection[static_cast<unsigned>(kind)];
 }
 
 /**
- * Select flags from a comma- or space-separated list of case-insensitive
- * glob patterns ("Fpc", "Sch*", "*"). A leading '-' clears the matching
- * flags instead ("*,-Link" = everything but Link). Unknown patterns
- * warn and are ignored. @return the number of flag changes applied.
+ * Select kinds for the text trace from a comma- or space-separated
+ * list of case-insensitive glob patterns over kind names ("fpc*",
+ * "timer_fire", "*"). A leading '-' deselects the matching kinds
+ * instead ("*,-link*" = everything but the link kinds); the last
+ * matching pattern wins. Unknown patterns warn and are ignored.
+ * @return the number of selection changes applied.
  */
-std::size_t setFlags(const std::string &spec);
+std::size_t select(const std::string &spec);
 
-/** Clear every flag. */
-void clearFlags();
+/** Deselect every kind. */
+void clearSelection();
 
 /** Case-insensitive glob match ('*' and '?'); exposed for tests. */
 bool globMatch(const char *pattern, const char *text);
@@ -140,10 +117,11 @@ void setSimulationObservers(std::function<void(Simulation &)> on_created,
 
 /**
  * Chrome trace-event JSON sink ("Trace Event Format", the format read
- * by Perfetto and chrome://tracing). Events buffer in memory — at most
- * @p max_events, further emissions are counted and dropped — and
- * write() produces the JSON document. Tracks (one per module, named)
- * map to thread ids within a single synthetic process.
+ * by Perfetto and chrome://tracing) for spans and instants. Events
+ * buffer in memory — at most @p max_events, further emissions are
+ * counted and dropped — and write() produces the JSON document. Tracks
+ * (one per module, named) map to thread ids within a single synthetic
+ * process.
  *
  * Memory bound: the buffer holds at most max_events records (default
  * 2^20, roughly 100 MB worst case with long names) and NEVER grows
@@ -168,10 +146,6 @@ class TraceEventSink
     void instant(const std::string &track, const char *category,
                  std::string name, Tick at);
 
-    /** Counter sample ("C" phase); series named @p name. */
-    void counter(const std::string &track, std::string name, Tick at,
-                 double value);
-
     std::size_t eventCount() const { return events_.size(); }
     std::uint64_t droppedEvents() const { return dropped_; }
 
@@ -184,13 +158,12 @@ class TraceEventSink
   private:
     struct TraceEvent
     {
-        char phase; ///< 'X', 'i', or 'C'
+        char phase; ///< 'X' or 'i'
         std::uint32_t tid;
         const char *category;
         std::string name;
         Tick ts;
-        Tick dur;     ///< 'X' only
-        double value; ///< 'C' only
+        Tick dur; ///< 'X' only
     };
 
     std::uint32_t trackId(const std::string &track);
@@ -271,37 +244,5 @@ class StatSampler
 } // namespace trace
 
 } // namespace f4t::sim
-
-#ifdef F4T_ENABLE_TRACE
-#define F4T_TRACE(flag, ...)                                              \
-    do {                                                                  \
-        if (::f4t::sim::trace::enabled(::f4t::sim::trace::Flag::flag))    \
-            ::f4t::sim::trace::detail::emit(                              \
-                ::f4t::sim::trace::Flag::flag,                            \
-                ::f4t::sim::detail::format(__VA_ARGS__));                 \
-    } while (0)
-#define F4T_TRACE_CD(flag, domain, ...)                                   \
-    do {                                                                  \
-        if (::f4t::sim::trace::enabled(::f4t::sim::trace::Flag::flag))    \
-            ::f4t::sim::trace::detail::emitWithClock(                     \
-                ::f4t::sim::trace::Flag::flag, (domain),                  \
-                ::f4t::sim::detail::format(__VA_ARGS__));                 \
-    } while (0)
-#else
-/* The dead branch keeps the operands type-checked and "used" (no
- * -Wunused in trace-off builds) while the optimizer deletes the call. */
-#define F4T_TRACE(flag, ...)                                \
-    do {                                                    \
-        if (false)                                          \
-            (void)::f4t::sim::detail::format(__VA_ARGS__);  \
-    } while (0)
-#define F4T_TRACE_CD(flag, domain, ...)                     \
-    do {                                                    \
-        if (false) {                                        \
-            (void)(domain);                                 \
-            (void)::f4t::sim::detail::format(__VA_ARGS__);  \
-        }                                                   \
-    } while (0)
-#endif
 
 #endif // F4T_SIM_TRACE_HH

@@ -922,14 +922,9 @@ SoftTcpStack::enterTimeWait(Conn &conn)
 void
 SoftTcpStack::setState(Conn &conn, ConnState next)
 {
-    F4T_TRACE(SoftTcp, "%s: conn %u %s -> %s", name().c_str(), conn.id,
-              toString(conn.state), toString(next));
-    if (auto *tl = sim().timeline()) {
-        tl->instant(name(), "conn",
-                    std::string("conn ") + std::to_string(conn.id) + " " +
-                        toString(next),
-                    now());
-    }
+    probe(sim::fr::Kind::softTcpState, conn.id,
+          static_cast<std::uint64_t>(conn.state),
+          static_cast<std::uint64_t>(next));
     conn.state = next;
 }
 

@@ -1,9 +1,12 @@
 # Strict-CLI check: run BINARY once per argument set in CASES and fail
 # unless every run exits with status exactly 2 (usage error). Any other
 # status — 0 from silently running something else, 1 from a failed run,
-# a signal from a crash — fails the test.
+# a signal from a crash — fails the test. With STDERR set, each run's
+# standard error must also match that regular expression, which pins
+# which layer rejected the arguments.
 #
-#   cmake -DBINARY=path "-DCASES=args one|args two" -P expect_exit2.cmake
+#   cmake -DBINARY=path "-DCASES=args one|args two" [-DSTDERR=regex]
+#         -P expect_exit2.cmake
 #
 # CASES separates argument sets with '|'; each set is split like a shell
 # command line.
@@ -19,9 +22,14 @@ foreach(case IN LISTS cases)
     separate_arguments(args UNIX_COMMAND "${case}")
     execute_process(COMMAND ${BINARY} ${args}
                     RESULT_VARIABLE status
-                    OUTPUT_QUIET ERROR_QUIET)
+                    OUTPUT_QUIET
+                    ERROR_VARIABLE stderr)
     if(NOT status STREQUAL "2")
         message("FAIL: ${BINARY} ${case} -> ${status}, want 2")
+        math(EXPR failures "${failures} + 1")
+    elseif(DEFINED STDERR AND NOT stderr MATCHES "${STDERR}")
+        message("FAIL: ${BINARY} ${case}: stderr does not match "
+                "'${STDERR}':\n${stderr}")
         math(EXPR failures "${failures} + 1")
     endif()
 endforeach()

@@ -1,6 +1,7 @@
 /**
  * @file
- * Flight recorder: ring semantics, per-thread merge, failure-triggered
+ * Flight recorder: ring semantics and reuse, per-thread merge, the
+ * probe kinds a pair world records, failure-triggered dumps, malformed
  * dumps, and the wall-clock watchdog.
  *
  * Suite naming is deliberate: FlightRecorderDeathTest runs first
@@ -17,17 +18,25 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <latch>
+#include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <stdlib.h>
+#include <sys/wait.h>
 
 #include "apps/testbed.hh"
 #include "sim/flight_recorder.hh"
+#include "sim/random.hh"
 #include "sim/parallel.hh"
+#include "sim/probe.hh"
 #include "sim/simulation.hh"
 
 using namespace f4t;
@@ -69,6 +78,15 @@ onlyDumpIn(const std::string &dir)
     }
     EXPECT_FALSE(found.empty()) << "no .f4tfr dump in " << dir;
     return found;
+}
+
+std::string
+slurpFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
 }
 
 void
@@ -292,22 +310,35 @@ TEST(FlightRecorder, DisabledRunRecordsNothingAndBehaviorIsIdentical)
               disabled_sim.queue().eventsProcessed());
 }
 
-// --- cross-thread merge (named to run under the tsan preset) ------------
-
 TEST(FlightRecorder, FpcRecordsEachAbsorbedEventKind)
 {
-    // One connection through an FtEngine pair: connect, a 64 B echo,
-    // close. The FPCs absorbing those events must record each kind
-    // under their own module.
+    // Twelve echo connections through an FtEngine pair whose one FPC
+    // holds eight TCBs, so flows start in DRAM and migrate both ways; a
+    // scheduled drop forces a retransmission timeout, TIME_WAIT
+    // expiries time out FPC-resident flows, a connect to a port nobody
+    // listens on is refused, and a stray ACK for no connection is
+    // dropped. Every kind a site of the pair world probes must reach a
+    // .f4tfr decode spelled with its labels, and the FPC must record
+    // each absorbed event kind under its own module. (The pair world
+    // never fills the reorder buffer or congests an FPC, and has no
+    // software stack: rx_ooo_drop, sched_rebalance and soft_tcp_state
+    // are not in the list.)
     fr::setEnabled(true);
     core::EngineConfig config;
     config.numFpcs = 1;
-    config.flowsPerFpc = 16;
+    config.flowsPerFpc = 8;
     config.maxFlows = 64;
-    testbed::EnginePairWorld world(1, config);
+    config.tcbCacheLines = 2;
+    net::FaultModel faults;
+    // The first echo request on the wire; the replies run clean.
+    faults.dropAtTicks.push_back(sim::microsecondsToTicks(7.5));
+    testbed::EnginePairWorld world(1, config, faults, 100e9,
+                                   net::FaultModel{});
     auto client = world.apiA(0);
     auto server = world.apiB(0);
 
+    constexpr int connections = 12;
+    constexpr int roundTrips = 3;
     std::vector<std::uint8_t> buf(256, 0x5a);
     apps::SocketApi::Handlers server_handlers;
     server_handlers.onReadable = [&](int conn, std::size_t) {
@@ -316,29 +347,54 @@ TEST(FlightRecorder, FpcRecordsEachAbsorbedEventKind)
     };
     server_handlers.onPeerClosed = [&](int conn) { server.close(conn); };
     // The passive closer finishes without TIME_WAIT.
-    bool closed = false;
-    server_handlers.onClosed = [&](int) { closed = true; };
+    int closed = 0;
+    server_handlers.onClosed = [&](int) { ++closed; };
     server.setHandlers(server_handlers);
     server.listen(7);
 
+    std::map<int, int> echoes;
     apps::SocketApi::Handlers client_handlers;
     client_handlers.onConnected = [&](int conn) {
         client.send(conn, std::span<const std::uint8_t>(buf.data(), 64));
     };
     client_handlers.onReadable = [&](int conn, std::size_t) {
         client.recv(conn, buf);
-        client.close(conn);
+        if (++echoes[conn] < roundTrips)
+            client.send(conn,
+                        std::span<const std::uint8_t>(buf.data(), 64));
+        else
+            client.close(conn);
     };
     client.setHandlers(client_handlers);
-    client.connect(testbed::ipB(), 7);
+    for (int i = 0; i < connections; ++i)
+        client.connect(testbed::ipB(), 7);
+    client.connect(testbed::ipB(), 9); // no listener: SYN rejected
+    net::TcpHeader stray;
+    stray.srcPort = 4242;
+    stray.dstPort = 7;
+    stray.flags = net::TcpFlags::ack;
+    world.sim.queue().scheduleCallback(
+        sim::microsecondsToTicks(30), "test.stray", [&] {
+            world.link->aToB().send(net::Packet::makeTcp(
+                testbed::macA(), testbed::macB(), testbed::ipA(),
+                testbed::ipB(), stray, net::PayloadBuffer()));
+        });
 
     // Collect in short slices, clearing between them, so the ring
-    // never wraps over an early record.
+    // never wraps over an early record, for 16 ms: past the 5 ms
+    // retransmission timeout and the 10 ms TIME_WAIT after it. A slice
+    // holding a kind not seen yet goes through a dump file and the
+    // decoder.
+    char dir[] = "/tmp/f4tfr-kinds-XXXXXX";
+    ASSERT_NE(::mkdtemp(dir), nullptr);
+    std::string path = std::string(dir) + "/kinds.f4tfr";
     std::set<fr::Kind> fpc_kinds;
+    std::map<std::uint8_t, std::string> decoded;
     fr::clear();
-    for (int slice = 0; slice < 400 && !closed; ++slice) {
+    for (int slice = 0; slice < 3200; ++slice) {
         world.runFor(sim::microsecondsToTicks(5));
         fr::Snapshot snap = fr::snapshot();
+        bool fresh = false;
         for (const auto &ring : snap.rings) {
             ASSERT_LE(ring.totalWritten, fr::ringCapacity);
             for (const fr::Record &rec : ring.records) {
@@ -346,15 +402,177 @@ TEST(FlightRecorder, FpcRecordsEachAbsorbedEventKind)
                 if (snap.modules[rec.module].find(".fpc") !=
                     std::string::npos)
                     fpc_kinds.insert(static_cast<fr::Kind>(rec.kind));
+                fresh |= !decoded.count(rec.kind);
             }
         }
         fr::clear();
+        if (!fresh)
+            continue;
+        ASSERT_TRUE(fr::writeSnapshot(snap, path, "kinds"));
+        fr::Snapshot read;
+        std::string reason, error;
+        ASSERT_TRUE(fr::readDump(path, read, reason, error)) << error;
+        for (const auto &entry : fr::mergeTimeline(read))
+            decoded.emplace(entry.rec.kind, fr::formatEntry(read, entry));
     }
-    ASSERT_TRUE(closed) << "echo connection never closed";
+    std::filesystem::remove_all(dir);
+    ASSERT_EQ(closed, connections) << "echo connections never closed";
+
     for (fr::Kind kind : {fr::Kind::fpcUserConnect, fr::Kind::fpcUserSend,
-                          fr::Kind::fpcRxSegment, fr::Kind::fpcUserClose})
-        EXPECT_TRUE(fpc_kinds.count(kind)) << fr::toString(kind);
+                          fr::Kind::fpcUserRecv, fr::Kind::fpcRxSegment,
+                          fr::Kind::fpcUserClose, fr::Kind::fpcTimeout})
+        EXPECT_TRUE(fpc_kinds.count(kind)) << sim::probe::info(kind).name;
+
+    using K = fr::Kind;
+    for (K kind : {K::fpcUserSend, K::fpcUserRecv, K::fpcUserConnect,
+                   K::fpcUserClose, K::fpcRxSegment, K::fpcTimeout,
+                   K::fpcInstall, K::fpcEvict, K::fpuPass, K::schedMigrate,
+                   K::schedEvict, K::schedAllocDram, K::schedSwapIn,
+                   K::linkTx, K::linkFault, K::pcieDma, K::pcieDoorbell,
+                   K::rxParse, K::rxDropUnknown, K::rxSynReject,
+                   K::pktgenSegment,
+                   K::pktgenRetransmit, K::pktgenControl, K::memCacheMiss,
+                   K::memInsert, K::memExtract, K::memSwapRequest,
+                   K::engineAccept, K::engineConnect, K::engineRecycle,
+                   K::timerFire}) {
+        const sim::probe::KindInfo &row = sim::probe::info(kind);
+        auto it = decoded.find(static_cast<std::uint8_t>(kind));
+        if (it == decoded.end()) {
+            ADD_FAILURE() << row.name << " never reached a dump";
+            continue;
+        }
+        const std::string &line = it->second;
+        EXPECT_NE(line.find(std::string(" ") + row.name + " flow="),
+                  std::string::npos)
+            << line;
+        for (const char *label : {row.a, row.b}) {
+            if (label != nullptr) {
+                EXPECT_NE(line.find(std::string(" ") + label + "="),
+                          std::string::npos)
+                    << line;
+            }
+        }
+    }
 }
+
+// --- malformed dumps -----------------------------------------------------
+
+/** Exit status of f4t_blackbox on @p path: 0-255, or -1 when it died
+ *  on a signal. A sanitizer report in the decoder exits 99. */
+int
+blackboxStatus(const std::string &path)
+{
+    std::string cmd = std::string("ASAN_OPTIONS=exitcode=99 "
+                                  "UBSAN_OPTIONS=halt_on_error=1:exitcode=99 ") +
+                      F4T_BLACKBOX + " '" + path + "' >/dev/null 2>&1";
+    int status = std::system(cmd.c_str());
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+void
+writeBytes(const std::string &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST(FlightRecorder, MutatedDumpsDecodeOrFailCleanly)
+{
+    // A real dump of an engine pair's first microseconds, cut to a few
+    // records per ring so every truncation point can be tried.
+    fr::setEnabled(true);
+    fr::clear();
+    {
+        testbed::EnginePairWorld world(1);
+        world.apiA(0).connect(testbed::ipB(), 7);
+        world.runFor(sim::microsecondsToTicks(5));
+    }
+    fr::Snapshot snap = fr::snapshot();
+    for (auto &ring : snap.rings) {
+        if (ring.records.size() > 24)
+            ring.records.erase(ring.records.begin(),
+                               ring.records.end() - 24);
+    }
+    char dir[] = "/tmp/f4tfr-mutate-XXXXXX";
+    ASSERT_NE(::mkdtemp(dir), nullptr);
+    std::string base = std::string(dir) + "/base.f4tfr";
+    std::string path = std::string(dir) + "/mutant.f4tfr";
+    ASSERT_TRUE(fr::writeSnapshot(snap, base, "mutation seed"));
+    std::string good = slurpFile(base);
+    ASSERT_GT(good.size(), 64u);
+
+    // Either a clean error, or a snapshot every record of which
+    // decodes; @return whether it decoded.
+    auto decodes = [&](const std::string &bytes) {
+        writeBytes(path, bytes);
+        fr::Snapshot read;
+        std::string reason, error;
+        if (!fr::readDump(path, read, reason, error)) {
+            EXPECT_FALSE(error.empty());
+            return false;
+        }
+        for (const auto &entry : fr::mergeTimeline(read)) {
+            std::string line = fr::formatEntry(read, entry);
+            EXPECT_NE(line.find(" flow="), std::string::npos) << line;
+            if (entry.rec.kind >= fr::numKinds) {
+                EXPECT_NE(line.find(" unknown flow="), std::string::npos)
+                    << line;
+            }
+        }
+        return true;
+    };
+    ASSERT_TRUE(decodes(good));
+
+    // Every proper prefix misses part of the last ring, so it is an
+    // error, never a shorter snapshot.
+    for (std::size_t len = 0; len < good.size(); ++len) {
+        ASSERT_FALSE(decodes(good.substr(0, len))) << "prefix " << len;
+        if (len % 61 == 0) {
+            ASSERT_EQ(blackboxStatus(path), 1) << "prefix " << len;
+        }
+    }
+
+    // Seeded byte flips anywhere in the file.
+    sim::Random rng(0xf4f4);
+    std::size_t decoded = 0;
+    for (int mutant = 0; mutant < 3000; ++mutant) {
+        std::string bytes = good;
+        for (std::uint64_t n = 1 + rng.below(4); n > 0; --n)
+            bytes[rng.below(bytes.size())] ^=
+                static_cast<char>(1 + rng.below(255));
+        decoded += decodes(bytes);
+        if (mutant % 50 == 0) {
+            int status = blackboxStatus(path);
+            ASSERT_TRUE(status == 0 || status == 1)
+                << "mutant " << mutant << " exit " << status;
+        }
+    }
+    EXPECT_GT(decoded, 0u);
+
+    // A kind byte past the table decodes as unknown, with both words.
+    for (auto &ring : snap.rings) {
+        if (!ring.records.empty())
+            ring.records.front().kind = 0xff;
+    }
+    ASSERT_TRUE(fr::writeSnapshot(snap, path, "unknown kind"));
+    fr::Snapshot read;
+    std::string reason, error;
+    ASSERT_TRUE(fr::readDump(path, read, reason, error)) << error;
+    bool unknown = false;
+    for (const auto &entry : fr::mergeTimeline(read)) {
+        if (entry.rec.kind == 0xff) {
+            std::string line = fr::formatEntry(read, entry);
+            EXPECT_NE(line.find(" unknown flow="), std::string::npos);
+            EXPECT_NE(line.find(" a="), std::string::npos) << line;
+            unknown = true;
+        }
+    }
+    EXPECT_TRUE(unknown);
+    EXPECT_EQ(blackboxStatus(path), 0);
+    std::filesystem::remove_all(dir);
+}
+
+// --- cross-thread merge (named to run under the tsan preset) ------------
 
 TEST(FlightRecorderParallel, TwoThreadMergeIsTickSorted)
 {
@@ -363,13 +581,18 @@ TEST(FlightRecorderParallel, TwoThreadMergeIsTickSorted)
     std::uint16_t even = fr::internModule("test.even");
     std::uint16_t odd = fr::internModule("test.odd");
 
+    // Both threads stay alive until both have recorded: a thread that
+    // exits first retires its ring, and the other could take it over.
+    std::latch recorded(2);
     std::thread a([&] {
         for (std::uint64_t i = 0; i < 1'000; ++i)
             fr::record(fr::Kind::mark, 2 * i, even, 0xe, i);
+        recorded.arrive_and_wait();
     });
     std::thread b([&] {
         for (std::uint64_t i = 0; i < 1'000; ++i)
             fr::record(fr::Kind::mark, 2 * i + 1, odd, 0xd, i);
+        recorded.arrive_and_wait();
     });
     a.join();
     b.join();
@@ -386,6 +609,40 @@ TEST(FlightRecorderParallel, TwoThreadMergeIsTickSorted)
     }
     EXPECT_EQ(even_count, 1'000u);
     EXPECT_EQ(odd_count, 1'000u);
+}
+
+TEST(FlightRecorderParallel, ExitedThreadRingsAreReused)
+{
+    // More short-lived threads than the ring table has slots: each
+    // records one mark and exits. Their rings are handed on instead of
+    // leaked, so the table does not fill and the last thread's record
+    // is still in the snapshot after it exited.
+    fr::setEnabled(true);
+    fr::clear();
+    std::uint16_t module = fr::internModule("test.shortlived");
+    constexpr std::uint64_t threads = fr::detail::maxRings + 44;
+    for (std::uint64_t i = 0; i < threads; ++i) {
+        std::thread([&] {
+            fr::record(fr::Kind::mark, 1'000 + i, module, 0x5, i);
+        }).join();
+    }
+
+    fr::Snapshot snap = fr::snapshot();
+    EXPECT_LT(snap.rings.size(), fr::detail::maxRings);
+    std::size_t marks = 0;
+    bool saw_last = false;
+    for (const auto &ring : snap.rings) {
+        for (const fr::Record &rec : ring.records) {
+            if (rec.module != module)
+                continue;
+            ++marks;
+            saw_last |= rec.a == threads - 1;
+        }
+    }
+    EXPECT_TRUE(saw_last) << "the last thread's record is missing";
+    // Reuse starts a ring over, so only the survivors' marks remain.
+    EXPECT_GE(marks, 1u);
+    EXPECT_LT(marks, threads);
 }
 
 // --- watchdog (timing-based; excluded from the tsan filter) -------------

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the simulation kernel: event queue ordering,
- * clock-domain arithmetic, statistics, RNG determinism, config.
+ * clock-domain arithmetic, statistics, RNG determinism.
  */
 
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 #include <sstream>
 #include <vector>
 
-#include "sim/config.hh"
 #include "sim/random.hh"
 #include "sim/simulation.hh"
 
@@ -257,39 +256,6 @@ TEST(Random, ExponentialMeanConverges)
     for (int i = 0; i < n; ++i)
         sum += rng.exponential(50.0);
     EXPECT_NEAR(sum / n, 50.0, 1.0);
-}
-
-TEST(Config, DeclareSetAndTypedGet)
-{
-    Config config;
-    config.declare("flows", "64", "number of flows");
-    config.declare("rate", "2.5");
-    config.declare("enabled", "true");
-
-    EXPECT_EQ(config.getInt("flows"), 64);
-    config.set("flows", "128");
-    EXPECT_EQ(config.getUint("flows"), 128u);
-    EXPECT_DOUBLE_EQ(config.getDouble("rate"), 2.5);
-    EXPECT_TRUE(config.getBool("enabled"));
-}
-
-TEST(Config, ParseArgsOverrides)
-{
-    Config config;
-    config.declare("cores", "1");
-    const char *argv[] = {"prog", "cores=8", "notakv"};
-    config.parseArgs(3, const_cast<char **>(argv));
-    EXPECT_EQ(config.getInt("cores"), 8);
-}
-
-TEST(Config, UnknownKeyIsFatal)
-{
-    EXPECT_DEATH(
-        {
-            Config config;
-            config.set("nope", "1");
-        },
-        "unknown config key");
 }
 
 } // namespace

@@ -1,7 +1,8 @@
 /**
  * @file
- * Tests for the observability layer: trace flag selection, the Chrome
- * trace-event sink, the periodic stat sampler, pcap export, and the
+ * Tests for the observability layer: the text trace's kind selection
+ * and line format, probes drawn into the Chrome trace-event sink, the
+ * periodic stat sampler, pcap export, and the
  * stats-framework pieces they build on (JSON dump, histogram
  * percentiles, reservoir behaviour, tick-stamped logging).
  */
@@ -27,7 +28,8 @@ namespace f4t
 namespace
 {
 
-using sim::trace::Flag;
+using sim::fr::Kind;
+using sim::trace::selected;
 
 std::string
 tempPath(const char *name)
@@ -68,74 +70,87 @@ TEST(TraceFlags, GlobMatch)
 
 TEST(TraceFlags, SetFlagsSelectsAndNegates)
 {
-    sim::trace::clearFlags();
-    EXPECT_FALSE(sim::trace::enabled(Flag::Fpc));
+    sim::trace::clearSelection();
+    EXPECT_FALSE(selected(Kind::fpcInstall));
 
-    std::size_t changed = sim::trace::setFlags("fpc,scheduler");
+    std::size_t changed = sim::trace::select("fpc_install,sched_evict");
     if (!sim::trace::compiledIn) {
-        // Flag state is maintained even when the macros are compiled
-        // out, so the selection still registers.
+        // The selection is maintained even when the text trace is
+        // compiled out, so it still registers.
         EXPECT_EQ(changed, 2u);
-        sim::trace::clearFlags();
+        sim::trace::clearSelection();
         return;
     }
     EXPECT_EQ(changed, 2u);
-    EXPECT_TRUE(sim::trace::enabled(Flag::Fpc));
-    EXPECT_TRUE(sim::trace::enabled(Flag::Scheduler));
-    EXPECT_FALSE(sim::trace::enabled(Flag::Link));
+    EXPECT_TRUE(selected(Kind::fpcInstall));
+    EXPECT_TRUE(selected(Kind::schedEvict));
+    EXPECT_FALSE(selected(Kind::linkTx));
 
-    // '*' selects everything; a trailing '-pattern' subtracts.
-    sim::trace::clearFlags();
-    sim::trace::setFlags("*,-link");
-    EXPECT_TRUE(sim::trace::enabled(Flag::Fpc));
-    EXPECT_TRUE(sim::trace::enabled(Flag::Timer));
-    EXPECT_FALSE(sim::trace::enabled(Flag::Link));
+    // '*' selects every kind; a trailing '-pattern' subtracts.
+    sim::trace::clearSelection();
+    sim::trace::select("*,-link*");
+    EXPECT_TRUE(selected(Kind::fpcInstall));
+    EXPECT_TRUE(selected(Kind::timerFire));
+    EXPECT_FALSE(selected(Kind::linkTx));
+    EXPECT_FALSE(selected(Kind::linkFault));
 
-    // Last match wins.
-    sim::trace::setFlags("-*,fpc");
-    EXPECT_TRUE(sim::trace::enabled(Flag::Fpc));
-    EXPECT_FALSE(sim::trace::enabled(Flag::Scheduler));
+    // Last match wins; a glob selects a family of kinds.
+    sim::trace::select("-*,fpc*");
+    EXPECT_TRUE(selected(Kind::fpcUserSend));
+    EXPECT_TRUE(selected(Kind::fpcEvict));
+    EXPECT_FALSE(selected(Kind::fpuPass));
+    EXPECT_FALSE(selected(Kind::schedEvict));
 
-    sim::trace::clearFlags();
-    EXPECT_FALSE(sim::trace::enabled(Flag::Fpc));
+    sim::trace::clearSelection();
+    EXPECT_FALSE(selected(Kind::fpcUserSend));
 }
 
 TEST(TraceFlags, UnknownPatternChangesNothing)
 {
-    sim::trace::clearFlags();
-    EXPECT_EQ(sim::trace::setFlags("nosuchmodule"), 0u);
-    for (unsigned i = 0; i < sim::trace::numFlags; ++i)
-        EXPECT_FALSE(sim::trace::enabled(static_cast<Flag>(i)));
+    sim::trace::clearSelection();
+    EXPECT_EQ(sim::trace::select("nosuchkind"), 0u);
+    for (std::size_t i = 0; i < sim::fr::numKinds; ++i)
+        EXPECT_FALSE(selected(static_cast<Kind>(i)));
 }
 
-TEST(TraceFlags, EmittedLinesAreTickStamped)
+TEST(TraceFlags, ProbeLinesAreLabelledAndTickStamped)
 {
     if (!sim::trace::compiledIn)
-        GTEST_SKIP() << "tracepoints compiled out";
+        GTEST_SKIP() << "text trace compiled out";
 
     std::string path = tempPath("f4t_trace_lines.txt");
     std::FILE *out = std::fopen(path.c_str(), "w+");
     ASSERT_NE(out, nullptr);
     sim::trace::setOutput(out);
-    sim::trace::setFlags("fpc");
+    sim::trace::select("pcie*");
 
     {
         sim::Simulation sim;
-        sim.queue().scheduleCallback(1234, "test.emit", [] {
-            F4T_TRACE(Fpc, "hello %d", 7);
+        sim::SimObject pcie(sim, "test.pcie");
+        sim.queue().scheduleCallback(1234, "test.emit", [&] {
+            pcie.probe(Kind::pcieDma, 7, 64, 1);
+            pcie.probe(Kind::pcieDoorbell, 0);
+            pcie.probe(Kind::linkTx, 7, 99); // not selected
         });
         sim.runFor(5000);
     }
-    F4T_TRACE(Fpc, "no sim");
 
     sim::trace::setOutput(nullptr);
     std::fclose(out);
-    sim::trace::clearFlags();
+    sim::trace::clearSelection();
 
+    // "<tick>: <module>: <record>", the words named by the probe table;
+    // a kind without payload words prints none.
     std::string text = slurp(path);
-    // In-simulation lines carry the firing tick; outside they carry '-'.
-    EXPECT_NE(text.find("1234: Fpc: hello 7"), std::string::npos) << text;
-    EXPECT_NE(text.find("-: Fpc: no sim"), std::string::npos) << text;
+    EXPECT_NE(text.find("        1234: test.pcie: pcie_dma flow=00000007 "
+                        "bytes=64 d2h=1\n"),
+              std::string::npos)
+        << text;
+    EXPECT_NE(text.find("        1234: test.pcie: pcie_doorbell "
+                        "flow=00000000\n"),
+              std::string::npos)
+        << text;
+    EXPECT_EQ(text.find("link_tx"), std::string::npos) << text;
 }
 
 // ---------------------------------------------------------------------
@@ -203,8 +218,7 @@ TEST(TraceEventSink, WritesChromeTraceJson)
     sink.span("fpc0", "fpu", "outer", 1'000'000, 5'000'000);
     sink.span("fpc0", "fpu", "inner", 2'000'000, 3'500'000);
     sink.instant("link", "drop", "drop \"a\"", 2'500'000);
-    sink.counter("fpc0", "occupancy", 4'000'000, 0.75);
-    EXPECT_EQ(sink.eventCount(), 4u);
+    EXPECT_EQ(sink.eventCount(), 3u);
 
     std::stringstream ss;
     sink.write(ss);
@@ -227,9 +241,6 @@ TEST(TraceEventSink, WritesChromeTraceJson)
     // Instants carry the scope field; quotes in names are escaped.
     EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
     EXPECT_NE(json.find("drop \\\"a\\\""), std::string::npos);
-    // Counter value.
-    EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
-    EXPECT_NE(json.find("0.75"), std::string::npos);
 
     // Both spans live on the same tid; the instant is on another. The
     // tid field precedes the name, so scan backwards from the name.
@@ -241,6 +252,38 @@ TEST(TraceEventSink, WritesChromeTraceJson)
     };
     EXPECT_EQ(tid_of("outer"), tid_of("inner"));
     EXPECT_NE(tid_of("outer"), tid_of("drop \\\"a\\\""));
+}
+
+TEST(TraceEventSink, ProbesDrawTheirKindsCategory)
+{
+    sim::trace::TraceEventSink sink;
+    {
+        sim::Simulation sim;
+        sim.setTimeline(&sink);
+        sim::SimObject obj(sim, "test.obj");
+        sim.queue().scheduleCallback(2'000'000, "test.emit", [&] {
+            obj.probeSpan(Kind::pcieDma, 0, 64, 0, 1'000'000, 3'000'000);
+            obj.probe(Kind::timerFire, 5, 1);
+            obj.probe(Kind::rxParse, 5, 100, 0); // no timeline category
+        });
+        sim.runFor(5'000'000);
+    }
+    EXPECT_EQ(sink.eventCount(), 2u);
+
+    std::stringstream ss;
+    sink.write(ss);
+    std::string json = ss.str();
+    // The event name is the record spelled by the probe table.
+    EXPECT_NE(json.find("\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":1.000000,"
+                        "\"name\":\"pcie_dma flow=00000000 bytes=64 d2h=0\","
+                        "\"cat\":\"dma\",\"dur\":2.000000"),
+              std::string::npos)
+        << json;
+    EXPECT_NE(json.find("\"ts\":2.000000,\"name\":\"timer_fire "
+                        "flow=00000005 timer=1\",\"cat\":\"timer\""),
+              std::string::npos)
+        << json;
+    EXPECT_EQ(json.find("rx_parse"), std::string::npos) << json;
 }
 
 TEST(TraceEventSink, BoundedBufferCountsDrops)

@@ -19,6 +19,7 @@
 
 #include "cli_args.hh"
 #include "sim/flight_recorder.hh"
+#include "sim/probe.hh"
 
 #include <cstdint>
 #include <cstdio>
@@ -76,8 +77,7 @@ printDump(const std::string &path, std::size_t last_k,
     }
     std::printf("per-kind counts:\n");
     for (const auto &[kind, count] : by_kind) {
-        std::printf("  %-28s %llu\n",
-                    fr::toString(static_cast<fr::Kind>(kind)),
+        std::printf("  %-28s %llu\n", probe::info(kind).name,
                     static_cast<unsigned long long>(count));
     }
 
