@@ -23,6 +23,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "cli_args.hh"
@@ -159,8 +160,11 @@ mrps(std::uint64_t count, sim::Tick window)
  * files: timeline.json, timeline.1.json, ... in construction order.
  *
  * A malformed capture flag — a value flag with no value, --profile=X,
- * a --stat-sample interval that is not a number in range — prints
- * usage and exits 2. Every other argument passes through untouched.
+ * a --stat-sample interval that is not a number in range, an output
+ * path whose directory is missing or not writable — prints usage and
+ * exits 2 before anything simulates. A capture that still cannot be
+ * written when its simulation or link is set up or torn down exits 1.
+ * Every other argument passes through untouched.
  */
 class Obs
 {
@@ -266,10 +270,29 @@ class Obs
             if (statCsvPath_.empty())
                 usageError("--stat-sample", "needs a path before '@'");
         }
+        for (auto [flag, path] : {std::pair{"--pcap", &pcapPath_},
+                                  std::pair{"--timeline", &timelinePath_},
+                                  std::pair{"--stat-sample", &statCsvPath_},
+                                  std::pair{"--stats-json",
+                                            &statsJsonPath_}}) {
+            if (path->empty())
+                continue;
+            std::string problem = outputPathProblem(*path);
+            if (!problem.empty())
+                usageError(flag, problem.c_str());
+        }
         if (!pcapPath_.empty() || !timelinePath_.empty() ||
             !statCsvPath_.empty() || !statsJsonPath_.empty()) {
             installObservers();
         }
+    }
+
+    /** A requested capture could not be written: fail the run. */
+    [[noreturn]] static void
+    writeError(const std::string &what)
+    {
+        std::fprintf(stderr, "obs: cannot write %s\n", what.c_str());
+        std::exit(1);
     }
 
     [[noreturn]] static void
@@ -384,10 +407,13 @@ class Obs
                 continue;
             // The event queue is still alive here (observer fires at the
             // top of ~Simulation), so the sampler event detaches safely.
+            bool samples_ok = !rec->sampler || rec->sampler->flush();
             rec->sampler.reset();
+            bool timeline_ok = true;
             if (rec->timeline) {
                 rec->sim->setTimeline(nullptr);
-                if (rec->timeline->writeFile(rec->timelinePath)) {
+                timeline_ok = rec->timeline->writeFile(rec->timelinePath);
+                if (timeline_ok) {
                     std::fprintf(stderr, "obs: wrote %s (%zu events)\n",
                                  rec->timelinePath.c_str(),
                                  rec->timeline->eventCount());
@@ -395,6 +421,10 @@ class Obs
                 rec->timeline.reset();
             }
             rec->sim = nullptr;
+            if (!samples_ok)
+                writeError("the stat samples");
+            if (!timeline_ok)
+                writeError(rec->timelinePath);
             return;
         }
     }
@@ -404,11 +434,11 @@ class Obs
     {
         auto writer = std::make_unique<net::PcapWriter>(
             indexedPath(pcapPath_, pcaps_.size()));
-        if (writer->ok()) {
-            link.attachPcap(writer.get());
-            std::fprintf(stderr, "obs: capturing %s to %s\n",
-                         link.name().c_str(), writer->path().c_str());
-        }
+        if (!writer->ok())
+            writeError(writer->path());
+        link.attachPcap(writer.get());
+        std::fprintf(stderr, "obs: capturing %s to %s\n",
+                     link.name().c_str(), writer->path().c_str());
         pcaps_.push_back(std::move(writer));
     }
 

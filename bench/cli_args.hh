@@ -5,9 +5,10 @@
  *
  * Declare each flag, then parse(). An unknown flag, a flag with its
  * value missing, a number that is not a plain non-negative integer in
- * range (decimal, or hex after 0x), or a positional argument the
- * binary does not take prints the problem and the usage line and
- * exits 2, before the binary simulates anything.
+ * range (decimal, or hex after 0x), an output path that cannot be
+ * written, or a positional argument the binary does not take prints
+ * the problem and the usage line and exits 2, before the binary
+ * simulates anything.
  */
 
 #ifndef F4T_BENCH_CLI_ARGS_HH
@@ -18,13 +19,47 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <functional>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
+#include <unistd.h>
+
 namespace f4t::bench
 {
+
+/**
+ * Why a file cannot be written at @p path — it names a directory or a
+ * read-only file, or it does not exist and its directory is missing or
+ * not writable — or empty when it can. Checked when a flag is parsed,
+ * so a requested artifact that cannot be written fails the run before
+ * it simulates.
+ */
+inline std::string
+outputPathProblem(const std::string &path)
+{
+    namespace fs = std::filesystem;
+    std::error_code ec;
+    fs::path file(path);
+    if (fs::is_directory(file, ec))
+        return "'" + path + "' is a directory";
+    if (fs::exists(file, ec)) {
+        if (::access(path.c_str(), W_OK) != 0)
+            return "'" + path + "' is not writable";
+        return {};
+    }
+    fs::path dir = file.parent_path();
+    if (dir.empty())
+        dir = ".";
+    if (!fs::is_directory(dir, ec))
+        return "directory '" + dir.string() + "' does not exist";
+    if (::access(dir.c_str(), W_OK) != 0)
+        return "directory '" + dir.string() + "' is not writable";
+    return {};
+}
 
 class CliArgs
 {
@@ -50,6 +85,21 @@ class CliArgs
     text(const char *name, std::string &value)
     {
         options_.push_back({name, true, [&value](const char *arg) {
+                                value = arg;
+                                return std::string();
+                            }});
+        return *this;
+    }
+
+    /** --name PATH, where PATH can be written (outputPathProblem). */
+    CliArgs &
+    output(const char *name, std::string &value)
+    {
+        options_.push_back({name, true, [name, &value](const char *arg) {
+                                std::string problem = outputPathProblem(arg);
+                                if (!problem.empty())
+                                    return std::string(name) + ": " +
+                                           problem;
                                 value = arg;
                                 return std::string();
                             }});

@@ -15,37 +15,30 @@ namespace
 {
 
 /**
- * --spans: the same breakdown idea, but derived from causal-trace span
- * data instead of CPU cost-category counters — where a request's time
- * goes stage by stage, split into queueing and service, on an all-F4T
- * engine pair (both ends instrumented).
+ * --spans: the same breakdown idea, but derived from request spans
+ * rebuilt from probe records instead of CPU cost-category counters —
+ * where a request's time goes stage by stage, split into queueing and
+ * service, on an all-F4T engine pair (both ends captured).
  */
 int
 runSpansMode(const std::string &out_path)
 {
     using namespace f4t;
-    if (!sim::trace::compiledIn) {
-        std::fprintf(stderr,
-                     "fig11: --spans needs a build with "
-                     "F4T_ENABLE_TRACE=ON (the release preset compiles "
-                     "the tracer out)\n");
-        return 2;
-    }
     bench::banner("Figure 11 (spans)",
-                  "per-stage time breakdown from causal-trace spans "
+                  "per-stage time breakdown from request spans "
                   "(F4T pair, 64 flows)");
     bench::TracedNginxRun run = bench::runNginxF4tPairTraced(
         64, sim::millisecondsToTicks(2), sim::millisecondsToTicks(5));
     std::printf("request rate: %.2f Mrps (all-F4T pair)\n\n",
                 run.result.requestsPerSecond / 1e6);
-    obs::printStageTable(stdout, *run.tracer);
+    obs::printStageTable(stdout, *run.spans);
     std::printf("\ncritical path of the slowest traced request:\n");
-    obs::printSlowestCriticalPath(stdout, *run.tracer);
-    if (!out_path.empty() &&
-        obs::writeStageJson(out_path, *run.tracer,
-                            obs::currentRunMeta())) {
-        std::printf("\nwrote %s\n", out_path.c_str());
-    }
+    obs::printSlowestCriticalPath(stdout, *run.spans);
+    if (out_path.empty())
+        return 0;
+    if (!obs::writeStageJson(out_path, *run.spans, obs::currentRunMeta()))
+        return 1;
+    std::printf("\nwrote %s\n", out_path.c_str());
     return 0;
 }
 
@@ -62,7 +55,7 @@ main(int argc, char **argv)
     std::string spans_out;
     bench::CliArgs args("fig11_cpu_breakdown", "[--spans [--spans-out PATH]]");
     args.flag("--spans", spans)
-        .text("--spans-out", spans_out)
+        .output("--spans-out", spans_out)
         .parse(argc, argv);
     if (!spans && !spans_out.empty())
         args.fail("--spans-out needs --spans");

@@ -15,31 +15,24 @@ namespace
 {
 
 /**
- * --spans: per-stage latency attribution for the F4T side, from real
- * causal-trace span data on an all-F4T engine pair. The e2e row is the
- * histogram the p50/p99 figures derive from: a traced request runs
- * send() on one host to delivery on the other, so the stage p50s sum
- * (within queue overlap) to the e2e p50 printed below it.
+ * --spans: per-stage latency attribution for the F4T side, from request
+ * spans rebuilt from the probe records of an all-F4T engine pair. The
+ * e2e row is the histogram the p50/p99 figures derive from: a request
+ * runs send() on one host to delivery on the other, so the stage p50s
+ * sum (within queue overlap) to the e2e p50 printed below it.
  */
 int
 runSpansMode(const std::string &out_path)
 {
     using namespace f4t;
-    if (!sim::trace::compiledIn) {
-        std::fprintf(stderr,
-                     "fig12: --spans needs a build with "
-                     "F4T_ENABLE_TRACE=ON (the release preset compiles "
-                     "the tracer out)\n");
-        return 2;
-    }
     bench::banner("Figure 12 (spans)",
-                  "per-stage latency from causal-trace spans "
+                  "per-stage latency from request spans "
                   "(F4T pair, 64 flows)");
     bench::TracedNginxRun run = bench::runNginxF4tPairTraced(
         64, sim::millisecondsToTicks(2), sim::millisecondsToTicks(12));
-    obs::printStageTable(stdout, *run.tracer);
+    obs::printStageTable(stdout, *run.spans);
 
-    sim::Histogram &e2e = run.tracer->e2e();
+    sim::Histogram &e2e = run.spans->e2e();
     std::printf(
         "\ntraced send->deliver latency (histogram-derived): "
         "p50 %.3f us, p99 %.3f us over %llu requests\n",
@@ -50,12 +43,12 @@ runSpansMode(const std::string &out_path)
         "sends + server think time): p50 %.1f us, p99 %.1f us\n",
         run.result.latencyP50Us, run.result.latencyP99Us);
     std::printf("\ncritical path of the slowest traced request:\n");
-    obs::printSlowestCriticalPath(stdout, *run.tracer);
-    if (!out_path.empty() &&
-        obs::writeStageJson(out_path, *run.tracer,
-                            obs::currentRunMeta())) {
-        std::printf("\nwrote %s\n", out_path.c_str());
-    }
+    obs::printSlowestCriticalPath(stdout, *run.spans);
+    if (out_path.empty())
+        return 0;
+    if (!obs::writeStageJson(out_path, *run.spans, obs::currentRunMeta()))
+        return 1;
+    std::printf("\nwrote %s\n", out_path.c_str());
     return 0;
 }
 
@@ -72,7 +65,7 @@ main(int argc, char **argv)
     std::string spans_out;
     bench::CliArgs args("fig12_latency", "[--spans [--spans-out PATH]]");
     args.flag("--spans", spans)
-        .text("--spans-out", spans_out)
+        .output("--spans-out", spans_out)
         .parse(argc, argv);
     if (!spans && !spans_out.empty())
         args.fail("--spans-out needs --spans");

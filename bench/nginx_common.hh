@@ -15,7 +15,7 @@
 #include "apps/http.hh"
 #include "apps/testbed.hh"
 #include "host/cost_model.hh"
-#include "sim/causal_trace.hh"
+#include "obs/spans.hh"
 
 namespace f4t::bench
 {
@@ -253,20 +253,22 @@ runNginxF4t(std::size_t server_cores, std::size_t flows, sim::Tick warmup,
 }
 
 /**
- * One traced Nginx run on an all-F4T engine pair (server on engine A,
- * load generators on engine B — both sides instrumented, so every
- * span of every request closes). Used by the --spans modes of
- * fig11/fig12: the returned struct keeps the world and the
- * CausalTracer alive so callers can render per-stage breakdowns,
- * critical paths, and the per-stage latency JSON after the run.
+ * One Nginx run on an all-F4T engine pair (server on engine A, load
+ * generators on engine B) with every probe record captured, so every
+ * span of every request closes on both hosts. Used by the --spans
+ * modes of fig11/fig12: the returned struct keeps the world alive and
+ * holds the span trees built from the capture, so callers can render
+ * per-stage breakdowns, critical paths, and the per-stage latency JSON
+ * after the run. Spans are drawn into the simulation's timeline when
+ * one is attached.
  *
- * Members are declared so destruction unwinds apps before the tracer
- * and the tracer before the simulation it registered with.
+ * Members are declared so destruction unwinds apps before the
+ * simulation.
  */
 struct TracedNginxRun
 {
     std::unique_ptr<testbed::EnginePairWorld> world;
-    std::unique_ptr<sim::ctrace::CausalTracer> tracer;
+    std::unique_ptr<obs::Spans> spans;
     std::unique_ptr<sim::Histogram> latency;
     std::vector<std::unique_ptr<apps::F4tSocketApi>> serverApis;
     std::vector<std::unique_ptr<apps::HttpServerApp>> servers;
@@ -286,7 +288,8 @@ runNginxF4tPairTraced(std::size_t flows, sim::Tick warmup,
     config.maxFlows = 8192;
     run.world = std::make_unique<testbed::EnginePairWorld>(8, config);
     testbed::EnginePairWorld &world = *run.world;
-    run.tracer = std::make_unique<sim::ctrace::CausalTracer>(world.sim);
+    std::vector<sim::fr::Record> capture;
+    world.sim.setCapture(&capture);
 
     run.serverApis.push_back(std::make_unique<apps::F4tSocketApi>(
         world.sim, *world.runtimeA, 0, world.cpuA->core(0)));
@@ -309,21 +312,20 @@ runNginxF4tPairTraced(std::size_t flows, sim::Tick warmup,
         run.clientApis);
 
     world.sim.runFor(warmup);
-    // Steady state only: drop warmup samples. Requests in flight keep
-    // their contexts; only the aggregated distributions restart.
+    // Steady state only: spans and requests that finish from here on
+    // are sampled. Requests in flight keep their trees.
     run.latency->reset();
-    for (std::size_t i = 0; i < sim::ctrace::numStages; ++i) {
-        auto stage = static_cast<sim::ctrace::Stage>(i);
-        run.tracer->stageTotal(stage).reset();
-        run.tracer->stageQueue(stage).reset();
-        run.tracer->stageService(stage).reset();
-    }
-    run.tracer->e2e().reset();
+    std::size_t window_start = capture.size();
     std::uint64_t before = 0;
     for (auto &gen : run.gens)
         before += gen->responses();
 
     world.sim.runFor(window);
+    world.sim.setCapture(nullptr);
+    run.spans = std::make_unique<obs::Spans>(capture, world.spanHosts(),
+                                             window_start);
+    if (sim::trace::TraceEventSink *timeline = world.sim.timeline())
+        run.spans->draw(*timeline);
 
     std::uint64_t responses = 0;
     for (auto &gen : run.gens)

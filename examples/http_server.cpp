@@ -13,6 +13,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <vector>
 
 #include "apps/http.hh"
 #include "apps/testbed.hh"
@@ -20,7 +21,6 @@
 #include "bench_util.hh"
 #include "host/cost_model.hh"
 #include "obs/stage_report.hh"
-#include "sim/causal_trace.hh"
 
 using namespace f4t;
 
@@ -136,12 +136,12 @@ runLossyBulk()
     testbed::EnginePairWorld world(1, config, faults, 10e9, {},
                                    sim::microsecondsToTicks(250));
 
-    // With tracing compiled in, attach a causal tracer: each deliberate
-    // drop forces a retransmission, so the wire stage shows re-entries
-    // and the per-stage table below shows the tail they cause.
-    std::unique_ptr<sim::ctrace::CausalTracer> tracer;
-    if constexpr (sim::trace::compiledIn)
-        tracer = std::make_unique<sim::ctrace::CausalTracer>(world.sim);
+    // Capture every probe record: each deliberate drop forces a
+    // retransmission, so the request spans rebuilt from the capture
+    // show wire re-entries, and the per-stage table below shows the
+    // tail they cause.
+    std::vector<sim::fr::Record> capture;
+    world.sim.setCapture(&capture);
 
     // The first active flow on engine A gets ID 0.
     bench::Obs::probe(world.sim, "cwnd_segments", [&world] {
@@ -169,13 +169,15 @@ runLossyBulk()
                 tcb.cwnd / 1460.0,
                 static_cast<unsigned long long>(sender.bytesSent()));
 
-    if (tracer) {
-        std::printf("\nper-stage latency from causal-trace spans "
-                    "(drops force wire re-entries):\n");
-        obs::printStageTable(stdout, *tracer);
-        std::printf("\ncritical path of the slowest request:\n");
-        obs::printSlowestCriticalPath(stdout, *tracer);
-    }
+    world.sim.setCapture(nullptr);
+    obs::Spans spans(capture, world.spanHosts());
+    if (sim::trace::TraceEventSink *timeline = world.sim.timeline())
+        spans.draw(*timeline);
+    std::printf("\nper-stage latency from request spans "
+                "(drops force wire re-entries):\n");
+    obs::printStageTable(stdout, spans);
+    std::printf("\ncritical path of the slowest request:\n");
+    obs::printSlowestCriticalPath(stdout, spans);
     return 0;
 }
 

@@ -19,6 +19,7 @@
 
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "apps/f4t_socket_api.hh"
 #include "apps/linux_socket_api.hh"
@@ -27,6 +28,7 @@
 #include "f4t/runtime.hh"
 #include "host/cpu.hh"
 #include "net/link.hh"
+#include "obs/spans.hh"
 #include "sim/parallel.hh"
 #include "sim/simulation.hh"
 
@@ -199,6 +201,14 @@ struct EnginePairWorld : WorldKernel
     {
         return apps::F4tSocketApi(simB, *runtimeB, thread,
                                   cpuB->core(thread));
+    }
+
+    /** Both hosts, named for the span builder (obs/spans.hh). */
+    std::vector<obs::SpanHost>
+    spanHosts() const
+    {
+        return {{engineA->name(), runtimeA->name(), link->aToB().name()},
+                {engineB->name(), runtimeB->name(), link->bToA().name()}};
     }
 
     /** Endpoint B's partition, or sim. */

@@ -1,7 +1,5 @@
 #include "engine.hh"
 
-#include "sim/causal_trace.hh"
-
 namespace f4t::core
 {
 
@@ -72,10 +70,6 @@ FtEngine::FtEngine(sim::Simulation &sim, std::string name,
         sim, statName("packetGenerator"), sim.netClock(), config_.mss);
     packetGenerator_->setAddressLookup(
         [this](tcp::FlowId flow) { return addressFor(flow); });
-    // The engine pointer is the causal tracer's flow-namespace key: the
-    // same (domain, flow) pair must be used by the library's
-    // beginRequest and the generator's wire-span bookkeeping.
-    packetGenerator_->setTraceDomain(this);
 
     timerWheel_ = std::make_unique<TimerWheel>(sim, statName("timers"));
     timerWheel_->setSink([this](const tcp::TcpEvent &event) {
@@ -141,15 +135,6 @@ FtEngine::receivePacket(net::Packet &&pkt)
 void
 FtEngine::onParsedEvent(const tcp::TcpEvent &event)
 {
-    if constexpr (sim::trace::compiledIn) {
-        if (event.trace.valid()) {
-            if (auto *ct = sim().causalTracer()) {
-                ct->arrivedRx(event.trace, this, event.flow, now());
-                ct->eventQueued(event.trace, now());
-            }
-        }
-    }
-
     // Glue: the first SYN/SYN-ACK tells us the peer's sequence base,
     // which the payload DMA and notification offset conversion need.
     if (event.tcpFlags & net::TcpFlags::syn) {
@@ -234,7 +219,8 @@ FtEngine::acceptPassiveFlow(const net::FourTuple &tuple,
     MigratingTcb fresh;
     fresh.tcb = freshTcb(flow, tuple, /*passive=*/true);
     scheduler_->allocateFlow(fresh);
-    probe(sim::fr::Kind::engineAccept, flow, tuple.localPort, activeFlows_);
+    probe(sim::fr::Kind::engineAccept, flow, net::flowHash32(tuple),
+          txStart(flow));
     return flow;
 }
 
@@ -287,7 +273,8 @@ FtEngine::openActiveFlow(const host::Command &command, std::size_t queue)
     MigratingTcb fresh;
     fresh.tcb = freshTcb(flow, tuple, /*passive=*/false);
     scheduler_->allocateFlow(fresh);
-    probe(sim::fr::Kind::engineConnect, flow, remote_port, activeFlows_);
+    probe(sim::fr::Kind::engineConnect, flow, net::flowHash32(tuple),
+          txStart(flow));
 
     tcp::TcpEvent open;
     open.flow = flow;
@@ -315,14 +302,6 @@ FtEngine::handleHostCommand(const host::Command &command, std::size_t queue)
         event.flow = command.flow;
         event.type = tcp::TcpEventType::userSend;
         event.pointer = txStart(command.flow) + command.arg0;
-        event.trace = command.trace;
-        if constexpr (sim::trace::compiledIn) {
-            if (auto *ct = sim().causalTracer();
-                ct && command.trace.valid()) {
-                ct->setWireTarget(command.trace, event.pointer);
-                ct->eventQueued(command.trace, now());
-            }
-        }
         scheduler_->submitEvent(event);
         return;
       }
@@ -394,11 +373,7 @@ FtEngine::dispatchActions(tcp::FlowId flow, tcp::FpuActions &&actions)
           case tcp::HostNotification::Kind::received:
             cmd.op = host::CmdOp::received;
             cmd.arg0 = note.pointer - info.rxStart;
-            if constexpr (sim::trace::compiledIn) {
-                if (auto *ct = sim().causalTracer())
-                    cmd.trace = ct->upcallPosted(this, flow, cmd.arg0,
-                                                 now());
-            }
+            probe(sim::fr::Kind::upcallPost, flow, cmd.arg0);
             break;
           case tcp::HostNotification::Kind::peerClosed:
             cmd.op = host::CmdOp::peerClosed;
@@ -422,10 +397,6 @@ FtEngine::recycleFlow(tcp::FlowId flow)
 {
     FlowInfo &info = flowInfo_[flow];
     if (info.active) {
-        if constexpr (sim::trace::compiledIn) {
-            if (auto *ct = sim().causalTracer())
-                ct->flowAborted(this, flow, now());
-        }
         flowTable_->erase(info.tuple);
         scheduler_->freeFlow(flow);
         rxParser_->dropFlow(flow);

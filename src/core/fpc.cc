@@ -3,8 +3,6 @@
 #include <bit>
 #include <iterator>
 
-#include "sim/causal_trace.hh"
-
 namespace f4t::core
 {
 
@@ -66,7 +64,7 @@ Fpc::Fpc(sim::Simulation &sim, std::string name, sim::ClockDomain &domain,
       eventsValidBits_((config.slots + 63) / 64, 0),
       workPendingBits_((config.slots + 63) / 64, 0),
       lastActiveCycle_(config.slots, 0),
-      slotFlow_(config.slots, tcp::invalidFlowId), slotCold_(config.slots),
+      slotFlow_(config.slots, tcp::invalidFlowId),
       tcbTable_(config.slots), eventTable_(config.slots),
       cam_(config.slots),
       eventsHandled_(sim.stats(), statName("eventsHandled"),
@@ -190,10 +188,6 @@ Fpc::installTcb(const MigratingTcb &incoming)
     assignBit(workPendingBits_, slot_index, incoming.tcb.workPending);
     slotFlow_[slot_index] = incoming.tcb.flowId;
     lastActiveCycle_[slot_index] = curCycle();
-    // Tokens that travelled with the migrating TCB resume here.
-    SlotCold &cold = slotCold_[slot_index];
-    cold.trace.clear();
-    cold.trace.mergeCopy(incoming.trace);
     tcbTable_.peekMutable(slot_index) = incoming.tcb;
     eventTable_.peekMutable(slot_index) = incoming.events;
     lastInstallCycle_ = curCycle();
@@ -278,7 +272,6 @@ Fpc::recycleSlot(std::size_t index)
     assignBit(workPendingBits_, index, false);
     lastActiveCycle_[index] = 0;
     slotFlow_[index] = tcp::invalidFlowId;
-    slotCold_[index].trace.clear();
 }
 
 std::size_t
@@ -431,7 +424,11 @@ Fpc::handleEvent(const tcp::TcpEvent &event, sim::Cycles cycle)
         eventProbes[static_cast<std::size_t>(event.type)];
     sim::prof::Scope event_scope(row.category);
     ++eventsHandled_;
-    probe(row.record, event.flow, cycle);
+    // Word b: the cumulative pointer the event carries (rcvUpTo for a
+    // segment); the span builder joins requests on it (obs/spans.hh).
+    probe(row.record, event.flow, cycle,
+          event.type == tcp::TcpEventType::rxSegment ? event.rcvUpTo
+                                                     : event.pointer);
     std::size_t index = cam_.lookup(event.flow);
     lastActiveCycle_[index] = cycle;
 
@@ -443,14 +440,6 @@ Fpc::handleEvent(const tcp::TcpEvent &event, sim::Cycles cycle)
     if (tcp::accumulateEvent(record, stored, event))
         ++dupAckIncrements_;
     assignBit(eventsValidBits_, index, record.validMask != 0);
-
-    if constexpr (sim::trace::compiledIn) {
-        if (event.trace.valid()) {
-            slotCold_[index].trace.add(event.trace);
-            if (auto *ct = sim().causalTracer())
-                ct->absorbed(event.trace, now());
-        }
-    }
 }
 
 void
@@ -472,16 +461,10 @@ Fpc::issueSlot(std::size_t index, sim::Cycles cycle)
     job.readyCycle = cycle + fpuLatency_;
     job.slotIndex = index;
     job.flow = slotFlow_[index];
-
-    if constexpr (sim::trace::compiledIn) {
-        job.trace.clear(); // pipe slots are pooled; drop stale tokens
-        job.trace.merge(std::move(slotCold_[index].trace));
-        if (auto *ct = sim().causalTracer()) {
-            sim::Tick at = now();
-            job.trace.forEach(
-                [&](sim::ctrace::Token t) { ct->execStarted(t, at); });
-        }
-    }
+    // The merged cumulative pointers show which requests the pass
+    // covers.
+    probe(sim::fr::Kind::fpuIssue, job.flow, job.merged.req,
+          job.merged.rcvNxt);
 }
 
 void
@@ -529,18 +512,6 @@ Fpc::writeback(FpuJob &job, sim::Cycles cycle)
     assignBit(inFpuBits_, job.slotIndex, false);
     lastActiveCycle_[job.slotIndex] = cycle;
 
-    if constexpr (sim::trace::compiledIn) {
-        // The pass merged these requests' events: their fpcExec spans
-        // end here, before the actions fan out to the packet generator
-        // and the host interface.
-        if (auto *ct = sim().causalTracer()) {
-            sim::Tick at = now();
-            job.trace.forEach(
-                [&](sim::ctrace::Token t) { ct->processed(t, at); });
-        }
-        job.trace.clear();
-    }
-
     if (actions.releaseFlow) {
         // Connection finished: recycle the slot.
         if (testBit(evictBits_, job.slotIndex))
@@ -556,9 +527,6 @@ Fpc::writeback(FpuJob &job, sim::Cycles cycle)
         MigratingTcb leaving;
         leaving.tcb = job.merged;
         leaving.events = eventTable_.peek(job.slotIndex);
-        // Tokens of events absorbed after the pass started migrate
-        // with their events; their open spans survive the move.
-        leaving.trace.merge(std::move(slotCold_[job.slotIndex].trace));
         eventTable_.peekMutable(job.slotIndex).clear();
         cam_.erase(job.flow);
         recycleSlot(job.slotIndex);

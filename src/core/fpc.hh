@@ -47,9 +47,6 @@ struct MigratingTcb
 {
     tcp::Tcb tcb;
     tcp::EventRecord events;
-    /** Causal-trace tokens of requests whose events travel with the
-     *  TCB — spans survive a mid-request connection migration. */
-    [[no_unique_address]] sim::ctrace::TokenSet trace;
 };
 
 /**
@@ -275,29 +272,12 @@ class Fpc : public sim::ClockedObject
     bool tick() override;
 
   private:
-    /**
-     * Cold per-slot state. The hot slot fields live in the SoA members
-     * below (DESIGN.md §17): per-slot booleans are bitmap words so the
-     * eligibility scan and the nap computation touch five cache lines
-     * for 128 slots instead of walking an array of structs, and the
-     * two derived bits (event-record valid, TCB work pending) are
-     * maintained mirrors of the BRAM contents so eligibility never
-     * reads the tables at all.
-     */
-    struct SlotCold
-    {
-        /** Tokens of events absorbed but not yet issued to the FPU. */
-        [[no_unique_address]] sim::ctrace::TokenSet trace;
-    };
-
     struct FpuJob
     {
         sim::Cycles readyCycle;
         std::size_t slotIndex;
         tcp::FlowId flow;
         tcp::Tcb merged;
-        /** Tokens of the events merged into this pass. */
-        [[no_unique_address]] sim::ctrace::TokenSet trace;
     };
 
     void handleEvent(const tcp::TcpEvent &event, sim::Cycles cycle);
@@ -356,7 +336,6 @@ class Fpc : public sim::ClockedObject
     std::vector<std::uint64_t> workPendingBits_;
     std::vector<std::uint64_t> lastActiveCycle_;
     std::vector<tcp::FlowId> slotFlow_;
-    std::vector<SlotCold> slotCold_;
     mem::DualPortBram<tcp::Tcb> tcbTable_;
     mem::DualPortBram<tcp::EventRecord> eventTable_;
     FlowCam cam_;

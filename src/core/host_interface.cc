@@ -1,7 +1,5 @@
 #include "host_interface.hh"
 
-#include "sim/causal_trace.hh"
-
 namespace f4t::core
 {
 
@@ -111,13 +109,9 @@ HostInterface::startFetch(std::size_t queue_index)
                            auto commands = qs.pair->sq.popBatch(batch);
                            commandsFetched_ += commands.size();
                            for (const host::Command &cmd : commands) {
-                               if constexpr (sim::trace::compiledIn) {
-                                   if (cmd.trace.valid()) {
-                                       if (auto *ct = sim().causalTracer())
-                                           ct->fetched(cmd.trace,
-                                                       fetch_start, now());
-                                   }
-                               }
+                               if (cmd.op == host::CmdOp::send)
+                                   probe(sim::fr::Kind::hifFetch, cmd.flow,
+                                         cmd.arg0, fetch_start);
                                if (commandHandler_)
                                    commandHandler_(cmd, queue_index);
                            }
@@ -151,14 +145,9 @@ HostInterface::flushCompletions(std::size_t queue_index)
     std::vector<host::Command> batch;
     batch.swap(state.stagedCompletions);
     completionsPosted_ += batch.size();
-
-    if constexpr (sim::trace::compiledIn) {
-        if (auto *ct = sim().causalTracer()) {
-            for (const host::Command &cmd : batch) {
-                if (cmd.trace.valid())
-                    ct->upcallService(cmd.trace, now());
-            }
-        }
+    for (const host::Command &cmd : batch) {
+        if (cmd.op == host::CmdOp::received)
+            probe(sim::fr::Kind::hifFlush, cmd.flow, cmd.arg0);
     }
 
     pcie_.deviceToHost(

@@ -1,27 +1,9 @@
 #include "memory_manager.hh"
 
 #include "core/scheduler.hh"
-#include "sim/causal_trace.hh"
 
 namespace f4t::core
 {
-
-namespace
-{
-
-/** Park an event's causal-trace token with the TCB it merged into, so
- *  the request's span survives the flow's stay in (or transit through)
- *  DRAM. */
-void
-carryTrace(MigratingTcb &entry, const tcp::TcpEvent &event)
-{
-    if constexpr (sim::trace::compiledIn) {
-        if (event.trace.valid())
-            entry.trace.add(event.trace);
-    }
-}
-
-} // namespace
 
 MemoryManager::MemoryManager(sim::Simulation &sim, std::string name,
                              sim::ClockDomain &domain,
@@ -145,7 +127,6 @@ MemoryManager::extractFlow(tcp::FlowId flow,
     if (auto mq = missQueues_.find(flow); mq != missQueues_.end()) {
         for (const tcp::TcpEvent &ev : mq->second) {
             tcp::accumulateEvent(leaving.events, leaving.tcb, ev);
-            carryTrace(leaving, ev);
         }
         missQueues_.erase(mq);
     }
@@ -156,7 +137,6 @@ MemoryManager::extractFlow(tcp::FlowId flow,
     for (auto it2 = inputFifo_.begin(); it2 != inputFifo_.end();) {
         if (it2->flow == flow) {
             tcp::accumulateEvent(leaving.events, leaving.tcb, *it2);
-            carryTrace(leaving, *it2);
             it2 = inputFifo_.erase(it2);
         } else {
             ++it2;
@@ -232,7 +212,6 @@ MemoryManager::applyEvent(const tcp::TcpEvent &event)
     bool hit = cacheAccess(event.flow, /*dirty=*/true, &miss_ready);
     if (hit) {
         tcp::accumulateEvent(entry.events, entry.tcb, event);
-        carryTrace(entry, event);
         checkLogic(event.flow);
         return;
     }
@@ -257,7 +236,6 @@ MemoryManager::applyEvent(const tcp::TcpEvent &event)
         for (const tcp::TcpEvent &ev : events) {
             tcp::accumulateEvent(backing_it->second.events,
                                  backing_it->second.tcb, ev);
-            carryTrace(backing_it->second, ev);
         }
         checkLogic(flow);
     });

@@ -1,7 +1,6 @@
 #include "packet_generator.hh"
 
 #include "net/link.hh"
-#include "sim/causal_trace.hh"
 #include "sim/profile_scope.hh"
 
 namespace f4t::core
@@ -61,15 +60,6 @@ PacketGenerator::requestSegments(const tcp::SegmentRequest &request)
                name().c_str());
     FlowAddress addr = lookup_(request.flow);
 
-    if constexpr (sim::trace::compiledIn) {
-        // Requests whose target byte rides in [seq+1, seq+length] enter
-        // (or re-enter, on retransmission) the wire stage now.
-        if (auto *ct = sim().causalTracer()) {
-            ct->wireQueued(traceDomain_, request.flow, request.seq,
-                           request.seq + request.length, now());
-        }
-    }
-
     std::uint32_t remaining = request.length;
     net::SeqNum seq = request.seq;
     while (remaining > 0) {
@@ -95,13 +85,6 @@ PacketGenerator::requestSegments(const tcp::SegmentRequest &request)
         net::Packet pkt = net::Packet::makeTcp(
             addr.localMac, addr.peerMac, addr.tuple.localIp,
             addr.tuple.remoteIp, tcp, std::move(payload));
-
-        if constexpr (sim::trace::compiledIn) {
-            if (auto *ct = sim().causalTracer()) {
-                pkt.trace = ct->wireToken(traceDomain_, request.flow, seq,
-                                          chunk);
-            }
-        }
 
         ++segments_;
         if (request.retransmission)

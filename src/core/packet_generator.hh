@@ -60,8 +60,6 @@ class PacketGenerator : public sim::SimObject
     void setAddressLookup(AddressLookup fn) { lookup_ = std::move(fn); }
     void setTransmit(Transmit fn) { transmit_ = std::move(fn); }
     void setPayloadSource(PayloadSource *source) { payload_ = source; }
-    /** Causal tracing: the engine pointer keying this flow namespace. */
-    void setTraceDomain(const void *domain) { traceDomain_ = domain; }
 
     /** Data transfer request from an FPU pass; split at the MSS. */
     void requestSegments(const tcp::SegmentRequest &request);
@@ -82,7 +80,6 @@ class PacketGenerator : public sim::SimObject
     AddressLookup lookup_;
     Transmit transmit_;
     PayloadSource *payload_ = nullptr;
-    const void *traceDomain_ = nullptr;
     sim::Tick busyUntil_ = 0;
 
     sim::Counter segments_;

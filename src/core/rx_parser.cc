@@ -70,7 +70,6 @@ RxParser::processPacket(const net::Packet &pkt)
     tcp::TcpEvent event;
     event.flow = flow;
     event.type = tcp::TcpEventType::rxSegment;
-    event.trace = pkt.trace;
     event.peerAck = tcp.ack;
     event.peerWnd = tcp.window;
     event.tcpFlags = tcp.flags &

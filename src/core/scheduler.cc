@@ -1,7 +1,6 @@
 #include "scheduler.hh"
 
 #include "core/memory_manager.hh"
-#include "sim/causal_trace.hh"
 
 #include <algorithm>
 #include <limits>
@@ -375,17 +374,6 @@ Scheduler::submitEvent(const tcp::TcpEvent &event)
         if (fifo[i].flow != event.flow)
             continue;
         if (tcp::TcpEvent::canCoalesce(fifo[i], event)) {
-            if constexpr (sim::trace::compiledIn) {
-                // Both events carried a token: only the survivor's
-                // rides on; the merged request's later stages are
-                // observed through cumulative-offset coverage.
-                if (event.trace.valid() &&
-                    event.trace.idOr0() != fifo[i].trace.idOr0() &&
-                    fifo[i].trace.valid()) {
-                    if (auto *ct = sim().causalTracer())
-                        ct->coalescedInto(event.trace, now());
-                }
-            }
             tcp::TcpEvent::coalesce(fifo[i], event);
             ++eventsCoalesced_;
             activate();

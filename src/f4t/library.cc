@@ -1,6 +1,5 @@
 #include "library.hh"
 
-#include "sim/causal_trace.hh"
 #include "sim/profile_scope.hh"
 
 #include <utility>
@@ -153,15 +152,9 @@ F4tLibrary::send(SockFd fd, std::span<const std::uint8_t> data)
     cmd.op = host::CmdOp::send;
     cmd.flow = sock.flow;
     cmd.arg0 = static_cast<std::uint32_t>(fb->tx.end());
-    if constexpr (sim::trace::compiledIn) {
-        // Allocate the request's trace context here: this is the
-        // moment the application handed us the data. The target is
-        // the cumulative stream offset of the request's last byte.
-        if (auto *ct = runtime_.sim().causalTracer()) {
-            cmd.trace = ct->beginRequest(&runtime_.engine(), sock.flow,
-                                         fb->tx.end(), runtime_.now());
-        }
-    }
+    // The moment the application handed us the data: a request whose
+    // target is the cumulative stream offset of its last byte.
+    runtime_.probe(sim::fr::Kind::libSend, sock.flow, fb->tx.end());
     runtime_.submitCommand(queue_, cmd, core_);
     return accepted;
 }
@@ -303,12 +296,8 @@ F4tLibrary::handleCompletion(const host::Command &command)
             sock.receivedOffset = boundary;
             upcall(callbacks_.onReadable, fd, readable(fd));
         }
-        if constexpr (sim::trace::compiledIn) {
-            if (command.trace.valid()) {
-                if (auto *ct = runtime_.sim().causalTracer())
-                    ct->delivered(command.trace, runtime_.now());
-            }
-        }
+        runtime_.probe(sim::fr::Kind::libDeliver, command.flow,
+                       command.arg0);
         return;
       }
       case host::CmdOp::peerClosed:

@@ -1,7 +1,5 @@
 #include "runtime.hh"
 
-#include "sim/causal_trace.hh"
-
 namespace f4t::lib
 {
 
@@ -35,13 +33,6 @@ F4tRuntime::submitCommand(std::size_t q, const host::Command &command,
                     host::F4tCosts::doorbellMmio /
                         host::F4tCosts::doorbellBatch);
     ++commandsSubmitted_;
-
-    if constexpr (sim::trace::compiledIn) {
-        if (command.trace.valid()) {
-            if (auto *ct = sim().causalTracer())
-                ct->submitted(command.trace, now());
-        }
-    }
 
     host::QueuePair &pair = *queues_.at(q);
     if (!pair.sq.push(command)) {

@@ -52,9 +52,6 @@ struct Command
     tcp::FlowId flow = tcp::invalidFlowId;
     std::uint32_t arg0 = 0;
     std::uint32_t arg1 = 0;
-    /** Causal-trace token (not part of the modelled wire footprint;
-     *  empty struct when tracing is compiled out). */
-    [[no_unique_address]] sim::ctrace::Token trace;
 };
 
 /** One direction of a queue pair. */

@@ -1,7 +1,6 @@
 #include "link.hh"
 
 #include "net/pcap_writer.hh"
-#include "sim/causal_trace.hh"
 #include "sim/parallel.hh"
 #include "sim/spsc_mailbox.hh"
 #include "sim/trace.hh"
@@ -80,25 +79,18 @@ LinkDirection::send(Packet &&pkt)
     ++packetsSent_;
     std::size_t wire_bytes = pkt.wireBytes();
     bytesSent_ += wire_bytes;
-    probeAt(ready, sim::fr::Kind::linkTx, pkt.flowHash32(), wire_bytes);
 
     // Serialization: the transmitter is busy for the wire time of this
-    // packet starting at max(ready, busyUntil).
+    // packet starting at max(ready, busyUntil). Everything before the
+    // start is head-of-line queueing, so the probe is stamped there.
     double seconds =
         static_cast<double>(wire_bytes) * 8.0 / bandwidth_;
     sim::Tick tx_time = sim::secondsToTicks(seconds);
     sim::Tick start = std::max(ready, busyUntil_);
     busyUntil_ = start + tx_time;
     sim::Tick arrival = busyUntil_ + propagationDelay_;
-
-    if constexpr (sim::trace::compiledIn) {
-        // Wire-stage service begins when the transmitter starts
-        // serializing; everything before is head-of-line queueing.
-        if (pkt.trace.valid()) {
-            if (auto *ct = sim().causalTracer())
-                ct->wireService(pkt.trace, start);
-        }
-    }
+    probeAt(start, sim::fr::Kind::linkTx, pkt.flowHash32(), wire_bytes,
+            pkt.isTcp() ? pkt.tcp().seq : 0);
 
     if (nextScheduledDrop_ < faults_.dropAtTicks.size() &&
         ready >= faults_.dropAtTicks[nextScheduledDrop_]) {

@@ -25,19 +25,24 @@ Packet::frameBytes() const
 }
 
 std::uint32_t
-Packet::flowHash32() const
+flowHash32(FourTuple t)
 {
-    if (!isTcp() || !ip)
-        return 0;
-    const TcpHeader &hdr = tcp();
     // Canonical orientation so both directions fold to one key.
-    FourTuple t{ip->src, hdr.srcPort, ip->dst, hdr.dstPort};
     if (std::tie(t.localIp.value, t.localPort) >
         std::tie(t.remoteIp.value, t.remotePort)) {
         t = t.reversed();
     }
     std::size_t h = FourTupleHash{}(t);
     return static_cast<std::uint32_t>(h ^ (h >> 32));
+}
+
+std::uint32_t
+Packet::flowHash32() const
+{
+    if (!isTcp() || !ip)
+        return 0;
+    const TcpHeader &hdr = tcp();
+    return net::flowHash32({ip->src, hdr.srcPort, ip->dst, hdr.dstPort});
 }
 
 std::vector<std::uint8_t>

@@ -24,15 +24,19 @@
 #include <variant>
 #include <vector>
 
+#include "net/four_tuple.hh"
 #include "net/headers.hh"
 #include "net/payload_buffer.hh"
-#include "sim/trace_token.hh"
 
 namespace f4t::net
 {
 
 /** Non-header bytes the wire charges per frame: preamble + IFG + FCS. */
 constexpr std::size_t wireFramingBytes = 8 + 12 + 4;
+
+/** Direction-insensitive 32-bit hash of a connection tuple: both ends
+ *  of one connection fold to the same value (Packet::flowHash32). */
+std::uint32_t flowHash32(FourTuple tuple);
 
 struct Packet
 {
@@ -44,13 +48,6 @@ struct Packet
 
     /** TCP or ICMP payload bytes (empty for pure control packets). */
     PayloadBuffer payload;
-
-    /** Causal-trace token of the highest request whose final byte rides
-     *  in this segment. Metadata only: serialize()/parseWire() do not
-     *  carry it (the wire format is unchanged), so a packet that round-
-     *  trips through real bytes loses its token — only the in-memory
-     *  fast path, which every world uses, preserves causality. */
-    [[no_unique_address]] sim::ctrace::Token trace;
 
     /** Earliest tick this packet may start serializing on the wire.
      *  Metadata, not wire content: the batched TX path hands packets to
@@ -77,9 +74,9 @@ struct Packet
     /**
      * Direction-insensitive 32-bit hash of the TCP connection tuple
      * (both directions of one connection fold to the same value), or
-     * 0 for non-TCP frames. Used as the flight recorder's flow key
-     * for network-layer records, matching the decoder's --flow
-     * drill-down.
+     * 0 for non-TCP frames: net::flowHash32 of the tuple. Used as the
+     * flight recorder's flow key for network-layer records, matching
+     * the decoder's --flow drill-down.
      */
     std::uint32_t flowHash32() const;
 

@@ -2,7 +2,6 @@
 
 #include "sim/check.hh"
 #include "sim/profile_scope.hh"
-#include "sim/trace.hh"
 
 #include <ctime>
 
@@ -25,7 +24,6 @@ currentRunMeta()
     RunMeta meta;
     meta.gitSha = F4T_GIT_SHA;
     meta.preset = F4T_PRESET_NAME;
-    meta.traceEnabled = sim::trace::compiledIn;
     meta.checksEnabled = sim::checksEnabled;
     meta.profileEnabled = sim::prof::compiledIn;
     meta.profiled = sim::prof::enabled();
@@ -47,7 +45,6 @@ writeMetaJson(std::FILE *out, const RunMeta &meta, int indent)
                  "%*s\"meta\": {\n"
                  "%*s  \"git_sha\": \"%s\",\n"
                  "%*s  \"preset\": \"%s\",\n"
-                 "%*s  \"trace_enabled\": %s,\n"
                  "%*s  \"checks_enabled\": %s,\n"
                  "%*s  \"profile_enabled\": %s,\n"
                  "%*s  \"profiled\": %s,\n"
@@ -56,7 +53,6 @@ writeMetaJson(std::FILE *out, const RunMeta &meta, int indent)
                  "%*s}",
                  indent, "", indent, "", meta.gitSha.c_str(), indent, "",
                  meta.preset.c_str(), indent, "",
-                 meta.traceEnabled ? "true" : "false", indent, "",
                  meta.checksEnabled ? "true" : "false", indent, "",
                  meta.profileEnabled ? "true" : "false", indent, "",
                  meta.profiled ? "true" : "false", indent, "",

@@ -20,7 +20,6 @@ struct RunMeta
 {
     std::string gitSha = "unknown";
     std::string preset = "unknown";
-    bool traceEnabled = false;
     bool checksEnabled = false;
     /** F4T_ENABLE_PROFILE compiled in (the gate, not whether it ran). */
     bool profileEnabled = false;

@@ -5,10 +5,6 @@
 namespace f4t::obs
 {
 
-using sim::ctrace::CausalTracer;
-using sim::ctrace::Stage;
-using sim::ctrace::numStages;
-
 namespace
 {
 
@@ -21,7 +17,7 @@ stageAt(std::size_t i)
 } // namespace
 
 void
-printStageTable(std::FILE *out, CausalTracer &tracer)
+printStageTable(std::FILE *out, Spans &spans)
 {
     std::fprintf(out,
                  "  %-10s %9s %9s %9s %9s %9s %9s %9s\n"
@@ -31,49 +27,46 @@ printStageTable(std::FILE *out, CausalTracer &tracer)
                  "p99 us", "p50 us", "p99 us");
     for (std::size_t i = 0; i < numStages; ++i) {
         Stage s = stageAt(i);
-        sim::Histogram &total = tracer.stageTotal(s);
+        sim::Histogram &total = spans.stageTotal(s);
         if (total.count() == 0)
             continue;
-        sim::Histogram &queue = tracer.stageQueue(s);
-        sim::Histogram &service = tracer.stageService(s);
+        sim::Histogram &queue = spans.stageQueue(s);
+        sim::Histogram &service = spans.stageService(s);
         std::fprintf(out,
                      "  %-10s %9llu %9.3f %9.3f %9.3f %9.3f %9.3f %9.3f\n",
-                     sim::ctrace::stageName(s),
+                     stageName(s),
                      static_cast<unsigned long long>(total.count()),
                      queue.percentile(50.0), queue.percentile(99.0),
                      service.percentile(50.0), service.percentile(99.0),
                      total.percentile(50.0), total.percentile(99.0));
     }
-    sim::Histogram &e2e = tracer.e2e();
+    sim::Histogram &e2e = spans.e2e();
     std::fprintf(out,
                  "  %-10s %9llu %29s %19s %9.3f %9.3f\n", "e2e",
                  static_cast<unsigned long long>(e2e.count()), "", "",
                  e2e.percentile(50.0), e2e.percentile(99.0));
     std::fprintf(out,
                  "  requests: %llu started, %llu completed, %llu aborted"
-                 " | anomalies: %llu out-of-order, %llu dup-arrivals,"
-                 " %llu coalesced, %llu wire-reentries, %llu abandoned,"
-                 " %llu overflow-dropped\n",
-                 static_cast<unsigned long long>(tracer.requestsStarted()),
-                 static_cast<unsigned long long>(tracer.requestsCompleted()),
-                 static_cast<unsigned long long>(tracer.requestsAborted()),
-                 static_cast<unsigned long long>(tracer.outOfOrderCloses()),
-                 static_cast<unsigned long long>(tracer.duplicateArrivals()),
-                 static_cast<unsigned long long>(tracer.coalescedMerges()),
-                 static_cast<unsigned long long>(tracer.wireReentries()),
-                 static_cast<unsigned long long>(tracer.abandonedSpans()),
-                 static_cast<unsigned long long>(tracer.overflowDropped()));
+                 " | anomalies: %llu dup-arrivals, %llu merged,"
+                 " %llu wire-reentries, %llu abandoned\n",
+                 static_cast<unsigned long long>(spans.started()),
+                 static_cast<unsigned long long>(spans.completed()),
+                 static_cast<unsigned long long>(spans.aborted()),
+                 static_cast<unsigned long long>(spans.duplicateArrivals()),
+                 static_cast<unsigned long long>(spans.merged()),
+                 static_cast<unsigned long long>(spans.wireReentries()),
+                 static_cast<unsigned long long>(spans.abandonedSpans()));
 }
 
 void
-printSlowestCriticalPath(std::FILE *out, CausalTracer &tracer)
+printSlowestCriticalPath(std::FILE *out, const Spans &spans)
 {
-    const sim::ctrace::Request *slowest = tracer.slowestCompleted();
+    const Request *slowest = spans.slowest();
     if (!slowest) {
-        std::fprintf(out, "  (no completed traced requests)\n");
+        std::fprintf(out, "  (no completed requests)\n");
         return;
     }
-    std::fprintf(out, "%s", tracer.criticalPath(*slowest).c_str());
+    std::fprintf(out, "%s", spans.criticalPath(*slowest).c_str());
 }
 
 namespace
@@ -93,7 +86,7 @@ writeDist(std::FILE *f, const char *key, sim::Histogram &h, bool last)
 } // namespace
 
 bool
-writeStageJson(const std::string &path, CausalTracer &tracer,
+writeStageJson(const std::string &path, Spans &spans,
                const RunMeta &meta)
 {
     std::FILE *f = std::fopen(path.c_str(), "w");
@@ -108,19 +101,19 @@ writeStageJson(const std::string &path, CausalTracer &tracer,
     bool first = true;
     for (std::size_t i = 0; i < numStages; ++i) {
         Stage s = stageAt(i);
-        if (tracer.stageTotal(s).count() == 0)
+        if (spans.stageTotal(s).count() == 0)
             continue;
         std::fprintf(f, "%s    {\n      \"name\": \"%s\",\n",
-                     first ? "" : ",\n", sim::ctrace::stageName(s));
+                     first ? "" : ",\n", stageName(s));
         first = false;
-        writeDist(f, "total", tracer.stageTotal(s), false);
-        writeDist(f, "queue", tracer.stageQueue(s), false);
-        writeDist(f, "service", tracer.stageService(s), true);
+        writeDist(f, "total", spans.stageTotal(s), false);
+        writeDist(f, "queue", spans.stageQueue(s), false);
+        writeDist(f, "service", spans.stageService(s), true);
         std::fprintf(f, "    }");
     }
     std::fprintf(f, "\n  ],\n");
     std::fprintf(f, "  \"e2e\": {\n");
-    writeDist(f, "total", tracer.e2e(), true);
+    writeDist(f, "total", spans.e2e(), true);
     std::fprintf(f, "  },\n");
     std::fprintf(
         f,
@@ -128,23 +121,24 @@ writeStageJson(const std::string &path, CausalTracer &tracer,
         "    \"requests_started\": %llu,\n"
         "    \"requests_completed\": %llu,\n"
         "    \"requests_aborted\": %llu,\n"
-        "    \"out_of_order_closes\": %llu,\n"
         "    \"duplicate_arrivals\": %llu,\n"
-        "    \"coalesced_merges\": %llu,\n"
+        "    \"merged_requests\": %llu,\n"
         "    \"wire_reentries\": %llu,\n"
-        "    \"abandoned_spans\": %llu,\n"
-        "    \"overflow_dropped\": %llu\n"
+        "    \"abandoned_spans\": %llu\n"
         "  }\n}\n",
-        static_cast<unsigned long long>(tracer.requestsStarted()),
-        static_cast<unsigned long long>(tracer.requestsCompleted()),
-        static_cast<unsigned long long>(tracer.requestsAborted()),
-        static_cast<unsigned long long>(tracer.outOfOrderCloses()),
-        static_cast<unsigned long long>(tracer.duplicateArrivals()),
-        static_cast<unsigned long long>(tracer.coalescedMerges()),
-        static_cast<unsigned long long>(tracer.wireReentries()),
-        static_cast<unsigned long long>(tracer.abandonedSpans()),
-        static_cast<unsigned long long>(tracer.overflowDropped()));
-    std::fclose(f);
+        static_cast<unsigned long long>(spans.started()),
+        static_cast<unsigned long long>(spans.completed()),
+        static_cast<unsigned long long>(spans.aborted()),
+        static_cast<unsigned long long>(spans.duplicateArrivals()),
+        static_cast<unsigned long long>(spans.merged()),
+        static_cast<unsigned long long>(spans.wireReentries()),
+        static_cast<unsigned long long>(spans.abandonedSpans()));
+    bool written = !std::ferror(f);
+    if (std::fclose(f) != 0 || !written) {
+        std::fprintf(stderr, "stage_report: cannot write '%s'\n",
+                     path.c_str());
+        return false;
+    }
     return true;
 }
 

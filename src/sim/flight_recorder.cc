@@ -442,6 +442,16 @@ internModule(std::string_view name)
     return static_cast<std::uint16_t>(count);
 }
 
+std::string
+moduleName(std::uint16_t id)
+{
+    detail::Globals &g = detail::globals();
+    if (id >= g.moduleCount.load(std::memory_order_acquire))
+        return {};
+    return std::string(g.moduleNames[id],
+                       ::strnlen(g.moduleNames[id], detail::maxModuleName));
+}
+
 Snapshot
 snapshot()
 {

@@ -120,6 +120,12 @@ enum class Kind : std::uint8_t
     engineRecycle,
     timerFire,
     softTcpState,
+    libSend,
+    libDeliver,
+    hifFetch,
+    hifFlush,
+    upcallPost,
+    fpuIssue,
     numKinds
 };
 
@@ -204,6 +210,9 @@ void setEnabled(bool on);
  * the id. Returns 0 (the "kernel" module) when the table is full.
  */
 std::uint16_t internModule(std::string_view name);
+
+/** Name of module @p id; empty when no module has that id. */
+std::string moduleName(std::uint16_t id);
 
 /**
  * The hot path: append one record to the calling thread's ring.

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <iterator>
 #include <utility>
+#include <vector>
 
 #include "sim/simulation.hh"
 
@@ -20,17 +21,17 @@ using fr::Kind;
 constexpr KindInfo rows[] = {
     {Kind::none, "none", nullptr, "a", "b"},
     {Kind::evDispatch, "ev_dispatch", nullptr, "priority", "seq"},
-    {Kind::fpcUserSend, "fpc_user_send", "event", "cycle", nullptr},
-    {Kind::fpcUserRecv, "fpc_user_recv", "event", "cycle", nullptr},
+    {Kind::fpcUserSend, "fpc_user_send", "event", "cycle", "pointer"},
+    {Kind::fpcUserRecv, "fpc_user_recv", "event", "cycle", "pointer"},
     {Kind::fpcUserConnect, "fpc_user_connect", "event", "cycle", nullptr},
     {Kind::fpcUserClose, "fpc_user_close", "event", "cycle", nullptr},
-    {Kind::fpcRxSegment, "fpc_rx_segment", "event", "cycle", nullptr},
+    {Kind::fpcRxSegment, "fpc_rx_segment", "event", "cycle", "rcv_up_to"},
     {Kind::fpcTimeout, "fpc_timeout", "event", "cycle", nullptr},
     {Kind::fpcInstall, "fpc_install", "migration", "slot", nullptr},
     {Kind::fpcEvict, "fpc_evict", "migration", "slot", nullptr},
     {Kind::schedMigrate, "sched_migrate", "migration", "dur_ps", "route"},
     {Kind::schedEvict, "sched_evict", nullptr, "fpc", "to_dram"},
-    {Kind::linkTx, "link_tx", nullptr, "wire_bytes", nullptr},
+    {Kind::linkTx, "link_tx", nullptr, "wire_bytes", "seq"},
     {Kind::linkFault, "link_fault", "fault", "fault", "delay_ps"},
     {Kind::switchEnqueue, "switch_enqueue", nullptr, "port", "queued_bytes"},
     {Kind::switchDrop, "switch_drop", nullptr, "port", "pool_bytes"},
@@ -58,12 +59,18 @@ constexpr KindInfo rows[] = {
     {Kind::schedRebalance, "sched_rebalance", nullptr, "from_fpc",
      "to_fpc"},
     {Kind::schedSwapIn, "sched_swap_in", nullptr, "to_fpc", nullptr},
-    {Kind::engineAccept, "engine_accept", "flow", "port", "active"},
-    {Kind::engineConnect, "engine_connect", "flow", "remote_port",
-     "active"},
+    {Kind::engineAccept, "engine_accept", "flow", "tuple_hash", "tx_start"},
+    {Kind::engineConnect, "engine_connect", "flow", "tuple_hash",
+     "tx_start"},
     {Kind::engineRecycle, "engine_recycle", "flow", "active", nullptr},
     {Kind::timerFire, "timer_fire", "timer", "timer", nullptr},
     {Kind::softTcpState, "soft_tcp_state", "conn", "from", "to"},
+    {Kind::libSend, "lib_send", nullptr, "offset", nullptr},
+    {Kind::libDeliver, "lib_deliver", nullptr, "offset", nullptr},
+    {Kind::hifFetch, "hif_fetch", nullptr, "offset", "fetch_start"},
+    {Kind::hifFlush, "hif_flush", nullptr, "offset", nullptr},
+    {Kind::upcallPost, "upcall_post", nullptr, "offset", nullptr},
+    {Kind::fpuIssue, "fpu_issue", nullptr, "req", "rcv_nxt"},
 };
 
 constexpr bool
@@ -116,6 +123,8 @@ namespace f4t::sim
 void
 SimObject::showProbe(const fr::Record &rec, Tick start, Tick end, bool span)
 {
+    if (std::vector<fr::Record> *records = sim_.capture())
+        records->push_back(rec);
     bool text = trace::selected(static_cast<fr::Kind>(rec.kind));
     trace::TraceEventSink *tl = sim_.timeline();
     const char *category =

@@ -22,11 +22,6 @@
 namespace f4t::sim
 {
 
-namespace ctrace
-{
-class CausalTracer;
-} // namespace ctrace
-
 /** A named clock with a fixed period, shared by clocked objects. */
 class ClockDomain
 {
@@ -134,13 +129,27 @@ class Simulation
     // --- observability (see sim/trace.hh) -----------------------------------
     /** Timeline sink probes draw into; nullptr when off. */
     trace::TraceEventSink *timeline() { return timeline_; }
-    void setTimeline(trace::TraceEventSink *sink) { timeline_ = sink; }
+    void
+    setTimeline(trace::TraceEventSink *sink)
+    {
+        timeline_ = sink;
+        observed_ = timeline_ != nullptr || capture_ != nullptr;
+    }
 
-    /** Causal request tracer (sim/causal_trace.hh); nullptr when no
-     *  tracer is attached. Hot call sites additionally compile out
-     *  under `if constexpr (trace::compiledIn)`. */
-    ctrace::CausalTracer *causalTracer() { return ctracer_; }
-    void setCausalTracer(ctrace::CausalTracer *tracer) { ctracer_ = tracer; }
+    /** Whole-run capture every probe record is appended to, in call
+     *  order (the span builder's input, obs/spans.hh); nullptr when
+     *  off. In memory only. */
+    std::vector<fr::Record> *capture() { return capture_; }
+    void
+    setCapture(std::vector<fr::Record> *records)
+    {
+        capture_ = records;
+        observed_ = timeline_ != nullptr || capture_ != nullptr;
+    }
+
+    /** A timeline or a capture is attached: probes take the view path.
+     *  One flag, so a probe tests both sinks at once. */
+    bool observed() const { return observed_; }
 
     /** 250 MHz FtEngine control-path clock. */
     ClockDomain &engineClock() { return engineClock_; }
@@ -220,7 +229,8 @@ class Simulation
     EventQueue queue_;
     StatRegistry stats_;
     trace::TraceEventSink *timeline_ = nullptr;
-    ctrace::CausalTracer *ctracer_ = nullptr;
+    std::vector<fr::Record> *capture_ = nullptr;
+    bool observed_ = false;
     ClockDomain engineClock_;
     ClockDomain netClock_;
     ClockDomain hostClock_;
@@ -260,8 +270,9 @@ class SimObject
      * The one call of an instrumented site (sim/probe.hh): write a
      * flight-recorder record of @p kind stamped now under this
      * object's module, print it as a trace line when the kind is
-     * selected, and draw it as a timeline instant when a sink is
-     * attached and the kind has a category.
+     * selected, draw it as a timeline instant when a sink is attached
+     * and the kind has a category, and append it to the capture when
+     * one is attached.
      */
     void
     probe(fr::Kind kind, std::uint32_t flow, std::uint64_t a = 0,
@@ -271,13 +282,13 @@ class SimObject
     }
 
     /** probe() stamped @p at: the modeled tick of work the call runs
-     *  ahead of (a packet handed over before its readiness tick). */
+     *  ahead of (a packet's serialization start on a link). */
     void
     probeAt(Tick at, fr::Kind kind, std::uint32_t flow, std::uint64_t a = 0,
             std::uint64_t b = 0)
     {
         fr::record(kind, at, probeModule_, flow, a, b);
-        if (trace::selected(kind) || sim_.timeline() != nullptr) [[unlikely]]
+        if (trace::selected(kind) || sim_.observed()) [[unlikely]]
             showProbe({at, a, b, flow, probeModule_,
                        static_cast<std::uint8_t>(kind), 0},
                       at, at, false);
@@ -291,14 +302,15 @@ class SimObject
     {
         Tick at = now();
         fr::record(kind, at, probeModule_, flow, a, b);
-        if (trace::selected(kind) || sim_.timeline() != nullptr) [[unlikely]]
+        if (trace::selected(kind) || sim_.observed()) [[unlikely]]
             showProbe({at, a, b, flow, probeModule_,
                        static_cast<std::uint8_t>(kind), 0},
                       start, end, true);
     }
 
   private:
-    /** The text and timeline views of one record (sim/probe.cc). */
+    /** The capture, text and timeline views of one record
+     *  (sim/probe.cc). */
     [[gnu::cold]] void showProbe(const fr::Record &rec, Tick start, Tick end,
                                  bool span);
 

@@ -302,12 +302,14 @@ bool
 TraceEventSink::writeFile(const std::string &path) const
 {
     std::ofstream os(path, std::ios::trunc);
-    if (!os) {
+    if (os)
+        write(os);
+    os.close();
+    if (os.fail()) {
         f4t_warn("trace: cannot write timeline '%s'", path.c_str());
         return false;
     }
-    write(os);
-    return os.good();
+    return true;
 }
 
 // --- StatSampler ------------------------------------------------------------
@@ -347,6 +349,14 @@ StatSampler::stop()
         sim_.queue().deschedule(&event_);
 }
 
+bool
+StatSampler::flush()
+{
+    if (csv_ != nullptr && (std::fflush(csv_) != 0 || std::ferror(csv_)))
+        writeFailed_ = true;
+    return !writeFailed_;
+}
+
 void
 StatSampler::resolveColumns()
 {
@@ -360,6 +370,7 @@ StatSampler::resolveColumns()
     csv_ = std::fopen(csvPath_.c_str(), "w");
     if (csv_ == nullptr) {
         f4t_warn("trace: cannot write stat samples '%s'", csvPath_.c_str());
+        writeFailed_ = true;
         return;
     }
     std::fprintf(csv_, "tick_ps,time_us");
@@ -398,6 +409,9 @@ StatSampler::sample()
         std::ofstream os(jsonPath_, std::ios::trunc);
         if (os)
             sim_.stats().dumpJson(os);
+        os.close();
+        if (os.fail())
+            writeFailed_ = true;
     }
     sim_.queue().schedule(&event_, sim_.now() + interval_);
 }

@@ -10,16 +10,15 @@
  *    record spelled by sim/probe.hh). Kinds are selected at run time
  *    by case-insensitive glob over their names ("fpc*,sched_*") through
  *    the F4T_TRACE environment variable or trace::select(); a leading
- *    '-' deselects ("*,-link*"). The release preset compiles the
- *    selection test out (F4T_ENABLE_TRACE=OFF), exactly like
- *    F4T_CHECK, so probes on the hottest paths cost only their
- *    flight-recorder write and the timeline pointer test there.
+ *    '-' deselects ("*,-link*"). The selection test is one byte load,
+ *    in every build, the release preset included.
  *
  *  - TraceEventSink — buffers spans and instants and writes the Chrome
  *    trace-event JSON format (open the file in Perfetto or
  *    chrome://tracing). Probes draw into the simulation's sink when one
  *    is attached and their kind has a timeline category; without a
- *    sink the cost is one pointer test.
+ *    sink (or a capture, Simulation::setCapture) the cost is one flag
+ *    test.
  *
  *  - StatSampler — snapshots selected StatRegistry entries (plus
  *    arbitrary probe callbacks, e.g. a connection's cwnd) every N ticks
@@ -55,18 +54,9 @@ class Simulation;
 namespace trace
 {
 
-#ifdef F4T_ENABLE_TRACE
-constexpr bool compiledIn = true;
-#else
-constexpr bool compiledIn = false;
-#endif
-
 namespace detail
 {
 
-/* Always defined (not just under F4T_ENABLE_TRACE) so the selection
- * API is callable from any build; without the macro the state is
- * simply never consulted. */
 extern bool selection[fr::numKinds];
 
 /** Print one trace line: "<tick>: <module>: <body>". */
@@ -77,13 +67,10 @@ void notifySimulationDestroyed(Simulation &sim);
 
 } // namespace detail
 
-/** Does the text trace print @p kind? (One array load when compiled
- *  in; constant false in the release preset.) */
+/** Does the text trace print @p kind? (One array load.) */
 inline bool
 selected(fr::Kind kind)
 {
-    if constexpr (!compiledIn)
-        return false;
     return detail::selection[static_cast<unsigned>(kind)];
 }
 
@@ -206,6 +193,10 @@ class StatSampler
     void start();
     void stop();
 
+    /** Flush the CSV. @return false when a sample could not be
+     *  written to the CSV or the stats JSON. */
+    bool flush();
+
     std::uint64_t samplesTaken() const { return samples_; }
 
   private:
@@ -229,6 +220,7 @@ class StatSampler
     std::string csvPath_;
     std::string jsonPath_;
     std::FILE *csv_ = nullptr;
+    bool writeFailed_ = false;
     bool columnsResolved_ = false;
     std::vector<std::string> statColumns_;
     struct Probe

@@ -259,13 +259,6 @@ TcpEvent::canCoalesce(const TcpEvent &earlier, const TcpEvent &later)
 void
 TcpEvent::coalesce(TcpEvent &earlier, const TcpEvent &later)
 {
-    // Keep a causal-trace token alive across the merge: the survivor
-    // adopts the later event's token when it has none of its own. When
-    // both carry tokens the caller reports the later one as coalesced
-    // (its remaining stages are observed via offset coverage).
-    if (!earlier.trace.valid())
-        earlier.trace = later.trace;
-
     switch (earlier.type) {
       case TcpEventType::userSend:
       case TcpEventType::userRecv:

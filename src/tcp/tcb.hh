@@ -27,7 +27,6 @@
 
 #include "net/four_tuple.hh"
 #include "net/seq.hh"
-#include "sim/trace_token.hh"
 #include "sim/types.hh"
 
 namespace f4t::tcp
@@ -284,9 +283,9 @@ const char *toString(TcpEventType type);
  * the payload fields below are shared across kinds (a kind reads only
  * its own fields). Consumers dispatch with a switch on `type` — see
  * Fpc::handleEvent and accumulateEvent — and the whole struct packs
- * into 32 bytes (plus the trace token when tracing is compiled in), so
- * scheduler rings and FPC input FIFOs move it by value with no
- * indirection, no vtable, and no heap traffic (DESIGN.md §17).
+ * into 32 bytes, so scheduler rings and FPC input FIFOs move it by
+ * value with no indirection, no vtable, and no heap traffic
+ * (DESIGN.md §17).
  */
 struct TcpEvent
 {
@@ -307,10 +306,6 @@ struct TcpEvent
 
     // timeout payload.
     TimeoutKind timeoutKind = TimeoutKind::retransmit;
-
-    /** Causal-trace token of the request that produced this event
-     *  (empty struct when tracing is compiled out). */
-    [[no_unique_address]] sim::ctrace::Token trace;
 
     /**
      * Whether two events of the same flow can coalesce without losing

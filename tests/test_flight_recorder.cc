@@ -318,8 +318,11 @@ TEST(FlightRecorder, FpcRecordsEachAbsorbedEventKind)
     // expiries time out FPC-resident flows, a connect to a port nobody
     // listens on is refused, and a stray ACK for no connection is
     // dropped. Every kind a site of the pair world probes must reach a
-    // .f4tfr decode spelled with its labels, and the FPC must record
-    // each absorbed event kind under its own module. (The pair world
+    // .f4tfr decode spelled with its labels — the span builder's join
+    // records (lib_send ... fpu_issue) and the payloads they pair with
+    // (the absorb pointers, link_tx's seq, the connect/accept tuple
+    // hash) included — and the FPC must record each absorbed event
+    // kind under its own module. (The pair world
     // never fills the reorder buffer or congests an FPC, and has no
     // software stack: rx_ooo_drop, sched_rebalance and soft_tcp_state
     // are not in the list.)
@@ -434,7 +437,8 @@ TEST(FlightRecorder, FpcRecordsEachAbsorbedEventKind)
                    K::pktgenRetransmit, K::pktgenControl, K::memCacheMiss,
                    K::memInsert, K::memExtract, K::memSwapRequest,
                    K::engineAccept, K::engineConnect, K::engineRecycle,
-                   K::timerFire}) {
+                   K::timerFire, K::libSend, K::libDeliver, K::hifFetch,
+                   K::hifFlush, K::upcallPost, K::fpuIssue}) {
         const sim::probe::KindInfo &row = sim::probe::info(kind);
         auto it = decoded.find(static_cast<std::uint8_t>(kind));
         if (it == decoded.end()) {

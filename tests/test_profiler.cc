@@ -393,7 +393,7 @@ TEST(RunMeta, WriteMetaJsonEmitsEveryField)
     obs::RunMeta meta;
     meta.gitSha = "abc123def456";
     meta.preset = "release";
-    meta.traceEnabled = true;
+    meta.checksEnabled = true;
     meta.profiled = true;
     meta.timestamp = "2026-08-07T00:00:00Z";
     meta.threads = 2;
@@ -410,8 +410,7 @@ TEST(RunMeta, WriteMetaJsonEmitsEveryField)
     EXPECT_EQ(text, "  \"meta\": {\n"
                     "    \"git_sha\": \"abc123def456\",\n"
                     "    \"preset\": \"release\",\n"
-                    "    \"trace_enabled\": true,\n"
-                    "    \"checks_enabled\": false,\n"
+                    "    \"checks_enabled\": true,\n"
                     "    \"profile_enabled\": false,\n"
                     "    \"profiled\": true,\n"
                     "    \"timestamp\": \"2026-08-07T00:00:00Z\",\n"

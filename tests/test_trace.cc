@@ -74,13 +74,6 @@ TEST(TraceFlags, SetFlagsSelectsAndNegates)
     EXPECT_FALSE(selected(Kind::fpcInstall));
 
     std::size_t changed = sim::trace::select("fpc_install,sched_evict");
-    if (!sim::trace::compiledIn) {
-        // The selection is maintained even when the text trace is
-        // compiled out, so it still registers.
-        EXPECT_EQ(changed, 2u);
-        sim::trace::clearSelection();
-        return;
-    }
     EXPECT_EQ(changed, 2u);
     EXPECT_TRUE(selected(Kind::fpcInstall));
     EXPECT_TRUE(selected(Kind::schedEvict));
@@ -115,9 +108,6 @@ TEST(TraceFlags, UnknownPatternChangesNothing)
 
 TEST(TraceFlags, ProbeLinesAreLabelledAndTickStamped)
 {
-    if (!sim::trace::compiledIn)
-        GTEST_SKIP() << "text trace compiled out";
-
     std::string path = tempPath("f4t_trace_lines.txt");
     std::FILE *out = std::fopen(path.c_str(), "w+");
     ASSERT_NE(out, nullptr);
