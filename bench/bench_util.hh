@@ -42,15 +42,12 @@ namespace f4t::bench
  * Stamp a hand-rolled BENCH_*.json writer with the run's identity
  * (git SHA, build preset, feature gates, wall timestamp) so the file
  * says which build produced it. Emits a `"meta": {...}` member with no
- * trailing comma. @p threads records how many worker threads drove the
- * simulation (1 = serial kernel).
+ * trailing comma.
  */
 inline void
-writeRunMeta(std::FILE *out, int indent, unsigned threads = 1)
+writeRunMeta(std::FILE *out, int indent)
 {
-    obs::RunMeta meta = obs::currentRunMeta();
-    meta.threads = threads;
-    obs::writeMetaJson(out, meta, indent);
+    obs::writeMetaJson(out, obs::currentRunMeta(), indent);
 }
 
 /** Print the standard figure banner. */

@@ -63,7 +63,6 @@ struct ScenarioResult
     std::string name;
     double wallSeconds = 0;
     double windowSeconds = 0;
-    std::uint64_t threads = 1;
     std::uint64_t requestsIssued = 0;
     std::uint64_t requestsCompleted = 0;
     std::uint64_t goodputBytes = 0;
@@ -399,19 +398,14 @@ writeJson(const std::string &path,
                      path.c_str());
         return;
     }
-    unsigned max_threads = 1;
-    for (const ScenarioResult &r : results)
-        max_threads = std::max(max_threads, unsigned(r.threads));
-
     std::fprintf(out, "{\n  \"bench\": \"scenarios\",\n  \"schema\": 5,\n");
-    bench::writeRunMeta(out, 2, max_threads);
+    bench::writeRunMeta(out, 2);
     std::fprintf(out, ",\n  \"scenarios\": [\n");
     for (std::size_t i = 0; i < results.size(); ++i) {
         const ScenarioResult &r = results[i];
         std::fprintf(out,
                      "    {\n"
                      "      \"name\": \"%s\",\n"
-                     "      \"threads\": %llu,\n"
                      "      \"wall_seconds\": %.6f,\n"
                      "      \"requests\": %llu,\n"
                      "      \"requests_per_sec\": %.1f,\n"
@@ -420,9 +414,7 @@ writeJson(const std::string &path,
                      "      \"p99_us\": %.3f,\n"
                      "      \"p999_us\": %.3f,\n"
                      "      \"switch_drops\": %llu,\n",
-                     r.name.c_str(),
-                     static_cast<unsigned long long>(r.threads),
-                     r.wallSeconds,
+                     r.name.c_str(), r.wallSeconds,
                      static_cast<unsigned long long>(r.requestsCompleted),
                      r.requestsPerSec(), r.goodputGbps(), r.p50Us,
                      r.p99Us, r.p999Us,

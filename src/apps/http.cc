@@ -120,7 +120,8 @@ HttpLoadGenApp::connectNext(std::size_t index)
     api_.connect(config_.peer, config_.port);
     api_.simulation().queue().scheduleCallback(
         api_.simulation().now() + config_.connectSpacing,
-        "http.connectNext", [this, index] { connectNext(index + 1); });
+        sim::prof::Cat::app, "http.connectNext",
+        [this, index] { connectNext(index + 1); });
 }
 
 void

@@ -152,8 +152,8 @@ class LinuxSocketApi : public SocketApi
         if (when < lastUpcallAt_)
             when = lastUpcallAt_;
         lastUpcallAt_ = when;
-        sim_.queue().scheduleCallback(when, "linuxapi.deliver",
-                                      std::move(fn));
+        sim_.queue().scheduleCallback(when, sim::prof::Cat::hostComplex,
+                                      "linuxapi.deliver", std::move(fn));
     }
 
     sim::Simulation &sim_;

@@ -248,7 +248,8 @@ EchoClientApp::connectNext(std::size_t index)
     api_.connect(config_.peer, config_.port);
     api_.simulation().queue().scheduleCallback(
         api_.simulation().now() + config_.connectSpacing,
-        "echo.connectNext", [this, index] { connectNext(index + 1); });
+        sim::prof::Cat::app, "echo.connectNext",
+        [this, index] { connectNext(index + 1); });
 }
 
 void

@@ -7,8 +7,10 @@ StallingEngine::StallingEngine(sim::Simulation &sim, std::string name,
                                sim::ClockDomain &domain,
                                const tcp::FpuProgram &program,
                                const StallingEngineConfig &config)
-    : ClockedObject(sim, std::move(name), domain), program_(program),
-      config_(config),
+    // Charged as FPC work: this engine is the FPC stand-in of the
+    // stall comparisons (Figs. 2, 15 and 16b).
+    : ClockedObject(sim, std::move(name), domain, sim::prof::Cat::fpcExec),
+      program_(program), config_(config),
       processed_(sim.stats(), statName("eventsProcessed"),
                  "events processed (one at a time)"),
       stallCyclesTotal_(sim.stats(), statName("stallCycles"),

@@ -54,8 +54,8 @@ static_assert(probesCoverEveryType(),
 
 Fpc::Fpc(sim::Simulation &sim, std::string name, sim::ClockDomain &domain,
          const tcp::FpuProgram &program, const FpcConfig &config)
-    : ClockedObject(sim, std::move(name), domain), program_(program),
-      config_(config),
+    : ClockedObject(sim, std::move(name), domain, sim::prof::Cat::fpcExec),
+      program_(program), config_(config),
       fpuLatency_(config.fpuLatencyOverride ? config.fpuLatencyOverride
                                             : program.latencyCycles()),
       occupiedBits_((config.slots + 63) / 64, 0),

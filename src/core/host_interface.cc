@@ -129,6 +129,7 @@ HostInterface::postCompletion(tcp::FlowId flow, const host::Command &command)
         return;
     state.flushScheduled = true;
     queue().scheduleCallback(now() + config_.completionFlushDelay,
+                             sim::prof::Cat::hostComplex,
                              "hostif.flushCompletions", [this, queue_index] {
                                  flushCompletions(queue_index);
                              });

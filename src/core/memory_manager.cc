@@ -9,8 +9,8 @@ MemoryManager::MemoryManager(sim::Simulation &sim, std::string name,
                              sim::ClockDomain &domain,
                              mem::DramModel &dram,
                              const MemoryManagerConfig &config)
-    : ClockedObject(sim, std::move(name), domain), config_(config),
-      dram_(dram), cache_(config.cacheLines),
+    : ClockedObject(sim, std::move(name), domain, sim::prof::Cat::memory),
+      config_(config), dram_(dram), cache_(config.cacheLines),
       eventsHandled_(sim.stats(), statName("eventsHandled"),
                      "events handled against DRAM-resident TCBs"),
       cacheHits_(sim.stats(), statName("cacheHits"), "TCB cache hits"),
@@ -101,8 +101,8 @@ MemoryManager::insertFlow(MigratingTcb &&incoming,
     }
     swapRequested_.erase(flow);
     if (on_complete)
-        queue().scheduleCallback(arrival, "memmgr.insert",
-                                 std::move(on_complete));
+        queue().scheduleCallback(arrival, sim::prof::Cat::memory,
+                                 "memmgr.insert", std::move(on_complete));
 
     // The arriving TCB may already carry work (e.g., events accumulated
     // while the flow was migrating); the check logic looks right away.
@@ -151,7 +151,7 @@ MemoryManager::extractFlow(tcp::FlowId flow,
         ready = dram_.accessTime(tcp::tcbWireBytes);
     }
     queue().scheduleCallback(
-        ready, "memmgr.extract",
+        ready, sim::prof::Cat::memory, "memmgr.extract",
         [cb = std::move(on_ready), tcb = std::move(leaving)]() mutable {
             cb(std::move(tcb));
         });
@@ -224,7 +224,8 @@ MemoryManager::applyEvent(const tcp::TcpEvent &event)
         return; // fetch already in flight
 
     tcp::FlowId flow = event.flow;
-    queue().scheduleCallback(miss_ready, "memmgr.missReady", [this, flow] {
+    queue().scheduleCallback(miss_ready, sim::prof::Cat::memory,
+                             "memmgr.missReady", [this, flow] {
         auto mq_it = missQueues_.find(flow);
         if (mq_it == missQueues_.end())
             return;

@@ -47,7 +47,7 @@ PacketGenerator::emit(net::Packet &&pkt, sim::Tick when)
         transmit_(std::move(pkt));
         return;
     }
-    queue().scheduleCallback(when, "pktgen.emit",
+    queue().scheduleCallback(when, sim::prof::Cat::packetGen, "pktgen.emit",
                              [this, p = std::move(pkt)]() mutable {
                                  transmit_(std::move(p));
                              });

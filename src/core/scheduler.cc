@@ -11,8 +11,9 @@ namespace f4t::core
 Scheduler::Scheduler(sim::Simulation &sim, std::string name,
                      sim::ClockDomain &domain,
                      const SchedulerConfig &config)
-    : ClockedObject(sim, std::move(name), domain), config_(config),
-      lut_(config.maxFlows), fifos_(config.coalesceFifos),
+    : ClockedObject(sim, std::move(name), domain,
+                    sim::prof::Cat::scheduler),
+      config_(config), lut_(config.maxFlows), fifos_(config.coalesceFifos),
       pendingRing_(config.pendingRetryCycles + 1),
       pendedCount_(config.maxFlows, 0),
       moveIdx_(config.maxFlows, -1), parkedIdx_(config.maxFlows, -1),

@@ -50,7 +50,8 @@ class TimerWheel : public sim::SimObject
                          1'000'000ULL;
         if (when < now())
             when = now();
-        queue().scheduleCallback(when, "timer.fire", [this, key, generation] {
+        queue().scheduleCallback(when, sim::prof::Cat::timerWheel,
+                                 "timer.fire", [this, key, generation] {
             if (slot(key) != generation)
                 return;
             tcp::TcpEvent event;

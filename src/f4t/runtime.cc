@@ -79,7 +79,8 @@ F4tRuntime::onCompletionsArrived(std::size_t q)
     sim::Tick wake = now();
     if (client.core && client.core->idle())
         wake += sim::microsecondsToTicks(host::f4tWakeLatencyUs);
-    SimObject::queue().scheduleCallback(wake, "runtime.poll",
+    SimObject::queue().scheduleCallback(wake, sim::prof::Cat::hostComplex,
+                                        "runtime.poll",
                                         [this, q] { pollQueue(q); });
 }
 
@@ -100,8 +101,8 @@ F4tRuntime::pollQueue(std::size_t q)
         if (client.core && client.core->busyUntil() > now()) {
             client.pollScheduled = true;
             SimObject::queue().scheduleCallback(
-                client.core->busyUntil(), "runtime.poll",
-                [this, q] { pollQueue(q); });
+                client.core->busyUntil(), sim::prof::Cat::hostComplex,
+                "runtime.poll", [this, q] { pollQueue(q); });
             return;
         }
         host::Command command = pair.cq.pop();

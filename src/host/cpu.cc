@@ -33,14 +33,16 @@ CpuCore::runAfterCharge(tcp::CostCategory category, double cycles,
 {
     charge(category, cycles);
     sim::Tick when = busyUntil_ > now() ? busyUntil_ : now();
-    queue().scheduleCallback(when, "cpu.charged", std::move(fn));
+    queue().scheduleCallback(when, sim::prof::Cat::hostComplex,
+                             "cpu.charged", std::move(fn));
 }
 
 void
 CpuCore::runWhenFree(sim::SmallFunction fn)
 {
     sim::Tick when = busyUntil_ > now() ? busyUntil_ : now();
-    queue().scheduleCallback(when, "cpu.free", std::move(fn));
+    queue().scheduleCallback(when, sim::prof::Cat::hostComplex, "cpu.free",
+                             std::move(fn));
 }
 
 double

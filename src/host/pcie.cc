@@ -32,7 +32,8 @@ PcieModel::transfer(std::size_t bytes, sim::Tick &busy_until,
     probeSpan(sim::fr::Kind::pcieDma, 0, bytes, &counter == &d2hBytes_,
               start, done);
     if (on_complete)
-        queue().scheduleCallback(done, what, std::move(on_complete));
+        queue().scheduleCallback(done, sim::prof::Cat::hostComplex, what,
+                                 std::move(on_complete));
     return done;
 }
 
@@ -56,8 +57,8 @@ PcieModel::mmioDoorbell(sim::SmallFunction on_observed)
     sim::Tick done = now() + config_.mmioLatency;
     probe(sim::fr::Kind::pcieDoorbell, 0);
     if (on_observed)
-        queue().scheduleCallback(done, "pcie.doorbell",
-                                 std::move(on_observed));
+        queue().scheduleCallback(done, sim::prof::Cat::hostComplex,
+                                 "pcie.doorbell", std::move(on_observed));
     return done;
 }
 

@@ -100,7 +100,8 @@ OpenLoopClientApp::connectSlot(std::size_t slot)
     slotById_[id] = slot;
     api_.simulation().queue().scheduleCallback(
         api_.simulation().now() + config_.connectSpacing,
-        "openloop.connect", [this, slot] { connectSlot(slot + 1); });
+        sim::prof::Cat::app, "openloop.connect",
+        [this, slot] { connectSlot(slot + 1); });
 }
 
 void
@@ -112,7 +113,7 @@ OpenLoopClientApp::scheduleNextArrival()
     at = std::max(at, api_.simulation().now());
     lastArrival_ = at;
     api_.simulation().queue().scheduleCallback(
-        at, "openloop.arrival", [this, at] {
+        at, sim::prof::Cat::app, "openloop.arrival", [this, at] {
             Request request;
             request.arrival = at;
             request.op = opRng_.chance(config_.readFraction) ? KvOp::get
@@ -146,7 +147,7 @@ OpenLoopClientApp::scheduleNextReplay()
     sim::Tick at = std::max<sim::Tick>(record.timePs,
                                        api_.simulation().now());
     api_.simulation().queue().scheduleCallback(
-        at, "openloop.replay", [this, record, at] {
+        at, sim::prof::Cat::app, "openloop.replay", [this, record, at] {
             Request request;
             request.arrival = at;
             request.op = record.op;
@@ -205,15 +206,15 @@ OpenLoopClientApp::dispatch(std::size_t index, const Request &request)
     slot.current = request;
     ++dispatched_;
 
-    TraceRecord record;
-    record.timePs = api_.simulation().now();
-    record.client = config_.clientId;
-    record.conn = static_cast<std::uint32_t>(index);
-    record.op = request.op;
-    record.valueBytes = request.valueBytes;
-    recorded_.push_back(record);
-    if (config_.traceWriter != nullptr)
+    if (config_.traceWriter != nullptr) {
+        TraceRecord record;
+        record.timePs = api_.simulation().now();
+        record.client = config_.clientId;
+        record.conn = static_cast<std::uint32_t>(index);
+        record.op = request.op;
+        record.valueBytes = request.valueBytes;
         config_.traceWriter->append(record);
+    }
 
     api_.core().charge(CostCategory::application,
                        config_.appCyclesPerRequest);
@@ -373,10 +374,11 @@ ChurnClientApp::scheduleNextOpen()
     sim::Tick at = lastOpen_ + arrivals_.nextGap();
     at = std::max(at, api_.simulation().now());
     lastOpen_ = at;
-    api_.simulation().queue().scheduleCallback(at, "churn.open", [this] {
-        openOne();
-        scheduleNextOpen();
-    });
+    api_.simulation().queue().scheduleCallback(
+        at, sim::prof::Cat::app, "churn.open", [this] {
+            openOne();
+            scheduleNextOpen();
+        });
 }
 
 void

@@ -15,7 +15,7 @@
  * Modes:
  *  - generation: draw (arrival gap, op, value size) from the seeded
  *    substream generators; optionally record every dispatch as a
- *    TraceRecord (in memory and/or through a TraceWriter);
+ *    TraceRecord through a TraceWriter;
  *  - replay: re-issue a recorded trace — each record fires at its
  *    recorded dispatch tick on its recorded connection slot, which
  *    reproduces the original run's request stream exactly.
@@ -94,8 +94,6 @@ class OpenLoopClientApp
     std::uint64_t valueBytesSent() const { return valueBytesSent_; }
     std::size_t backlogDepth() const { return backlog_.size(); }
     std::size_t peakBacklogDepth() const { return peakBacklog_; }
-    /** Every dispatch, in dispatch order (generation and replay). */
-    const std::vector<TraceRecord> &recorded() const { return recorded_; }
     /** GET response value bytes per connection slot. */
     std::uint64_t slotValueBytesReceived(std::size_t slot) const;
 
@@ -148,7 +146,6 @@ class OpenLoopClientApp
     SizeSampler sizes_;
     sim::Random opRng_;
     std::deque<Request> backlog_;
-    std::vector<TraceRecord> recorded_;
     std::vector<std::uint8_t> scratch_;
     sim::Tick lastArrival_ = 0;
     std::size_t replayNext_ = 0;

@@ -28,8 +28,8 @@ SynFloodApp::SynFloodApp(sim::Simulation &sim, std::string name,
 void
 SynFloodApp::start()
 {
-    queue().scheduleCallback(config_.startAt + gap_, "synflood.inject",
-                             [this] { inject(); });
+    queue().scheduleCallback(config_.startAt + gap_, sim::prof::Cat::app,
+                             "synflood.inject", [this] { inject(); });
 }
 
 net::Ipv4Address
@@ -61,8 +61,8 @@ SynFloodApp::inject()
     ingress_.receivePacket(std::move(pkt));
 
     if (config_.maxSyns == 0 || sent_.value() < config_.maxSyns)
-        queue().scheduleCallback(now() + gap_, "synflood.inject",
-                                 [this] { inject(); });
+        queue().scheduleCallback(now() + gap_, sim::prof::Cat::app,
+                                 "synflood.inject", [this] { inject(); });
 }
 
 } // namespace f4t::load

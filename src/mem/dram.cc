@@ -38,8 +38,8 @@ DramModel::access(std::size_t bytes, sim::SmallFunction on_complete)
 {
     sim::Tick done = accessTime(bytes);
     if (on_complete)
-        queue().scheduleCallback(done, "dram.complete",
-                                 std::move(on_complete));
+        queue().scheduleCallback(done, sim::prof::Cat::memory,
+                                 "dram.complete", std::move(on_complete));
     return done;
 }
 

@@ -144,7 +144,8 @@ DeliveryPort::deliver(Packet &&pkt, sim::Tick when)
     if (!datapathBatchingEnabled()) {
         // Per-packet reference path: one host event per delivery.
         queue().scheduleCallback(
-            when, "link.deliver", [this, p = std::move(pkt)]() mutable {
+            when, sim::prof::Cat::linkSwitch, "link.deliver",
+            [this, p = std::move(pkt)]() mutable {
                 sink_->receivePacket(std::move(p));
             });
         return;

@@ -135,17 +135,14 @@ class DeliveryPort : public sim::SimObject, public DeliveryTarget
 
     struct DrainEvent : public sim::Event
     {
-        explicit DrainEvent(DeliveryPort &owner) : owner_(owner) {}
+        explicit DrainEvent(DeliveryPort &owner)
+            : Event(defaultPriority, sim::prof::Cat::linkSwitch),
+              owner_(owner)
+        {}
         void process() override { owner_.drainPending(); }
         std::string description() const override
         {
             return owner_.name() + ".deliver";
-        }
-        const char *profileTag() const override
-        {
-            // Port names carry "link" ("link.aToB"), so the profiler
-            // buckets delivery drains into link_switch.
-            return owner_.name().c_str();
         }
         DeliveryPort &owner_;
     };

@@ -129,12 +129,12 @@ class Switch : public sim::SimObject
 
     struct DrainEvent : public sim::Event
     {
+        DrainEvent() : Event(defaultPriority, sim::prof::Cat::linkSwitch) {}
         void process() override { owner->drain(port); }
         std::string description() const override
         {
             return owner->name() + ".port" + std::to_string(port) + ".drain";
         }
-        const char *profileTag() const override { return "switch.drain"; }
         Switch *owner = nullptr;
         std::size_t port = 0;
     };

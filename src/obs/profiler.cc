@@ -55,31 +55,6 @@ makeProfileReport(const sim::prof::Snapshot &delta, double wall_seconds)
 }
 
 void
-attachWorkerProfiles(ProfileReport &report,
-                     const std::vector<sim::WorkerProfile> &before,
-                     const std::vector<sim::WorkerProfile> &after)
-{
-    report.workers.clear();
-    double busy_us = 0.0;
-    for (std::size_t w = 0; w < after.size(); ++w) {
-        sim::WorkerProfile base =
-            w < before.size() ? before[w] : sim::WorkerProfile{};
-        ProfileWorker worker;
-        worker.busyUs = usOf(after[w].busyNs - base.busyNs);
-        worker.idleUs = usOf(after[w].idleNs - base.idleNs);
-        worker.barrierUs = usOf(after[w].barrierNs - base.barrierNs);
-        busy_us += worker.busyUs;
-        report.workers.push_back(worker);
-    }
-    double budget_us = report.wallSeconds * 1e6 *
-                       static_cast<double>(report.workers.empty()
-                                               ? 1
-                                               : report.workers.size());
-    report.occupancyPct =
-        budget_us > 0.0 ? 100.0 * busy_us / budget_us : 0.0;
-}
-
-void
 printProfileTable(std::FILE *out, const ProfileReport &report)
 {
     std::fprintf(out,
@@ -99,19 +74,6 @@ printProfileTable(std::FILE *out, const ProfileReport &report)
         std::fprintf(out, "    %-18s %12.1f %6.1f%% %12llu %10.1f\n",
                      row.name.c_str(), row.selfUs, row.sharePct,
                      static_cast<unsigned long long>(row.count), per_scope);
-    }
-    if (!report.workers.empty()) {
-        std::fprintf(out,
-                     "    executor threads (occupancy %.1f%%):\n",
-                     report.occupancyPct);
-        for (std::size_t w = 0; w < report.workers.size(); ++w) {
-            const ProfileWorker &worker = report.workers[w];
-            std::fprintf(out,
-                         "      %s%zu: busy %.1f us, %s %.1f us\n",
-                         w == 0 ? "coordinator" : "worker", w,
-                         worker.busyUs, w == 0 ? "barrier" : "idle",
-                         w == 0 ? worker.barrierUs : worker.idleUs);
-        }
     }
 }
 
@@ -138,26 +100,7 @@ writeProfileJson(std::FILE *out, const ProfileReport &report, int indent)
                      row.selfUs, static_cast<unsigned long long>(row.count),
                      row.sharePct);
     }
-    std::fprintf(out, "\n%*s  }", indent, "");
-    if (!report.workers.empty()) {
-        std::fprintf(out,
-                     ",\n"
-                     "%*s  \"occupancy_pct\": %.1f,\n"
-                     "%*s  \"workers\": [",
-                     indent, "", report.occupancyPct, indent, "");
-        for (std::size_t w = 0; w < report.workers.size(); ++w) {
-            const ProfileWorker &worker = report.workers[w];
-            std::fprintf(out,
-                         "%s\n"
-                         "%*s    { \"busy_micros\": %.1f, "
-                         "\"idle_micros\": %.1f, "
-                         "\"barrier_micros\": %.1f }",
-                         w == 0 ? "" : ",", indent, "", worker.busyUs,
-                         worker.idleUs, worker.barrierUs);
-        }
-        std::fprintf(out, "\n%*s  ]", indent, "");
-    }
-    std::fprintf(out, "\n%*s}", indent, "");
+    std::fprintf(out, "\n%*s  }\n%*s}", indent, "", indent, "");
 }
 
 } // namespace f4t::obs

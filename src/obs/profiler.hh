@@ -1,10 +1,9 @@
 /**
  * @file
  * Turns prof::Snapshot deltas from the wall-clock self-profiler into
- * the bench artefacts: a human-readable per-category cost table, a
+ * the bench artefacts: a human-readable per-category cost table and a
  * `"profile": {...}` JSON member merged into the schema-5 BENCH_*.json
- * scenario objects, and the parallel executor's per-worker
- * busy/idle/barrier breakdown with window occupancy.
+ * scenario objects.
  */
 
 #ifndef F4T_OBS_PROFILER_HH
@@ -15,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/parallel.hh"
 #include "sim/profile_scope.hh"
 
 namespace f4t::obs
@@ -30,20 +28,11 @@ struct ProfileRow
     double sharePct = 0.0; ///< of the report's attributed total
 };
 
-/** One executor thread's wall-clock breakdown (coordinator first). */
-struct ProfileWorker
-{
-    double busyUs = 0.0;
-    double idleUs = 0.0;
-    double barrierUs = 0.0;
-};
-
 /**
  * A rendered profile over one measured interval: categories sorted by
  * self time (descending, zero rows dropped), total attributed time,
  * and coverage — attributed time as a percentage of wall time times
- * the threads that did the work. Worker rows and occupancy are
- * present only when attachWorkerProfiles() was called (parallel runs).
+ * the threads that did the work.
  */
 struct ProfileReport
 {
@@ -53,9 +42,6 @@ struct ProfileReport
     double coveragePct = 0.0;
     std::uint64_t events = 0; ///< scope activations summed over rows
     std::vector<ProfileRow> rows;
-    std::vector<ProfileWorker> workers;
-    /** Mean busy share across executor threads (busy / wall). */
-    double occupancyPct = 0.0;
 };
 
 /**
@@ -67,16 +53,7 @@ struct ProfileReport
 ProfileReport makeProfileReport(const sim::prof::Snapshot &delta,
                                 double wall_seconds);
 
-/**
- * Attach per-worker rows from two executor profile snapshots taken
- * around the measured interval (element-wise delta) and derive window
- * occupancy from them against the report's wall time.
- */
-void attachWorkerProfiles(ProfileReport &report,
-                          const std::vector<sim::WorkerProfile> &before,
-                          const std::vector<sim::WorkerProfile> &after);
-
-/** Print the per-category table (and worker rows when present). */
+/** Print the per-category table. */
 void printProfileTable(std::FILE *out, const ProfileReport &report);
 
 /**

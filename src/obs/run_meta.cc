@@ -48,16 +48,14 @@ writeMetaJson(std::FILE *out, const RunMeta &meta, int indent)
                  "%*s  \"checks_enabled\": %s,\n"
                  "%*s  \"profile_enabled\": %s,\n"
                  "%*s  \"profiled\": %s,\n"
-                 "%*s  \"timestamp\": \"%s\",\n"
-                 "%*s  \"threads\": %u\n"
+                 "%*s  \"timestamp\": \"%s\"\n"
                  "%*s}",
                  indent, "", indent, "", meta.gitSha.c_str(), indent, "",
                  meta.preset.c_str(), indent, "",
                  meta.checksEnabled ? "true" : "false", indent, "",
                  meta.profileEnabled ? "true" : "false", indent, "",
                  meta.profiled ? "true" : "false", indent, "",
-                 meta.timestamp.c_str(), indent, "", meta.threads, indent,
-                 "");
+                 meta.timestamp.c_str(), indent, "");
 }
 
 } // namespace f4t::obs

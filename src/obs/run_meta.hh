@@ -2,9 +2,9 @@
  * @file
  * Run metadata stamped into every result file the bench binaries write
  * (BENCH_*.json, stage-latency JSON): git revision, build preset, the
- * compile-time feature gates, whether the profiler ran, a wall-clock
- * timestamp and the worker-thread count, so a result says which build
- * and configuration produced it.
+ * compile-time feature gates, whether the profiler ran and a
+ * wall-clock timestamp, so a result says which build and
+ * configuration produced it.
  */
 
 #ifndef F4T_OBS_RUN_META_HH
@@ -27,8 +27,6 @@ struct RunMeta
     bool profiled = false;
     /** ISO-8601 UTC wall time of the run ("" when not recorded). */
     std::string timestamp;
-    /** Worker threads driving the simulation (1 = serial kernel). */
-    unsigned threads = 1;
 };
 
 /** Metadata of the currently running binary (gates are compile-time;

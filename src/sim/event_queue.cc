@@ -17,15 +17,6 @@ constexpr std::size_t bitsWords = EventQueue::numBuckets / 64;
 static_assert(EventQueue::numBuckets % 64 == 0,
               "ladder buckets must fill whole bitmap words");
 
-/** Profiling category for a firing event, via its cheap tag. */
-prof::Cat
-eventCategory(const Event *ev)
-{
-    const char *tag = ev->profileTag();
-    return tag != nullptr ? prof::categorizeTagCached(tag)
-                          : prof::Cat::otherEvent;
-}
-
 } // namespace
 
 Event::~Event()
@@ -339,13 +330,14 @@ EventQueue::reschedule(Event *ev, Tick when)
 }
 
 void
-EventQueue::scheduleCallback(Tick when, const char *what, SmallFunction fn,
-                             int priority)
+EventQueue::scheduleCallback(Tick when, prof::Cat cost, const char *what,
+                             SmallFunction fn, int priority)
 {
     CallbackEvent *ev = acquireCallback();
     ev->fn_ = std::move(fn);
     ev->what_ = what;
     ev->priority_ = priority;
+    ev->cost_ = cost;
     push(ev, when, true);
 }
 
@@ -526,10 +518,8 @@ EventQueue::fire(Event *ev, Tick when, bool self_deleting)
                static_cast<std::uint64_t>(ev->priority_), processed_);
     if ((processed_ & 0x3fff) == 0)
         fr::beat();
-    if (prof::enabled()) {
-        prof::Scope event_scope(eventCategory(ev));
-        dispatch(ev);
-    } else {
+    {
+        prof::Scope event_scope(ev->cost_);
         dispatch(ev);
     }
     if (self_deleting)

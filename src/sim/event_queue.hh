@@ -95,14 +95,20 @@ class Event
         statsPriority = 90,    ///< end-of-interval bookkeeping
     };
 
-    explicit Event(int priority = defaultPriority) : priority_(priority) {}
+    /** @p cost is the profile category fire() charges this event's
+     *  body to (sim/profile_scope.hh). */
+    explicit Event(int priority = defaultPriority,
+                   prof::Cat cost = prof::Cat::otherEvent)
+        : priority_(priority), cost_(cost)
+    {}
     virtual ~Event();
 
   protected:
     /** For the known hot subclasses: tag the event for switch dispatch
      *  (see EventKind). The tag must match the dynamic type — fire()
      *  static_casts on it. */
-    Event(int priority, EventKind kind) : priority_(priority), kind_(kind)
+    Event(int priority, EventKind kind, prof::Cat cost)
+        : priority_(priority), kind_(kind), cost_(cost)
     {}
 
   public:
@@ -116,16 +122,6 @@ class Event
     /** Human-readable description for debugging. */
     virtual std::string description() const { return "generic event"; }
 
-    /**
-     * Cheap tag for wall-clock cost attribution (profile builds): a
-     * stable C string the profiler buckets into a prof::Cat, or
-     * nullptr for Cat::otherEvent. Unlike description(), this must not
-     * allocate — it is consulted on every event fire when profiling is
-     * runtime-enabled. The returned pointer only needs to stay valid
-     * for the duration of the fire (it is looked up, not retained).
-     */
-    virtual const char *profileTag() const { return nullptr; }
-
     bool scheduled() const { return scheduled_; }
     Tick when() const { return when_; }
     int priority() const { return priority_; }
@@ -136,6 +132,7 @@ class Event
     Tick when_ = 0;
     int priority_;
     EventKind kind_ = EventKind::generic;
+    prof::Cat cost_; ///< one byte, in the padding beside kind_
     bool scheduled_ = false;
     std::uint64_t generation_ = 0; ///< bumped on deschedule to squash
     /** Squashed container entries still naming this event. */
@@ -214,12 +211,13 @@ class EventQueue
     void reschedule(Event *ev, Tick when);
 
     /**
-     * Schedule a one-shot callback on a pooled event. @p what is a
-     * call-site tag used by debug logging and assertion messages; it
-     * must point to storage that outlives the callback (string
-     * literals by convention).
+     * Schedule a one-shot callback on a pooled event, charged to the
+     * profile category @p cost. @p what is a call-site tag that
+     * assertion messages report; it must point to storage that
+     * outlives the callback (string literals by convention).
      */
-    void scheduleCallback(Tick when, const char *what, SmallFunction fn,
+    void scheduleCallback(Tick when, prof::Cat cost, const char *what,
+                          SmallFunction fn,
                           int priority = Event::defaultPriority);
 
     /** Untagged convenience overload (tests, ad-hoc callbacks). */
@@ -227,7 +225,8 @@ class EventQueue
     scheduleCallback(Tick when, SmallFunction fn,
                      int priority = Event::defaultPriority)
     {
-        scheduleCallback(when, "callback", std::move(fn), priority);
+        scheduleCallback(when, prof::Cat::otherEvent, "callback",
+                         std::move(fn), priority);
     }
 
     /** True when no live events remain. */
@@ -350,10 +349,12 @@ class EventQueue
     class CallbackEvent : public Event
     {
       public:
-        CallbackEvent() : Event(defaultPriority, EventKind::callback) {}
+        CallbackEvent()
+            : Event(defaultPriority, EventKind::callback,
+                    prof::Cat::otherEvent)
+        {}
         void process() override { fn_(); }
         std::string description() const override { return what_; }
-        const char *profileTag() const override { return what_; }
 
       private:
         friend class EventQueue;

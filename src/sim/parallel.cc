@@ -45,13 +45,6 @@ ParallelExecutor::addChannel(CrossChannel &channel)
     channels_.push_back(&channel);
 }
 
-void
-ParallelExecutor::setThreads(std::size_t threads)
-{
-    f4t_assert(!started_, "cannot change thread count after the first run");
-    requestedThreads_ = threads;
-}
-
 Tick
 ParallelExecutor::lookahead() const
 {

@@ -131,11 +131,6 @@ class ParallelExecutor
     /** Register a cross-partition conduit (not owned). */
     void addChannel(CrossChannel &channel);
 
-    /** Adjust the worker budget; only before the first run(). */
-    void setThreads(std::size_t threads);
-
-    std::size_t partitionCount() const { return partitions_.size(); }
-
     /** Worker threads a run will actually use (caller included). */
     std::size_t
     effectiveThreads() const
@@ -245,7 +240,7 @@ class ParallelExecutor
         Scalar mailboxSpills;
     };
 
-    std::size_t requestedThreads_;
+    const std::size_t requestedThreads_;
     bool started_ = false;
     std::vector<Partition> partitions_;
     std::vector<CrossChannel *> channels_;

@@ -21,9 +21,9 @@
  * Attribution model: scopes nest on a per-thread stack and record
  * *self* time — a scope's elapsed time minus the elapsed time of the
  * scopes nested inside it. EventQueue::run() opens a root scope
- * (Cat::eventQueue), EventQueue::fire() opens one per event
- * (categorized from the event's profileTag()), and hot modules open
- * finer scopes inside their event handlers. Because every child's
+ * (Cat::eventQueue), EventQueue::fire() opens one per event on the
+ * category the event declares when it is constructed or scheduled,
+ * and hot modules open finer scopes inside their event handlers. Because every child's
  * total is subtracted from its parent exactly once, the per-category
  * self times sum to the root scopes' elapsed wall time — which is how
  * the bench harnesses can assert that attributed time covers >= 90% of
@@ -45,11 +45,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <mutex>
-#include <string>
-#include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace f4t::sim::prof
@@ -80,15 +76,15 @@ enum class Cat : std::uint8_t
     fpcTimeout,
     scheduler,   ///< event pre-routing / FPC selection
     linkSwitch,  ///< cable serialization, delivery ports, switch drains
-    hostComplex, ///< PCIe, CPU cores, runtime polling, host interface
+    hostComplex, ///< PCIe, CPU cores, runtime, host interface, soft TCP
     rxParse,     ///< RX parser
     packetGen,   ///< TX packet generator
     memory,      ///< memory manager + DRAM model
     timerWheel,  ///< timer wheel arm/fire
-    app,         ///< applications and socket APIs
+    app,         ///< applications, socket APIs, load generators
     obsSink,     ///< stat sampling, audits, trace sinks
     harness,     ///< bench driver work outside the simulation proper
-    otherEvent,  ///< events with no (or an unrecognized) tag
+    otherEvent,  ///< events that declare no category (ad-hoc test events)
     numCats
 };
 
@@ -203,85 +199,6 @@ inline void
 setEnabled(bool on)
 {
     detail::runtimeEnabled().store(on, std::memory_order_relaxed);
-}
-
-/**
- * Map an event tag — a module name ("engineA.fpc0"), a callback
- * call-site tag ("pcie.doorbell"), a drain-event owner ("link.aToB") —
- * to a category by substring. First match wins; the specific module
- * names come before the generic fallbacks, so "engineA.scheduler"
- * lands in scheduler, not otherEvent.
- */
-inline Cat
-categorizeTag(const char *tag)
-{
-    if (tag == nullptr)
-        return Cat::otherEvent;
-    auto has = [tag](const char *needle) {
-        return std::strstr(tag, needle) != nullptr;
-    };
-    if (has("fpc"))
-        return Cat::fpcExec;
-    if (has("sched"))
-        return Cat::scheduler;
-    if (has("link") || has("switch") || has("fabric") || has("arp") ||
-        has("icmp"))
-        return Cat::linkSwitch;
-    if (has("rxParser") || has("rx_parser"))
-        return Cat::rxParse;
-    if (has("packetGen") || has("pktgen"))
-        return Cat::packetGen;
-    if (has("timer"))
-        return Cat::timerWheel;
-    if (has("memoryManager") || has("memmgr") || has("dram"))
-        return Cat::memory;
-    if (has("pcie") || has("cpu") || has("runtime") ||
-        has("hostInterface") || has("doorbell") || has("linux") ||
-        has("soft_tcp"))
-        return Cat::hostComplex;
-    if (has("stat") || has("sample") || has("audit"))
-        return Cat::obsSink;
-    if (has("app") || has("echo") || has("http") || has("kv") ||
-        has("sock") || has("client") || has("server") || has("churn") ||
-        has("bulk"))
-        return Cat::app;
-    return Cat::otherEvent;
-}
-
-/**
- * categorizeTag with a per-thread content-keyed memo, for the
- * per-event hot path. Content-keyed (not pointer-keyed) so a tag
- * string that is freed and its storage reused — module names die with
- * their world, and bench harnesses build several worlds per process —
- * can never alias a stale entry.
- */
-inline Cat
-categorizeTagCached(const char *tag)
-{
-    struct TagHash
-    {
-        using is_transparent = void;
-        std::size_t
-        operator()(std::string_view s) const
-        {
-            return std::hash<std::string_view>{}(s);
-        }
-    };
-    struct TagEq
-    {
-        using is_transparent = void;
-        bool
-        operator()(std::string_view a, std::string_view b) const
-        {
-            return a == b;
-        }
-    };
-    thread_local std::unordered_map<std::string, Cat, TagHash, TagEq> memo;
-    std::string_view key(tag);
-    auto it = memo.find(key);
-    if (it == memo.end())
-        it = memo.emplace(std::string(key), categorizeTag(tag)).first;
-    return it->second;
 }
 
 /**

@@ -329,8 +329,11 @@ class SimObject
 class ClockedObject : public SimObject
 {
   public:
-    ClockedObject(Simulation &sim, std::string name, ClockDomain &domain)
-        : SimObject(sim, std::move(name)), domain_(domain), tickEvent_(*this)
+    /** @p cost is the profile category every tick is charged to. */
+    ClockedObject(Simulation &sim, std::string name, ClockDomain &domain,
+                  prof::Cat cost)
+        : SimObject(sim, std::move(name)), domain_(domain),
+          tickEvent_(*this, cost)
     {}
 
     ~ClockedObject() override
@@ -384,8 +387,8 @@ class ClockedObject : public SimObject
 
     struct TickEvent : public Event
     {
-        explicit TickEvent(ClockedObject &owner)
-            : Event(clockPriority, EventKind::tick), owner_(owner)
+        TickEvent(ClockedObject &owner, prof::Cat cost)
+            : Event(clockPriority, EventKind::tick, cost), owner_(owner)
         {}
 
         /**
@@ -421,14 +424,6 @@ class ClockedObject : public SimObject
         description() const override
         {
             return owner_.name() + ".tick";
-        }
-
-        const char *
-        profileTag() const override
-        {
-            // The owner's module name ("engineA.fpc0", "clientNet.cpu")
-            // carries the subsystem; the profiler buckets by substring.
-            return owner_.name().c_str();
         }
 
         ClockedObject &owner_;

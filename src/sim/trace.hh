@@ -203,11 +203,10 @@ class StatSampler
     struct SampleEvent : public Event
     {
         explicit SampleEvent(StatSampler &owner)
-            : Event(statsPriority), owner_(owner)
+            : Event(statsPriority, prof::Cat::obsSink), owner_(owner)
         {}
         void process() override { owner_.sample(); }
         std::string description() const override { return "stat.sample"; }
-        const char *profileTag() const override { return "stat.sample"; }
         StatSampler &owner_;
     };
 

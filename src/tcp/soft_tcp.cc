@@ -834,8 +834,8 @@ SoftTcpStack::armRto(Conn &conn)
     std::uint64_t generation = ++conn.timerGeneration;
     SoftConnId id = conn.id;
     queue().scheduleCallback(
-        now() + sim::microsecondsToTicks(rto), "softtcp.rto",
-        [this, id, generation] { onRtoFire(id, generation); });
+        now() + sim::microsecondsToTicks(rto), sim::prof::Cat::hostComplex,
+        "softtcp.rto", [this, id, generation] { onRtoFire(id, generation); });
 }
 
 void
@@ -909,7 +909,8 @@ SoftTcpStack::enterTimeWait(Conn &conn)
     std::uint64_t generation = ++conn.twGeneration;
     queue().scheduleCallback(
         now() + sim::microsecondsToTicks(config_.timeWaitUs),
-        "softtcp.timewait", [this, id, generation] {
+        sim::prof::Cat::hostComplex, "softtcp.timewait",
+        [this, id, generation] {
             Conn *c = find(id);
             if (!c || c->twGeneration != generation)
                 return;

@@ -135,7 +135,8 @@ class FuzzClient
             sim::Tick when = api_.simulation().now() +
                              scenario_.conns[i].connectDelay + 1;
             api_.simulation().queue().scheduleCallback(
-                when, "fuzz.connect", [this, i] { open(i); });
+                when, sim::prof::Cat::app, "fuzz.connect",
+                [this, i] { open(i); });
         }
     }
 

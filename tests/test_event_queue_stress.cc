@@ -202,7 +202,7 @@ TEST(EventQueueStress, SoloRegisterMetronome)
     for (int lap = 0; lap < 5000; ++lap) {
         Tick step = (lap % 7 == 0) ? EventQueue::ladderSpan + 17 : 4000;
         expect += step;
-        queue.scheduleCallback(expect, "metronome", [&] { ++fired; });
+        queue.scheduleCallback(expect, [&] { ++fired; });
         ASSERT_TRUE(queue.runOne());
         ASSERT_EQ(queue.now(), expect);
     }
@@ -242,8 +242,7 @@ TEST(EventQueueStress, CallbackPoolRecyclesAcrossBursts)
 
     // First burst sets the pool's high-water mark...
     for (int i = 0; i < 64; ++i)
-        queue.scheduleCallback(queue.now() + 10 + i, "burst",
-                               [&] { ++fired; });
+        queue.scheduleCallback(queue.now() + 10 + i, [&] { ++fired; });
     queue.run();
     std::size_t high_water = queue.callbackPoolAllocated();
     EXPECT_GE(high_water, 64u);
@@ -252,8 +251,7 @@ TEST(EventQueueStress, CallbackPoolRecyclesAcrossBursts)
     // ...and every later burst of the same width reuses it.
     for (int round = 0; round < 100; ++round) {
         for (int i = 0; i < 64; ++i)
-            queue.scheduleCallback(queue.now() + 10 + i, "burst",
-                                   [&] { ++fired; });
+            queue.scheduleCallback(queue.now() + 10 + i, [&] { ++fired; });
         queue.run();
     }
     EXPECT_EQ(fired, 64 * 101);

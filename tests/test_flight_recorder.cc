@@ -173,8 +173,8 @@ TEST(FlightRecorderDeathTest, ParallelBarrierStallTriggersWatchdogDump)
         IdleChannel ch(1'000);
         ex.addChannel(ch);
         for (Tick t = 100; t <= 400; t += 100)
-            pa.queue().scheduleCallback(t, "tick", [] {});
-        pa.queue().scheduleCallback(500, "wedge", [] {
+            pa.queue().scheduleCallback(t, [] {});
+        pa.queue().scheduleCallback(500, [] {
             std::this_thread::sleep_for(std::chrono::seconds(5));
         });
         ex.run(10'000);
@@ -285,7 +285,7 @@ TEST(FlightRecorder, DisabledRunRecordsNothingAndBehaviorIsIdentical)
     // into the model), and the disabled run must leave zero records.
     auto drive = [](sim::Simulation &sim) {
         for (Tick t = 100; t <= 1000; t += 100)
-            sim.queue().scheduleCallback(t, "tick", [] {});
+            sim.queue().scheduleCallback(t, [] {});
         sim.run(2'000);
     };
 
@@ -377,7 +377,7 @@ TEST(FlightRecorder, FpcRecordsEachAbsorbedEventKind)
     stray.dstPort = 7;
     stray.flags = net::TcpFlags::ack;
     world.sim.queue().scheduleCallback(
-        sim::microsecondsToTicks(30), "test.stray", [&] {
+        sim::microsecondsToTicks(30), [&] {
             world.link->aToB().send(net::Packet::makeTcp(
                 testbed::macA(), testbed::macB(), testbed::ipA(),
                 testbed::ipB(), stray, net::PayloadBuffer()));

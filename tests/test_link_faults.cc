@@ -62,7 +62,7 @@ runTaggedStream(const FaultModel &faults, int n,
 
     for (int i = 0; i < n; ++i) {
         sim.queue().scheduleCallback(
-            sim::microsecondsToTicks(10.0 * (i + 1)), "test.send",
+            sim::microsecondsToTicks(10.0 * (i + 1)),
             [&link, &sim, i, send_times] {
                 if (send_times != nullptr)
                     send_times->push_back(sim.now());

@@ -157,14 +157,14 @@ TEST(ParallelExecutor, WindowsDerivedFromMinLookahead)
     int ticks_a = 0, ticks_b = 0;
     std::function<void()> tick_a = [&] {
         ++ticks_a;
-        pa.queue().scheduleCallback(pa.now() + 100, "tick", [&] { tick_a(); });
+        pa.queue().scheduleCallback(pa.now() + 100, [&] { tick_a(); });
     };
     std::function<void()> tick_b = [&] {
         ++ticks_b;
-        pb.queue().scheduleCallback(pb.now() + 100, "tick", [&] { tick_b(); });
+        pb.queue().scheduleCallback(pb.now() + 100, [&] { tick_b(); });
     };
-    pa.queue().scheduleCallback(0, "tick", [&] { tick_a(); });
-    pb.queue().scheduleCallback(0, "tick", [&] { tick_b(); });
+    pa.queue().scheduleCallback(0, [&] { tick_a(); });
+    pb.queue().scheduleCallback(0, [&] { tick_b(); });
 
     EXPECT_EQ(ex.run(10'000), 10'000u);
     EXPECT_EQ(ticks_a, 101); // ticks at 0, 100, ..., 10000
@@ -186,7 +186,7 @@ TEST(ParallelExecutor, StopsOnGlobalDrainAndJumpsIdleGaps)
     int fired = 0;
     // One lonely far-future event: the executor should not grind
     // through ~1000 empty windows to reach it.
-    pa.queue().scheduleCallback(1'000'000, "late", [&] { ++fired; });
+    pa.queue().scheduleCallback(1'000'000, [&] { ++fired; });
     EXPECT_EQ(ex.run(2'000'000), 2'000'000u);
     EXPECT_EQ(fired, 1);
     EXPECT_LE(ex.windowsRun(), 3u); // idle-gap jump, not 2000 windows
@@ -212,9 +212,9 @@ TEST(ParallelExecutor, CrossEventsDeliveredAtBarriers)
     // Partition A "sends" at tick 100: the effect lands in partition B
     // no earlier than the next barrier, at its stamped delivery tick.
     std::vector<Tick> deliveries;
-    pa.queue().scheduleCallback(100, "send", [&] {
+    pa.queue().scheduleCallback(100, [&] {
         ch.pending.push_back([&] {
-            pb.queue().scheduleCallback(100 + 5'000, "recv", [&] {
+            pb.queue().scheduleCallback(100 + 5'000, [&] {
                 deliveries.push_back(pb.now());
             });
         });
@@ -273,7 +273,7 @@ TEST(ParallelLink, DeliversAcrossPartitionsAtModeledArrival)
         ex.addPartition(pb, "b");
         link.registerChannels(ex);
 
-        pa.queue().scheduleCallback(0, "tx", [&] {
+        pa.queue().scheduleCallback(0, [&] {
             link.aToB().send(makePacket(1000));
             link.aToB().send(makePacket(1000));
         });
@@ -307,7 +307,7 @@ TEST(ParallelLink, ThreadCountInvariantDeliverySchedule)
         // span many windows.
         for (int i = 0; i < 20; ++i) {
             pa.queue().scheduleCallback(
-                sim::microsecondsToTicks(2 * i), "tx",
+                sim::microsecondsToTicks(2 * i),
                 [&] { link.aToB().send(makePacket(512)); });
         }
         ex.run(sim::microsecondsToTicks(100));

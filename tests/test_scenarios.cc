@@ -12,7 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <memory>
+#include <optional>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "apps/kv.hh"
@@ -75,12 +79,13 @@ TEST(Scenarios, OpenLoopKvAgainstStarWorldCompletes)
     EXPECT_EQ(world.fabric->routeMisses(), 0u);
 }
 
-/** One generation run: returns the merged, canonically ordered trace
- *  and fills per-client copies plus per-client completion counts. */
+/** One run's dispatches, read back from the trace every client wrote
+ *  through one shared TraceWriter and put in canonical order, plus
+ *  per-client completion counts. */
 struct GenerationResult
 {
     std::vector<load::TraceRecord> merged;
-    std::vector<std::vector<load::TraceRecord>> perClient;
+    std::uint64_t dispatched = 0;
     std::vector<std::uint64_t> completed;
     std::vector<std::uint64_t> valueBytesReceived;
     std::vector<std::uint64_t> valueBytesSent;
@@ -88,7 +93,8 @@ struct GenerationResult
 
 GenerationResult
 runScenario(std::size_t num_clients, sim::Tick duration,
-            const std::vector<std::vector<load::TraceRecord>> *replay)
+            const std::vector<std::vector<load::TraceRecord>> *replay,
+            const std::string &trace_path)
 {
     testbed::StarConfig config;
     config.clients = num_clients;
@@ -97,6 +103,9 @@ runScenario(std::size_t num_clients, sim::Tick duration,
     apps::F4tSocketApi server_api = world.serverApi();
     apps::KvServerApp server(server_api, {});
     server.start();
+
+    load::TraceWriter writer;
+    EXPECT_TRUE(writer.open(trace_path, "replay-test", 0xABCD));
 
     std::vector<std::unique_ptr<apps::F4tSocketApi>> apis;
     std::vector<std::unique_ptr<load::OpenLoopClientApp>> clients;
@@ -113,6 +122,7 @@ runScenario(std::size_t num_clients, sim::Tick duration,
                                                         16384);
         ocfg.readFraction = 0.5;
         ocfg.startAt = sim::microsecondsToTicks(20);
+        ocfg.traceWriter = &writer;
         if (replay != nullptr)
             ocfg.replay = &(*replay)[i];
         clients.push_back(
@@ -124,13 +134,16 @@ runScenario(std::size_t num_clients, sim::Tick duration,
 
     GenerationResult result;
     for (auto &client : clients) {
-        result.perClient.push_back(client->recorded());
+        result.dispatched += client->dispatched();
         result.completed.push_back(client->completed());
         result.valueBytesReceived.push_back(client->valueBytesReceived());
         result.valueBytesSent.push_back(client->valueBytesSent());
-        for (const auto &r : client->recorded())
-            result.merged.push_back(r);
     }
+    EXPECT_TRUE(writer.close());
+    std::optional<load::TraceFile> trace = load::readTrace(trace_path);
+    EXPECT_TRUE(trace.has_value());
+    if (trace.has_value())
+        result.merged = std::move(trace->records);
     std::sort(result.merged.begin(), result.merged.end(),
               [](const load::TraceRecord &a, const load::TraceRecord &b) {
                   return std::tie(a.timePs, a.client, a.conn, a.valueBytes) <
@@ -143,30 +156,22 @@ TEST(Scenarios, TraceReplayReproducesFingerprintAndByteCounts)
 {
     constexpr std::size_t num_clients = 2;
     const sim::Tick duration = sim::microsecondsToTicks(700);
+    std::string path = ::testing::TempDir() + "/f4t_scenario_replay.flows";
 
-    GenerationResult original = runScenario(num_clients, duration, nullptr);
+    // The generation run records through the file format, so its
+    // trace has already round-tripped when it is split per client.
+    GenerationResult original =
+        runScenario(num_clients, duration, nullptr, path);
     std::uint64_t original_fp = load::traceFingerprint(original.merged);
     ASSERT_GT(original.merged.size(), 0u);
-
-    // Round-trip the merged trace through the file format, then split
-    // it back per client for replay.
-    std::string path = ::testing::TempDir() + "/f4t_scenario_replay.flows";
-    load::TraceWriter writer;
-    ASSERT_TRUE(writer.open(path, "replay-test", 0xABCD));
-    for (const auto &r : original.merged)
-        writer.append(r);
-    ASSERT_TRUE(writer.close());
-
-    auto parsed = load::readTrace(path);
-    ASSERT_TRUE(parsed.has_value());
-    ASSERT_EQ(parsed->records.size(), original.merged.size());
+    ASSERT_EQ(original.merged.size(), original.dispatched);
 
     std::vector<std::vector<load::TraceRecord>> per_client(num_clients);
-    for (const auto &r : parsed->records)
+    for (const auto &r : original.merged)
         per_client[r.client].push_back(r);
 
     GenerationResult replayed =
-        runScenario(num_clients, duration, &per_client);
+        runScenario(num_clients, duration, &per_client, path);
 
     EXPECT_EQ(load::traceFingerprint(replayed.merged), original_fp)
         << "replay dispatched a different request stream";

@@ -142,7 +142,8 @@ TEST(ClockedObject, TicksEveryCycleUntilIdle)
         int remaining = 5;
         std::vector<Cycles> cycles;
         Ticker(Simulation &sim)
-            : ClockedObject(sim, "ticker", sim.engineClock())
+            : ClockedObject(sim, "ticker", sim.engineClock(),
+                            prof::Cat::otherEvent)
         {}
         bool
         tick() override

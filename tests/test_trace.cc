@@ -117,7 +117,7 @@ TEST(TraceFlags, ProbeLinesAreLabelledAndTickStamped)
     {
         sim::Simulation sim;
         sim::SimObject pcie(sim, "test.pcie");
-        sim.queue().scheduleCallback(1234, "test.emit", [&] {
+        sim.queue().scheduleCallback(1234, [&] {
             pcie.probe(Kind::pcieDma, 7, 64, 1);
             pcie.probe(Kind::pcieDoorbell, 0);
             pcie.probe(Kind::linkTx, 7, 99); // not selected
@@ -156,7 +156,7 @@ TEST(TraceHooks, CurrentSimTickFollowsSimulationLifetime)
         ASSERT_TRUE(sim::detail::currentSimTick(tick));
         EXPECT_EQ(tick, 0u);
 
-        outer.queue().scheduleCallback(777, "test.noop", [] {});
+        outer.queue().scheduleCallback(777, [] {});
         outer.runFor(777);
         ASSERT_TRUE(sim::detail::currentSimTick(tick));
         EXPECT_EQ(tick, outer.now());
@@ -251,7 +251,7 @@ TEST(TraceEventSink, ProbesDrawTheirKindsCategory)
         sim::Simulation sim;
         sim.setTimeline(&sink);
         sim::SimObject obj(sim, "test.obj");
-        sim.queue().scheduleCallback(2'000'000, "test.emit", [&] {
+        sim.queue().scheduleCallback(2'000'000, [&] {
             obj.probeSpan(Kind::pcieDma, 0, 64, 0, 1'000'000, 3'000'000);
             obj.probe(Kind::timerFire, 5, 1);
             obj.probe(Kind::rxParse, 5, 100, 0); // no timeline category
@@ -352,7 +352,7 @@ TEST(StatSampler, CsvTimeSeriesAndJsonSnapshot)
 
         gauge = 1.5;
         hidden = 9.0;
-        sim.queue().scheduleCallback(4500, "test.bump", [&] {
+        sim.queue().scheduleCallback(4500, [&] {
             gauge = 4.0;
             ticks += 3;
         });
@@ -399,7 +399,7 @@ TEST(StatSampler, MissingStatLeavesEmptyCell)
         sampler.selectStats("test.*");
         sampler.setCsvPath(csv_path);
         sampler.start();
-        sim.queue().scheduleCallback(2500, "test.drop", [&] {
+        sim.queue().scheduleCallback(2500, [&] {
             departing.reset();
         });
         sim.runFor(4'000);
