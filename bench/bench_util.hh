@@ -14,6 +14,7 @@
 #ifndef F4T_BENCH_BENCH_UTIL_HH
 #define F4T_BENCH_BENCH_UTIL_HH
 
+#include <algorithm>
 #include <cctype>
 #include <chrono>
 #include <cstdio>
@@ -156,12 +157,13 @@ mrps(std::uint64_t count, sim::Tick window)
  * Binaries that build several simulations or links get index-suffixed
  * files: timeline.json, timeline.1.json, ... in construction order.
  *
- * A malformed capture flag — a value flag with no value, --profile=X,
- * a --stat-sample interval that is not a number in range, an output
- * path whose directory is missing or not writable — prints usage and
- * exits 2 before anything simulates. A capture that still cannot be
- * written when its simulation or link is set up or torn down exits 1.
- * Every other argument passes through untouched.
+ * A malformed capture flag — a value flag with no value, a flag given
+ * twice (only --trace= may repeat: its patterns accumulate),
+ * --profile=X, a --stat-sample interval that is not a number in range,
+ * an output path whose directory is missing or not writable — prints
+ * usage and exits 2 before anything simulates. A capture that still
+ * cannot be written when its simulation or link is set up or torn down
+ * exits 1. Every other argument passes through untouched.
  */
 class Obs
 {
@@ -234,6 +236,7 @@ class Obs
     parseArgs(int &argc, char **argv)
     {
         int out = 1;
+        std::vector<std::string_view> seen;
         for (int i = 1; i < argc; ++i) {
             std::string_view arg = argv[i];
             std::size_t eq = arg.find('=');
@@ -246,6 +249,11 @@ class Obs
                                                           : nullptr;
             bool has_value =
                 eq != std::string_view::npos && eq + 1 < arg.size();
+            if (dest != nullptr || name == "--profile") {
+                if (std::find(seen.begin(), seen.end(), name) != seen.end())
+                    usageError(name, "given twice");
+                seen.push_back(name);
+            }
             if (name == "--profile") {
                 if (eq != std::string_view::npos)
                     usageError(arg, "takes no value");

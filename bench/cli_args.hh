@@ -3,17 +3,18 @@
  * Strict command-line parsing for binaries that take their own flags
  * (after bench::Obs has stripped its capture flags).
  *
- * Declare each flag, then parse(). An unknown flag, a flag with its
- * value missing, a number that is not a plain non-negative integer in
- * range (decimal, or hex after 0x), an output path that cannot be
- * written, or a positional argument the binary does not take prints
- * the problem and the usage line and exits 2, before the binary
- * simulates anything.
+ * Declare each flag, then parse(). An unknown flag, a flag given
+ * twice, a flag with its value missing, a number that is not a plain
+ * non-negative integer in range (decimal, or hex after 0x), an output
+ * path that cannot be written, or a positional argument the binary
+ * does not take prints the problem and the usage line and exits 2,
+ * before the binary simulates anything.
  */
 
 #ifndef F4T_BENCH_CLI_ARGS_HH
 #define F4T_BENCH_CLI_ARGS_HH
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstdint>
@@ -133,6 +134,7 @@ class CliArgs
     parse(int argc, char **argv,
           std::vector<std::string> *positionals = nullptr) const
     {
+        std::vector<const Option *> seen;
         for (int i = 1; i < argc; ++i) {
             std::string arg = argv[i];
             if (arg.empty() || arg[0] != '-') {
@@ -144,6 +146,9 @@ class CliArgs
             const Option *option = find(arg);
             if (option == nullptr)
                 fail("unknown flag '" + arg + "'");
+            if (std::find(seen.begin(), seen.end(), option) != seen.end())
+                fail(arg + " given twice");
+            seen.push_back(option);
             const char *value = nullptr;
             if (option->takesValue) {
                 if (i + 1 >= argc || argv[i + 1][0] == '\0' ||
@@ -155,6 +160,28 @@ class CliArgs
             if (!problem.empty())
                 fail(problem);
         }
+    }
+
+    /** Digits only (after an optional 0x), no sign, space or suffix,
+     *  and at most @p max. */
+    static bool
+    parseNumber(const char *text, std::uint64_t max, std::uint64_t &out)
+    {
+        int base = 10;
+        if (text[0] == '0' && (text[1] == 'x' || text[1] == 'X')) {
+            base = 16;
+            text += 2;
+        }
+        auto first = static_cast<unsigned char>(text[0]);
+        if (base == 10 ? !std::isdigit(first) : !std::isxdigit(first))
+            return false;
+        errno = 0;
+        char *end = nullptr;
+        unsigned long long value = std::strtoull(text, &end, base);
+        if (*end != '\0' || errno == ERANGE || value > max)
+            return false;
+        out = value;
+        return true;
     }
 
     /** Print @p problem and the usage line, then exit 2. */
@@ -183,27 +210,6 @@ class CliArgs
                 return &option;
         }
         return nullptr;
-    }
-
-    /** Digits only (after an optional 0x), no sign, space or suffix. */
-    static bool
-    parseNumber(const char *text, std::uint64_t max, std::uint64_t &out)
-    {
-        int base = 10;
-        if (text[0] == '0' && (text[1] == 'x' || text[1] == 'X')) {
-            base = 16;
-            text += 2;
-        }
-        auto first = static_cast<unsigned char>(text[0]);
-        if (base == 10 ? !std::isdigit(first) : !std::isxdigit(first))
-            return false;
-        errno = 0;
-        char *end = nullptr;
-        unsigned long long value = std::strtoull(text, &end, base);
-        if (*end != '\0' || errno == ERANGE || value > max)
-            return false;
-        out = value;
-        return true;
     }
 
     std::string program_;

@@ -40,14 +40,11 @@ namespace f4t::testbed
  * Simulation and advances on its global queue: the determinism oracle.
  * Partitioned, each side is its own Simulation, the cable between the
  * sides crosses partitions with its propagation delay as lookahead,
- * and a ParallelExecutor with @c threads workers (0 = one per
- * partition) advances them. Simulated results do not depend on
- * @c threads.
+ * and a ParallelExecutor advances them window by window.
  */
 struct Placement
 {
     bool partitioned = false;
-    std::size_t threads = 0;
 };
 
 /**
@@ -63,8 +60,7 @@ struct WorldKernel
           partitionB_(placement.partitioned
                           ? std::make_unique<sim::Simulation>()
                           : nullptr),
-          sideB_(partitionB_ ? *partitionB_ : sim),
-          executor(placement.threads)
+          sideB_(partitionB_ ? *partitionB_ : sim)
     {}
 
     /** Advance the world to @p limit (see Simulation::run and
@@ -104,8 +100,6 @@ struct WorldKernel
         executor.addPartition(sim, name_a);
         executor.addPartition(sideB_, name_b);
         cable.registerChannels(executor);
-        // Partition 0's registry: the coordinator runs side A and
-        // refreshes these scalars between windows.
         executor.registerStats(sim.stats());
     }
 

@@ -192,14 +192,24 @@ struct StarWorld : WorldKernel
     std::unique_ptr<lib::F4tRuntime> serverRuntime;
 };
 
-/** Constructor shim for callers that name the partitioned star by type
- *  (StarWorld with a partitioned Placement). */
+/**
+ * Constructor shim for callers that name the partitioned star by type
+ * (StarWorld with a partitioned Placement). @p threads is accepted
+ * only because perfbench/runner.cc still passes its --threads value;
+ * every run uses the caller's one thread. ROADMAP item 8 deletes the
+ * shim with that flag.
+ */
 struct ParallelStarWorld : StarWorld
 {
     explicit ParallelStarWorld(const StarConfig &config = {},
-                               std::size_t threads = 0)
-        : StarWorld(config, Placement{true, threads})
-    {}
+                               std::size_t threads = 1)
+        : StarWorld(config, Placement{true})
+    {
+        if (threads > 1)
+            f4t_warn("ParallelStarWorld: %zu threads requested; the "
+                     "executor runs every partition on the calling thread",
+                     threads);
+    }
 
     sim::Simulation &simClients = sim;
 };

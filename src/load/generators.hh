@@ -9,7 +9,7 @@
  * id (substreamSeed). A generator's sequence is therefore a pure
  * function of (seed, streamId, draw index) — independent of how many
  * other generators exist, the order their draws interleave in
- * simulated time, and how many worker threads advance the simulation.
+ * simulated time, and how the world is partitioned.
  * The statistical unit tests pin both the analytic moments and exact
  * reproducibility; the parallel differential relies on the
  * interleaving independence.

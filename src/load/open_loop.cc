@@ -41,6 +41,21 @@ OpenLoopClientApp::slotValueBytesReceived(std::size_t slot) const
 void
 OpenLoopClientApp::start()
 {
+    if (config_.replay != nullptr) {
+        const std::vector<TraceRecord> &records = *config_.replay;
+        for (std::size_t i = 0; i < records.size(); ++i) {
+            const TraceRecord &record = records[i];
+            if (record.client == config_.clientId &&
+                record.conn >= slots_.size())
+                f4t_fatal("open-loop client %u: replay record %zu "
+                          "(time_ps %llu) uses conn %u, but the client "
+                          "has %zu connections",
+                          config_.clientId, i,
+                          static_cast<unsigned long long>(record.timePs),
+                          record.conn, slots_.size());
+        }
+    }
+
     SocketApi::Handlers handlers;
     handlers.onConnected = [this](SocketApi::ConnId conn) {
         auto it = slotById_.find(conn);
@@ -153,8 +168,7 @@ OpenLoopClientApp::scheduleNextReplay()
             request.op = record.op;
             request.valueBytes = record.valueBytes;
             ++issued_;
-            std::size_t slot =
-                std::min<std::size_t>(record.conn, slots_.size() - 1);
+            std::size_t slot = record.conn;
             slots_[slot].pending.push_back(request);
             peakBacklog_ =
                 std::max(peakBacklog_, slots_[slot].pending.size());

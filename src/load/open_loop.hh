@@ -68,7 +68,8 @@ struct OpenLoopConfig
     double appCyclesPerRequest = 250.0;
 
     /** Replay this trace (records for clientId only) instead of
-     *  generating. Must outlive the app. */
+     *  generating. Must outlive the app. start() rejects (fatal) a
+     *  record of this client whose conn is not below connections. */
     const std::vector<TraceRecord> *replay = nullptr;
 
     /** Optional sinks; all may be null. Must outlive the app. */

@@ -22,6 +22,12 @@
  * value_bytes is the value payload size (response payload for GET,
  * request payload for SET). Lines are emitted in dispatch order, so
  * time_ps is non-decreasing.
+ *
+ * The reader is strict. The header must be line 1. Every other line is
+ * a comment (#), empty, or a record of exactly five blank-separated
+ * fields: time_ps a plain decimal u64; client, conn and value_bytes
+ * plain decimal u32s (no sign, no suffix); op GET or SET. A line
+ * longer than 255 bytes is an error, and every error names its line.
  */
 
 #ifndef F4T_LOAD_TRACE_HH
@@ -86,7 +92,8 @@ struct TraceFile
     std::vector<TraceRecord> records;
 };
 
-/** Parse a trace file; nullopt (with *error set) on malformed input. */
+/** Parse a trace file; nullopt on malformed input, with *error set to
+ *  "<path>:<line>: <problem>" (or "<path>: cannot open"). */
 std::optional<TraceFile> readTrace(const std::string &path,
                                    std::string *error = nullptr);
 

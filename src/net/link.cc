@@ -2,11 +2,9 @@
 
 #include "net/pcap_writer.hh"
 #include "sim/parallel.hh"
-#include "sim/spsc_mailbox.hh"
 #include "sim/trace.hh"
 
 #include <algorithm>
-#include <atomic>
 
 namespace f4t::net
 {
@@ -14,22 +12,19 @@ namespace f4t::net
 namespace
 {
 std::function<void(Link &)> linkObserver;
-/* Read from every partition worker; flipped only while the simulation
- * is quiescent (test setup), but atomic so the flip itself is not a
- * data race under tsan. */
-std::atomic<bool> batchingEnabled{true};
+bool batchingEnabled = true;
 }
 
 bool
 datapathBatchingEnabled()
 {
-    return batchingEnabled.load(std::memory_order_relaxed);
+    return batchingEnabled;
 }
 
 void
 setDatapathBatching(bool enabled)
 {
-    batchingEnabled.store(enabled, std::memory_order_relaxed);
+    batchingEnabled = enabled;
 }
 
 void
@@ -199,11 +194,9 @@ DeliveryPort::drainPending()
 
 /**
  * One direction's partition bridge: DeliveryTarget for the transmit
- * half, CrossChannel for the executor. A bounded SPSC mailbox of
- * (arrival tick, packet) entries is pushed in transmit order on the
- * sending partition's worker during a window; drainInto() replays them
- * into the receiving port on the coordinator at the barrier, while
- * every worker is parked.
+ * half, CrossChannel for the executor. The sending partition appends
+ * (arrival tick, packet) entries in transmit order during a window;
+ * drainInto() replays them into the receiving port at the barrier.
  *
  * The propagation delay is the lookahead: a packet sent at tick t
  * inside window [T, T+L] arrives at busyUntil + propagation >= t + L,
@@ -227,7 +220,7 @@ class LinkCrossing : public sim::CrossChannel, public DeliveryTarget
     void
     deliver(Packet &&pkt, sim::Tick arrival) override
     {
-        mailbox_.push(CrossEvent{arrival, std::move(pkt)});
+        pending_.push_back(CrossEvent{arrival, std::move(pkt)});
     }
 
     sim::Tick lookahead() const override { return lookahead_; }
@@ -235,17 +228,11 @@ class LinkCrossing : public sim::CrossChannel, public DeliveryTarget
     std::size_t
     drainInto() override
     {
-        return mailbox_.drain([this](CrossEvent &&event) {
+        for (CrossEvent &event : pending_)
             port_.deliver(std::move(event.pkt), event.arrival);
-        });
-    }
-
-    bool idle() const override { return mailbox_.empty(); }
-
-    std::uint64_t
-    spillsObserved() const override
-    {
-        return mailbox_.spillsObserved();
+        std::size_t delivered = pending_.size();
+        pending_.clear();
+        return delivered;
     }
 
   private:
@@ -257,15 +244,17 @@ class LinkCrossing : public sim::CrossChannel, public DeliveryTarget
 
     DeliveryPort &port_;
     sim::Tick lookahead_;
-    sim::SpscMailbox<CrossEvent> mailbox_;
+    /** This window's sends, in transmit order. */
+    std::vector<CrossEvent> pending_;
 };
 
 namespace
 {
 
 /** A crossing into @p port when it sits in another simulation than
- *  the sender; each one preallocates its mailbox ring, so a direct
- *  cable gets none. */
+ *  the sender. Only an executor drains a crossing, at its barriers, so
+ *  a direct cable (one simulation, no executor) delivers straight into
+ *  its port instead. */
 std::unique_ptr<LinkCrossing>
 crossingFor(const sim::Simulation &from, DeliveryPort &port,
             sim::Tick lookahead)

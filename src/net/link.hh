@@ -14,7 +14,7 @@
  * handoff to the sink). Each half lives in its own endpoint's
  * Simulation. When both ends share one, a direction delivers straight
  * into the receiving port; when they sit in different executor
- * partitions, a LinkCrossing mailbox carries the direction across and
+ * partitions, a LinkCrossing carries the direction across and
  * the propagation delay is exported as the conservative lookahead
  * (registerChannels). Both arrangements run the identical delivery
  * code on the identical (arrival, order) stream, which is what keeps
@@ -94,8 +94,8 @@ struct FaultModel
 
 /**
  * Where a transmit half sends its survivors: the receiving DeliveryPort
- * when both ends share a simulation, or a LinkCrossing mailbox that
- * replays into that port at the next window barrier.
+ * when both ends share a simulation, or a LinkCrossing that replays
+ * into that port at the next window barrier.
  */
 class DeliveryTarget
 {
@@ -307,8 +307,10 @@ class Link : public sim::SimObject
      * Process-wide hook observing the construction of direct (one
      * Simulation) cables, so a CLI layer (bench::Obs) can attach pcap
      * writers to every link a binary creates without per-bench
-     * plumbing. Split cables are skipped: their two directions send
-     * from different threads. Empty to uninstall.
+     * plumbing. Split cables are skipped: the executor runs one
+     * partition's whole window before the other's, so their two
+     * directions' records would reach the shared file out of tick
+     * order. Empty to uninstall.
      */
     static void setCreationObserver(std::function<void(Link &)> observer);
 

@@ -6,15 +6,9 @@ namespace f4t::net
 PayloadBufferPool &
 PayloadBufferPool::instance()
 {
-    // One pool per thread: each partition worker recycles through its
-    // own free list with no locking. Buffers migrate — a packet
-    // acquired on the sender's worker is released into the receiver's
-    // pool after crossing a partition mailbox — so ownership follows
-    // the buffer: each is its own heap allocation, owned by whichever
-    // free list parks it. A worker thread exiting therefore destroys
-    // only the buffers parked in *its* pool; anything still in flight
-    // is owned by a live PayloadBuffer and will retire into the
-    // releasing thread's pool.
+    // One pool per thread, so simulations on different threads never
+    // share a free list. Each buffer is its own heap allocation; a
+    // thread exiting frees only the buffers parked in its pool.
     static thread_local PayloadBufferPool pool;
     return pool;
 }

@@ -20,21 +20,16 @@
  * An empty buffer owns no pooled storage: control packets (pure ACKs,
  * SYN/FIN) never touch the pool.
  *
- * The pool is per-thread (one instance per partition worker), so the
- * hot acquire/release path stays lock-free under the parallel
- * executor. Buffers may be released into a different thread's pool
- * than they were acquired from — packets migrate across partition
- * mailboxes — which is safe because each buffer is an independent
- * heap allocation owned by whichever free list it is parked in (a
- * pool destructor frees only its parked buffers, so a worker thread
- * exiting cannot invalidate buffers that migrated elsewhere).
+ * The pool is per-thread, so simulations run on different threads
+ * (as some tests do) never share a free list and the hot
+ * acquire/release path takes no lock. A simulation's packets are
+ * acquired and released on the one thread that runs it.
  */
 
 #ifndef F4T_NET_PAYLOAD_BUFFER_HH
 #define F4T_NET_PAYLOAD_BUFFER_HH
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <initializer_list>
 #include <vector>
@@ -61,9 +56,7 @@ class PayloadBufferPool
     std::size_t allocated() const { return allocated_; }
     /** Buffers parked and ready for reuse. */
     std::size_t freeCount() const { return free_.size(); }
-    /** Constructed-here minus parked-here. Single-threaded this is
-     *  the live-buffer count; under partition migration a pool can
-     *  park buffers born elsewhere, so compare deltas on one thread. */
+    /** Constructed minus parked: the live-buffer count. */
     std::size_t outstanding() const { return allocated() - freeCount(); }
 
   private:
@@ -211,17 +204,9 @@ class PayloadBuffer
 
     /** Byte-copying PayloadBuffer copies since the last reset.
      *  Always 0 in checks-off builds. */
-    static std::uint64_t
-    copiesObserved()
-    {
-        return copyCount_.load(std::memory_order_relaxed);
-    }
+    static std::uint64_t copiesObserved() { return copyCount_; }
 
-    static void
-    resetCopyCount()
-    {
-        copyCount_.store(0, std::memory_order_relaxed);
-    }
+    static void resetCopyCount() { copyCount_ = 0; }
 
   private:
     static void
@@ -229,12 +214,13 @@ class PayloadBuffer
     {
         if constexpr (sim::checksEnabled) {
             if (size > 0)
-                copyCount_.fetch_add(1, std::memory_order_relaxed);
+                ++copyCount_;
         }
     }
 
-    /** Atomic: duplicate-fault copies happen on partition workers. */
-    static inline std::atomic<std::uint64_t> copyCount_{0};
+    /** Process-wide and unsynchronized: only one thread at a time may
+     *  run simulations that copy payloads. */
+    static inline std::uint64_t copyCount_ = 0;
 
     void
     releaseStorage()

@@ -48,7 +48,6 @@ StreamOracle::violation(std::string message)
 void
 StreamOracle::onSend(StreamId stream, std::span<const std::uint8_t> data)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     Stream &s = streams_[stream];
     for (std::uint8_t byte : data) {
         s.sentDigest = (s.sentDigest ^ byte) * fnvPrime;
@@ -61,7 +60,6 @@ void
 StreamOracle::onDeliver(StreamId stream,
                         std::span<const std::uint8_t> data)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     Stream &s = streams_[stream];
     for (std::uint8_t byte : data) {
         s.deliveredDigest = (s.deliveredDigest ^ byte) * fnvPrime;
@@ -91,14 +89,12 @@ StreamOracle::onDeliver(StreamId stream,
 void
 StreamOracle::setOutcome(StreamId conn, ConnOutcome outcome)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     outcomes_[conn] = outcome;
 }
 
 ConnOutcome
 StreamOracle::outcome(StreamId conn) const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     auto it = outcomes_.find(conn);
     return it == outcomes_.end() ? ConnOutcome::pending : it->second;
 }
@@ -106,7 +102,6 @@ StreamOracle::outcome(StreamId conn) const
 void
 StreamOracle::expectFullyDelivered(StreamId stream)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     auto it = streams_.find(stream);
     if (it == streams_.end())
         return; // nothing was ever sent: vacuously drained
@@ -124,7 +119,6 @@ StreamOracle::expectFullyDelivered(StreamId stream)
 std::uint64_t
 StreamOracle::sentBytes(StreamId stream) const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     auto it = streams_.find(stream);
     return it == streams_.end() ? 0 : it->second.sent;
 }
@@ -132,7 +126,6 @@ StreamOracle::sentBytes(StreamId stream) const
 std::uint64_t
 StreamOracle::deliveredBytes(StreamId stream) const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     auto it = streams_.find(stream);
     return it == streams_.end() ? 0 : it->second.delivered;
 }
@@ -140,7 +133,6 @@ StreamOracle::deliveredBytes(StreamId stream) const
 std::uint64_t
 StreamOracle::totalSentBytes() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     std::uint64_t total = 0;
     for (const auto &[id, s] : streams_)
         total += s.sent;
@@ -150,7 +142,6 @@ StreamOracle::totalSentBytes() const
 std::uint64_t
 StreamOracle::totalDeliveredBytes() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     std::uint64_t total = 0;
     for (const auto &[id, s] : streams_)
         total += s.delivered;
@@ -160,7 +151,6 @@ StreamOracle::totalDeliveredBytes() const
 std::uint64_t
 StreamOracle::ledgerDigest() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     std::uint64_t digest = fnvOffset;
     auto mix = [&digest](std::uint64_t value) {
         for (int i = 0; i < 8; ++i) {
@@ -183,7 +173,6 @@ StreamOracle::ledgerDigest() const
 std::string
 StreamOracle::report() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     if (violations_.empty())
         return "stream oracle: all checks passed";
     std::string out = format("stream oracle: %zu violation(s)",

@@ -26,7 +26,6 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -78,12 +77,7 @@ class StreamOracle
     std::uint64_t ledgerDigest() const;
 
     /** Post-run inspection only: call after traffic has stopped. */
-    bool
-    passed() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return violations_.empty();
-    }
+    bool passed() const { return violations_.empty(); }
     /** Post-run inspection only (returns a reference into the ledger). */
     const std::vector<std::string> &violations() const
     {
@@ -110,16 +104,6 @@ class StreamOracle
     static constexpr std::size_t maxViolations = 16;
 
     void violation(std::string message);
-
-    /**
-     * One oracle is shared by both ends of every tracked stream; under
-     * the parallel testbed those ends live in different partitions, so
-     * every public method serializes on this lock. The ledger itself
-     * stays deterministic — per-stream state is keyed data, and the
-     * digest is order-independent across streams — so cross-thread
-     * interleaving of *different* streams cannot change any result.
-     */
-    mutable std::mutex mutex_;
 
     // std::map: deterministic iteration order for ledgerDigest().
     std::map<StreamId, Stream> streams_;

@@ -47,8 +47,8 @@ struct ProfileReport
 /**
  * Build a report from a snapshot delta over @p wall_seconds. The
  * thread count is the number of threads that closed scopes in
- * @p delta (at least one), so coverage stays <= 100% at any worker
- * count.
+ * @p delta (at least one), so coverage stays <= 100% however many
+ * threads ran simulations.
  */
 ProfileReport makeProfileReport(const sim::prof::Snapshot &delta,
                                 double wall_seconds);

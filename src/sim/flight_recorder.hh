@@ -98,7 +98,7 @@ enum class Kind : std::uint8_t
     pcieDma,
     pcieDoorbell,
     parBarrier,
-    mailboxSpill,
+    mailboxSpill, ///< no writer: a crossing cannot spill
     mark,
     rxParse,
     rxDropUnknown,

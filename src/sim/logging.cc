@@ -2,9 +2,10 @@
 
 #include "sim/flight_recorder.hh"
 
-#include <atomic>
+#include <algorithm>
 #include <cstdarg>
 #include <cstdio>
+#include <iterator>
 #include <stdexcept>
 #include <vector>
 
@@ -14,10 +15,7 @@ namespace f4t::sim
 namespace
 {
 
-/* Atomic: read by every partition worker's inform() calls while a
- * harness thread may flip it. (The per-call fprintf is already
- * serialized by the C stream lock.) */
-std::atomic<bool> verboseFlag{true};
+bool verboseFlag = true;
 
 struct SimHook
 {
@@ -35,13 +33,13 @@ thread_local std::vector<SimHook> simHooks;
 void
 setVerbose(bool verbose)
 {
-    verboseFlag.store(verbose, std::memory_order_relaxed);
+    verboseFlag = verbose;
 }
 
 bool
 verbose()
 {
-    return verboseFlag.load(std::memory_order_relaxed);
+    return verboseFlag;
 }
 
 namespace detail
@@ -95,8 +93,14 @@ pushCurrentSim(const void *owner, TickFn now_fn)
 void
 popCurrentSim(const void *owner)
 {
-    std::erase_if(simHooks,
-                  [owner](const SimHook &h) { return h.owner == owner; });
+    // Only the innermost registration: the executor binds partitions
+    // whose constructors registered them on this same stack.
+    auto it = std::find_if(simHooks.rbegin(), simHooks.rend(),
+                           [owner](const SimHook &h) {
+                               return h.owner == owner;
+                           });
+    if (it != simHooks.rend())
+        simHooks.erase(std::next(it).base());
 }
 
 bool
@@ -122,7 +126,7 @@ warnImpl(const std::string &msg)
 void
 informImpl(const std::string &msg)
 {
-    if (!verboseFlag.load(std::memory_order_relaxed))
+    if (!verboseFlag)
         return;
     std::uint64_t tick;
     if (currentSimTick(tick))

@@ -39,10 +39,10 @@ std::string format(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
  * Simulation reference through every call site. Registrations form a
  * stack: the most recently constructed Simulation wins, and destroying
  * it exposes the one below (tests routinely run several simulations in
- * one process). The stack is thread-local, so partition workers never
- * race on it; the parallel executor (sim/parallel.hh) pushes a
- * partition's Simulation onto its worker's stack for the duration of
- * each window.
+ * one process). The stack is thread-local, so simulations run on
+ * different threads never race on it; the parallel executor
+ * (sim/parallel.hh) pushes each partition's Simulation onto the stack
+ * while that partition runs its share of a window.
  */
 using TickFn = std::uint64_t (*)(const void *owner);
 void pushCurrentSim(const void *owner, TickFn now_fn);

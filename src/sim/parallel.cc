@@ -20,11 +20,6 @@ partitionNow(const void *sim)
 
 } // namespace
 
-ParallelExecutor::~ParallelExecutor()
-{
-    stopWorkers();
-}
-
 void
 ParallelExecutor::addPartition(Simulation &sim, std::string name)
 {
@@ -73,27 +68,6 @@ ParallelExecutor::minNextEvent() const
     return next;
 }
 
-std::uint64_t
-ParallelExecutor::mailboxSpills() const
-{
-    std::uint64_t total = 0;
-    for (const CrossChannel *channel : channels_)
-        total += channel->spillsObserved();
-    return total;
-}
-
-std::vector<WorkerProfile>
-ParallelExecutor::workerProfiles() const
-{
-    std::vector<WorkerProfile> out(profiles_.size());
-    for (std::size_t i = 0; i < profiles_.size(); ++i) {
-        out[i].busyNs = profiles_[i].busyNs;
-        out[i].idleNs = profiles_[i].idleNs;
-        out[i].barrierNs = profiles_[i].barrierNs;
-    }
-    return out;
-}
-
 void
 ParallelExecutor::registerStats(StatRegistry &registry)
 {
@@ -109,7 +83,6 @@ ParallelExecutor::publishStats()
         return;
     stats_->windows = static_cast<double>(windows_);
     stats_->crossDelivered = static_cast<double>(crossDelivered_);
-    stats_->mailboxSpills = static_cast<double>(mailboxSpills());
 }
 
 Tick
@@ -121,15 +94,13 @@ ParallelExecutor::run(Tick limit)
                "from it)");
     if (!started_) {
         started_ = true;
-        profiles_.resize(effectiveThreads());
-        startWorkers();
         frModule_ = fr::internModule("parallel_executor");
     }
     const Tick window = lookahead();
     f4t_assert(window > 0 && window != maxTick,
                "parallel run needs at least one cross channel");
 
-    // A wedged window barrier makes no event progress, so the
+    // A wedged event makes no progress to the next barrier, so the
     // wall-clock watchdog turns would-be CI hangs into a flight
     // recorder dump plus a fast abort.
     fr::armWatchdog(fr::defaultWatchdogSeconds());
@@ -138,7 +109,7 @@ ParallelExecutor::run(Tick limit)
         for (CrossChannel *channel : channels_)
             crossDelivered_ += channel->drainInto();
 
-        // Mailboxes are empty now, so the next event anywhere is a
+        // Channels are empty now, so the next event anywhere is a
         // partition-local one. When there is none on this side of the
         // limit — idle gap reaching past it, or a full global drain —
         // fast-forward every partition's clock to the limit (no events
@@ -165,20 +136,11 @@ ParallelExecutor::run(Tick limit)
         runWindow(window_end);
         horizon_ = window_end;
         ++windows_;
-        // Workers are parked here (the barrier's happens-before edge),
-        // so cross-channel spill totals are stable to read.
         fr::record(fr::Kind::parBarrier, horizon_, frModule_, 0,
                    windows_, window_end);
         fr::beat();
-        std::uint64_t spills = mailboxSpills();
-        if (spills != frLastSpills_) {
-            fr::record(fr::Kind::mailboxSpill, horizon_, frModule_, 0,
-                       spills - frLastSpills_, spills);
-            frLastSpills_ = spills;
-        }
-        // Workers are parked at this point, so the coordinator may
-        // touch partition 0's registry: StatSampler series inside the
-        // next window read fresh executor counters.
+        // StatSampler series inside the next window read fresh
+        // executor counters.
         publishStats();
         if (window_end == limit)
             break;
@@ -189,112 +151,21 @@ ParallelExecutor::run(Tick limit)
 }
 
 void
-ParallelExecutor::runPartition(Partition &partition, Tick window_end)
-{
-    // Bind the partition as this thread's current simulation so log
-    // and trace tick prefixes stamp the right clock (the Simulation
-    // constructor bound it on the *constructing* thread only).
-    detail::pushCurrentSim(partition.sim, partitionNow);
-    partition.sim->run(window_end);
-    detail::popCurrentSim(partition.sim);
-}
-
-void
 ParallelExecutor::runWindow(Tick window_end)
 {
-    std::size_t threads = effectiveThreads();
-    // Per-window clock reads only while the self-profiler is on: the
-    // executor's own introspection must not tax un-profiled runs.
+    // Clock reads only while the self-profiler is on: the executor's
+    // own introspection must not tax un-profiled runs.
     const bool timed = prof::enabled();
-    if (threads <= 1 || workers_.empty()) {
-        std::uint64_t t0 = timed ? prof::detail::nowNs() : 0;
-        for (Partition &partition : partitions_)
-            runPartition(partition, window_end);
-        if (timed)
-            profiles_[0].busyNs += prof::detail::nowNs() - t0;
-        return;
-    }
-
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        windowEnd_ = window_end;
-        workersDone_ = 0;
-        ++windowSeq_;
-    }
-    startCv_.notify_all();
-
-    // The coordinator doubles as worker 0.
     std::uint64_t t0 = timed ? prof::detail::nowNs() : 0;
-    for (std::size_t i = 0; i < partitions_.size(); i += threads)
-        runPartition(partitions_[i], window_end);
-    std::uint64_t t1 = timed ? prof::detail::nowNs() : 0;
-    if (timed)
-        profiles_[0].busyNs += t1 - t0;
-
-    std::unique_lock<std::mutex> lock(mutex_);
-    doneCv_.wait(lock, [&] { return workersDone_ == workers_.size(); });
-    if (timed)
-        profiles_[0].barrierNs += prof::detail::nowNs() - t1;
-}
-
-void
-ParallelExecutor::startWorkers()
-{
-    std::size_t threads = effectiveThreads();
-    if (threads <= 1)
-        return;
-    workers_.reserve(threads - 1);
-    for (std::size_t w = 1; w < threads; ++w)
-        workers_.emplace_back([this, w] { workerLoop(w); });
-}
-
-void
-ParallelExecutor::stopWorkers()
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        shutdown_ = true;
+    for (Partition &partition : partitions_) {
+        // Bind the partition as the current simulation so log and
+        // trace tick prefixes stamp its clock.
+        detail::pushCurrentSim(partition.sim, partitionNow);
+        partition.sim->run(window_end);
+        detail::popCurrentSim(partition.sim);
     }
-    startCv_.notify_all();
-    for (std::thread &worker : workers_)
-        worker.join();
-    workers_.clear();
-}
-
-void
-ParallelExecutor::workerLoop(std::size_t worker_index)
-{
-    std::size_t threads = effectiveThreads();
-    std::uint64_t seen = 0;
-    while (true) {
-        bool timed = prof::enabled();
-        Tick window_end;
-        std::uint64_t park0 = timed ? prof::detail::nowNs() : 0;
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            startCv_.wait(lock, [&] {
-                return shutdown_ || windowSeq_ != seen;
-            });
-            if (shutdown_)
-                return;
-            seen = windowSeq_;
-            window_end = windowEnd_;
-        }
-        std::uint64_t t0 = timed ? prof::detail::nowNs() : 0;
-        if (timed)
-            profiles_[worker_index].idleNs += t0 - park0;
-        for (std::size_t i = worker_index; i < partitions_.size();
-             i += threads) {
-            runPartition(partitions_[i], window_end);
-        }
-        if (timed)
-            profiles_[worker_index].busyNs += prof::detail::nowNs() - t0;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            ++workersDone_;
-        }
-        doneCv_.notify_one();
-    }
+    if (timed)
+        profile_.busyNs += prof::detail::nowNs() - t0;
 }
 
 } // namespace f4t::sim

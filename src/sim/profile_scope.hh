@@ -32,10 +32,9 @@
  * Threading: accumulators are plain (non-atomic) per-thread blocks,
  * registered once in a global list and intentionally leaked so a
  * capture() can outlive the thread. capture() merges all blocks; call
- * it only when no profiled scope can be mid-flight on another thread.
- * The parallel executor's window barrier provides the happens-before
- * edge for its workers (they are parked between runs), so capturing
- * between run() calls is race-free, including under TSan.
+ * it only when no profiled scope can be mid-flight on another thread
+ * (a thread that ran a simulation and was joined is safe, including
+ * under TSan).
  */
 
 #ifndef F4T_SIM_PROFILE_SCOPE_HH
@@ -136,7 +135,7 @@ struct ThreadBlock
 struct BlockRegistry
 {
     std::mutex mutex;
-    /** Leaked on purpose: capture() may run after a worker exited. */
+    /** Leaked on purpose: capture() may run after a thread exited. */
     std::vector<ThreadBlock *> blocks;
 };
 
@@ -297,8 +296,7 @@ struct Snapshot
 /**
  * Merge every registered thread block. All-zero when not compiled in.
  * Caller contract: no profiled scope may be mid-flight on another
- * thread (between executor runs is safe — workers park at the window
- * barrier, whose mutex provides the happens-before edge).
+ * thread (after joining the threads that ran simulations is safe).
  */
 inline Snapshot
 capture()

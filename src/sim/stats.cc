@@ -180,7 +180,6 @@ Histogram::printJson(std::ostream &os) const
 StatBase *
 StatRegistry::find(const std::string &name) const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     auto it = stats_.find(name);
     return it == stats_.end() ? nullptr : it->second;
 }
@@ -188,7 +187,6 @@ StatRegistry::find(const std::string &name) const
 void
 StatRegistry::resetAll()
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     for (auto &[name, stat] : stats_)
         stat->reset();
 }
@@ -196,7 +194,6 @@ StatRegistry::resetAll()
 void
 StatRegistry::dump(std::ostream &os) const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     for (const auto &[name, stat] : stats_) {
         stat->print(os);
         os << "\n";
@@ -206,7 +203,6 @@ StatRegistry::dump(std::ostream &os) const
 void
 StatRegistry::dumpJson(std::ostream &os) const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     os << "{";
     const char *sep = "\n  ";
     for (const auto &[name, stat] : stats_) {
@@ -220,7 +216,6 @@ StatRegistry::dumpJson(std::ostream &os) const
 void
 StatRegistry::add(StatBase *stat)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     auto [it, inserted] = stats_.emplace(stat->name(), stat);
     f4t_assert(inserted, "duplicate statistic name '%s'",
                stat->name().c_str());
@@ -229,7 +224,6 @@ StatRegistry::add(StatBase *stat)
 void
 StatRegistry::remove(const StatBase *stat)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     stats_.erase(stat->name());
 }
 

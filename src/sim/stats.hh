@@ -18,7 +18,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -143,17 +142,8 @@ class Histogram : public StatBase
 };
 
 /**
- * Registry of all statistics belonging to one simulation.
- *
- * Threading contract under the parallel executor: each registry (and
- * every statistic registered with it) belongs to exactly one
- * partition, so stat *values* are only ever touched by the thread
- * currently running that partition — the window barrier provides the
- * happens-before edge between threads across windows, and increments
- * stay plain (no atomics on the hot path). Only the name map is
- * lock-protected, because objects may register or unregister
- * statistics from a worker thread mid-window (dynamically created
- * flows) while a harness thread walks another partition's registry.
+ * Registry of all statistics belonging to one simulation. Like the
+ * simulation, it is used from one thread at a time and takes no locks.
  */
 class StatRegistry
 {
@@ -175,23 +165,17 @@ class StatRegistry
     /** Machine-readable dump: one JSON object keyed by stat name. */
     void dumpJson(std::ostream &os) const;
 
-    /** Visit every statistic in name order. The registration lock is
-     *  held across the walk; @p fn must not register statistics. */
+    /** Visit every statistic in name order; @p fn must not register
+     *  or unregister statistics. */
     template <typename Fn>
     void
     forEach(Fn &&fn) const
     {
-        std::lock_guard<std::mutex> lock(mutex_);
         for (const auto &[name, stat] : stats_)
             fn(*stat);
     }
 
-    std::size_t
-    size() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return stats_.size();
-    }
+    std::size_t size() const { return stats_.size(); }
 
   private:
     friend class StatBase;
@@ -199,7 +183,6 @@ class StatRegistry
     void add(StatBase *stat);
     void remove(const StatBase *stat);
 
-    mutable std::mutex mutex_; ///< guards the name map, not the values
     std::map<std::string, StatBase *> stats_;
 };
 

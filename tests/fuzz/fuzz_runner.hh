@@ -38,7 +38,7 @@ enum class WorldKind
     enginePair,
     engineLinux,
     linuxPair,
-    /** The FtEngine pair with one partition per endpoint, 2 workers. */
+    /** The FtEngine pair with one partition per endpoint. */
     enginePairPartitioned,
 };
 
@@ -110,9 +110,6 @@ struct RunResult
     std::uint64_t ledgerDigest = 0;
     std::uint64_t deliveredBytes = 0;
     std::uint64_t auditRuns = 0; ///< invariant-audit sweeps that ran
-    /** Partitioned worlds only: FNV mix of everything thread scheduling
-     *  could perturb (clocks, event and window totals, crossings). */
-    std::uint64_t kernelFingerprint = 0;
     std::string failureReport;   ///< nonempty iff the run failed
 
     bool ok() const { return completed && oraclePassed; }
@@ -142,9 +139,7 @@ struct Fnv
 /**
  * Run @p sc over @p link until every connection settles or the
  * deadline passes. @p kernel is a Simulation or a world with
- * run(limit)/now() over either placement; between run() calls a
- * partitioned world's workers are parked, so reading client state is
- * safe.
+ * run(limit)/now() over either placement.
  */
 template <typename Kernel>
 RunResult
@@ -154,7 +149,7 @@ drive(Kernel &kernel, net::Link &link, apps::SocketApi &client_api,
 {
     net::StreamOracle oracle;
     // One ring per direction, stamped with that direction's clock: on
-    // a partitioned world each tap runs on its sender's worker thread.
+    // a partitioned world each tap runs in its sender's partition.
     net::LinkDirection &ab = link.aToB();
     net::LinkDirection &ba = link.bToA();
     TraceRing trace_ab, trace_ba;
@@ -232,20 +227,8 @@ runEnginePair(const Scenario &sc, testbed::Placement placement,
     auto server_api = world.apiB(0);
     WorldKind kind = placement.partitioned ? WorldKind::enginePairPartitioned
                                            : WorldKind::enginePair;
-    RunResult result = detail::drive(world, *world.link, client_api,
-                                     server_api, sc, toString(kind), mutate);
-    if (placement.partitioned) {
-        detail::Fnv fp;
-        fp.mix(result.ledgerDigest);
-        fp.mix(result.deliveredBytes);
-        fp.mix(world.sim.now());
-        fp.mix(world.simB.now());
-        fp.mix(world.executor.eventsProcessed());
-        fp.mix(world.executor.windowsRun());
-        fp.mix(world.executor.crossEventsDelivered());
-        result.kernelFingerprint = fp.value;
-    }
-    return result;
+    return detail::drive(world, *world.link, client_api, server_api, sc,
+                         toString(kind), mutate);
 }
 
 inline RunResult
@@ -256,7 +239,7 @@ runScenario(WorldKind kind, const Scenario &sc,
       case WorldKind::enginePair:
         return runEnginePair(sc, {}, mutate);
       case WorldKind::enginePairPartitioned:
-        return runEnginePair(sc, {true, 2}, mutate);
+        return runEnginePair(sc, {true}, mutate);
       case WorldKind::engineLinux: {
         core::EngineConfig config;
         config.numFpcs = 1;

@@ -4,8 +4,8 @@
  *
  * Each seed is a full differential run: the same generated scenario —
  * nonzero drop/duplicate/reorder rates included — executes on the
- * FtEngine pair (in one Simulation and partitioned at 2 executor
- * workers), the FtEngine-vs-Linux pair, and the Linux pair, and the
+ * FtEngine pair (in one Simulation and partitioned into two executor
+ * partitions), the FtEngine-vs-Linux pair, and the Linux pair, and the
  * four ledgers must agree byte-for-byte. The corpus seeds are fixed
  * so CI is deterministic; `fuzz_sweep` explores fresh seeds.
  *

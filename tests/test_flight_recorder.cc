@@ -11,7 +11,8 @@
  * fork would not carry a live thread across. FlightRecorderParallel
  * matches the tsan preset's test filter, putting the lock-free ring's
  * cross-thread paths under the race detector; the timing-sensitive
- * watchdog suites deliberately do not match it.
+ * watchdog suites, the death tests included, deliberately do not
+ * match it.
  */
 
 #include <gtest/gtest.h>
@@ -102,7 +103,6 @@ struct IdleChannel : sim::CrossChannel
     explicit IdleChannel(Tick la) : la_(la) {}
     Tick lookahead() const override { return la_; }
     std::size_t drainInto() override { return 0; }
-    bool idle() const override { return true; }
     Tick la_;
 };
 
@@ -163,11 +163,11 @@ TEST(FlightRecorderDeathTest, ParallelBarrierStallTriggersWatchdogDump)
     fr::clear();
 
     // The wedge event sleeps far past the 0.25 s watchdog default set
-    // at static init: the window barrier never completes, no beat
+    // at static init: the window never reaches its barrier, no beat
     // arrives, and the executor's armed watchdog dumps and aborts.
     auto stall = [] {
         sim::Simulation pa, pb;
-        sim::ParallelExecutor ex(1);
+        sim::ParallelExecutor ex;
         ex.addPartition(pa, "a");
         ex.addPartition(pb, "b");
         IdleChannel ch(1'000);

@@ -1,81 +1,26 @@
 /**
  * @file
  * Unit tests for the conservative parallel kernel building blocks:
- * the SPSC mailbox, the event-queue lower bound, the executor's
- * window/barrier mechanics, and cross-partition delivery through a
- * net::Link split between two partitions — all at the level below the
- * full-stack differential fuzzer
- * (tests/fuzz/test_parallel_differential.cc).
+ * the event-queue lower bound, the executor's window/barrier
+ * mechanics, and cross-partition delivery through a net::Link split
+ * between two partitions — all at the level below the full-stack
+ * differential fuzzer (tests/fuzz/test_parallel_differential.cc).
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <thread>
 #include <vector>
 
 #include "net/link.hh"
 #include "sim/parallel.hh"
 #include "sim/simulation.hh"
-#include "sim/spsc_mailbox.hh"
 
 namespace
 {
 
 using namespace f4t;
 using sim::Tick;
-
-// --- SpscMailbox ---------------------------------------------------------
-
-TEST(SpscMailbox, DrainsInPushOrder)
-{
-    sim::SpscMailbox<int> box(8);
-    for (int i = 0; i < 5; ++i)
-        box.push(int(i));
-    std::vector<int> seen;
-    EXPECT_EQ(box.drain([&](int &&v) { seen.push_back(v); }), 5u);
-    EXPECT_EQ(seen, (std::vector<int>{0, 1, 2, 3, 4}));
-    EXPECT_TRUE(box.empty());
-}
-
-TEST(SpscMailbox, OverflowSpillsAndKeepsOrder)
-{
-    sim::SpscMailbox<int> box(4);
-    for (int i = 0; i < 11; ++i)
-        box.push(int(i));
-    EXPECT_GT(box.spillsObserved(), 0u);
-    std::vector<int> seen;
-    EXPECT_EQ(box.drain([&](int &&v) { seen.push_back(v); }), 11u);
-    for (int i = 0; i < 11; ++i)
-        EXPECT_EQ(seen[i], i);
-    EXPECT_TRUE(box.empty());
-    // The ring is free again after the drain.
-    box.push(42);
-    EXPECT_EQ(box.drain([&](int &&v) { EXPECT_EQ(v, 42); }), 1u);
-}
-
-TEST(SpscMailbox, CrossThreadHandoff)
-{
-    sim::SpscMailbox<std::uint64_t> box(1024);
-    constexpr std::uint64_t rounds = 200;
-    std::uint64_t received = 0, expect = 0;
-    bool in_order = true;
-    for (std::uint64_t round = 0; round < rounds; ++round) {
-        // One "window": a producer thread pushes, joins (the barrier),
-        // then the consumer drains.
-        std::thread producer([&box, round] {
-            for (std::uint64_t i = 0; i < 17; ++i)
-                box.push(round * 17 + i);
-        });
-        producer.join();
-        received += box.drain([&](std::uint64_t &&v) {
-            in_order = in_order && v == expect;
-            ++expect;
-        });
-    }
-    EXPECT_TRUE(in_order);
-    EXPECT_EQ(received, rounds * 17);
-}
 
 // --- EventQueue::nextEventLowerBound -------------------------------------
 
@@ -137,7 +82,6 @@ struct StubChannel : sim::CrossChannel
         pending.clear();
         return n;
     }
-    bool idle() const override { return pending.empty(); }
     Tick la_;
     std::vector<std::function<void()>> pending;
 };
@@ -145,7 +89,7 @@ struct StubChannel : sim::CrossChannel
 TEST(ParallelExecutor, WindowsDerivedFromMinLookahead)
 {
     sim::Simulation pa, pb;
-    sim::ParallelExecutor ex(1);
+    sim::ParallelExecutor ex;
     ex.addPartition(pa, "a");
     ex.addPartition(pb, "b");
     StubChannel wide(10'000), narrow(2'000);
@@ -177,7 +121,7 @@ TEST(ParallelExecutor, WindowsDerivedFromMinLookahead)
 TEST(ParallelExecutor, StopsOnGlobalDrainAndJumpsIdleGaps)
 {
     sim::Simulation pa, pb;
-    sim::ParallelExecutor ex(1);
+    sim::ParallelExecutor ex;
     ex.addPartition(pa, "a");
     ex.addPartition(pb, "b");
     StubChannel ch(1'000);
@@ -203,7 +147,7 @@ TEST(ParallelExecutor, StopsOnGlobalDrainAndJumpsIdleGaps)
 TEST(ParallelExecutor, CrossEventsDeliveredAtBarriers)
 {
     sim::Simulation pa, pb;
-    sim::ParallelExecutor ex(2);
+    sim::ParallelExecutor ex;
     ex.addPartition(pa, "a");
     ex.addPartition(pb, "b");
     StubChannel ch(5'000);
@@ -223,6 +167,40 @@ TEST(ParallelExecutor, CrossEventsDeliveredAtBarriers)
     ASSERT_EQ(deliveries.size(), 1u);
     EXPECT_EQ(deliveries[0], 5'100u);
     EXPECT_EQ(ex.crossEventsDelivered(), 1u);
+}
+
+TEST(ParallelExecutor, RunsEveryPartitionOnTheCallingThread)
+{
+    sim::Simulation pa, pb;
+    sim::ParallelExecutor ex;
+    ex.addPartition(pa, "a");
+    ex.addPartition(pb, "b");
+    StubChannel ch(1'000);
+    ex.addChannel(ch);
+
+    // Each event also reads the log tick stamp, which must be its own
+    // partition's clock: A runs its whole window (to 1'100) before B.
+    std::thread::id ran_a, ran_b;
+    std::uint64_t stamp_a = 0, stamp_b = 0;
+    pa.queue().scheduleCallback(100, [&] {
+        ran_a = std::this_thread::get_id();
+        sim::detail::currentSimTick(stamp_a);
+    });
+    pb.queue().scheduleCallback(200, [&] {
+        ran_b = std::this_thread::get_id();
+        sim::detail::currentSimTick(stamp_b);
+    });
+    ex.run(10'000);
+    EXPECT_EQ(ran_a, std::this_thread::get_id());
+    EXPECT_EQ(ran_b, std::this_thread::get_id());
+    EXPECT_EQ(stamp_a, 100u);
+    EXPECT_EQ(stamp_b, 200u);
+
+    // Unbinding a partition keeps the registration its constructor
+    // made: the innermost simulation, pb, still stamps the logs.
+    std::uint64_t stamp = 0;
+    ASSERT_TRUE(sim::detail::currentSimTick(stamp));
+    EXPECT_EQ(stamp, pb.now());
 }
 
 // --- Split net::Link end-to-end -------------------------------------------
@@ -255,68 +233,36 @@ TEST(LinkCrossingDeathTest, RegisterChannelsOnDirectCableDies)
 {
     sim::Simulation sim;
     net::Link link(sim, "cable", 100e9, sim::nanosecondsToTicks(500));
-    sim::ParallelExecutor ex(1);
+    sim::ParallelExecutor ex;
     EXPECT_DEATH(link.registerChannels(ex), "only a split cable");
 }
 
 TEST(ParallelLink, DeliversAcrossPartitionsAtModeledArrival)
 {
-    for (std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-        sim::Simulation pa, pb;
-        net::Link link(pa, pb, "cable", 100e9,
-                       sim::nanosecondsToTicks(500));
-        RecordingSink sink_a(pa), sink_b(pb);
-        link.connect(sink_a, sink_b);
+    sim::Simulation pa, pb;
+    net::Link link(pa, pb, "cable", 100e9, sim::nanosecondsToTicks(500));
+    RecordingSink sink_a(pa), sink_b(pb);
+    link.connect(sink_a, sink_b);
 
-        sim::ParallelExecutor ex(threads);
-        ex.addPartition(pa, "a");
-        ex.addPartition(pb, "b");
-        link.registerChannels(ex);
+    sim::ParallelExecutor ex;
+    ex.addPartition(pa, "a");
+    ex.addPartition(pb, "b");
+    link.registerChannels(ex);
 
-        pa.queue().scheduleCallback(0, [&] {
-            link.aToB().send(makePacket(1000));
-            link.aToB().send(makePacket(1000));
-        });
-        ex.run(sim::microsecondsToTicks(10));
+    pa.queue().scheduleCallback(0, [&] {
+        link.aToB().send(makePacket(1000));
+        link.aToB().send(makePacket(1000));
+    });
+    ex.run(sim::microsecondsToTicks(10));
 
-        ASSERT_EQ(sink_b.arrivals.size(), 2u);
-        EXPECT_EQ(sink_b.bytes, 2000u);
-        // Never before the modeled wire time: serialization of one
-        // 1000 B frame at 100 Gbps ≈ 82 ns, propagation 500 ns.
-        EXPECT_GE(sink_b.arrivals[0], sim::nanosecondsToTicks(500));
-        EXPECT_LE(sink_b.arrivals[0], sink_b.arrivals[1]);
-        EXPECT_EQ(link.aToB().packetsSent(), 2u);
-        EXPECT_TRUE(sink_a.arrivals.empty());
-    }
-}
-
-TEST(ParallelLink, ThreadCountInvariantDeliverySchedule)
-{
-    auto run = [](std::size_t threads) {
-        sim::Simulation pa, pb;
-        net::Link link(pa, pb, "cable", 100e9,
-                       sim::nanosecondsToTicks(500));
-        RecordingSink sink_a(pa), sink_b(pb);
-        link.connect(sink_a, sink_b);
-        sim::ParallelExecutor ex(threads);
-        ex.addPartition(pa, "a");
-        ex.addPartition(pb, "b");
-        link.registerChannels(ex);
-
-        // A paced train: one frame every 2 µs for 40 µs, so deliveries
-        // span many windows.
-        for (int i = 0; i < 20; ++i) {
-            pa.queue().scheduleCallback(
-                sim::microsecondsToTicks(2 * i),
-                [&] { link.aToB().send(makePacket(512)); });
-        }
-        ex.run(sim::microsecondsToTicks(100));
-        return sink_b.arrivals;
-    };
-    auto solo = run(1);
-    auto multi = run(2);
-    EXPECT_EQ(solo.size(), 20u);
-    EXPECT_EQ(solo, multi); // tick-exact, not just byte-exact
+    ASSERT_EQ(sink_b.arrivals.size(), 2u);
+    EXPECT_EQ(sink_b.bytes, 2000u);
+    // Never before the modeled wire time: serialization of one
+    // 1000 B frame at 100 Gbps ≈ 82 ns, propagation 500 ns.
+    EXPECT_GE(sink_b.arrivals[0], sim::nanosecondsToTicks(500));
+    EXPECT_LE(sink_b.arrivals[0], sink_b.arrivals[1]);
+    EXPECT_EQ(link.aToB().packetsSent(), 2u);
+    EXPECT_TRUE(sink_a.arrivals.empty());
 }
 
 } // namespace

@@ -3,13 +3,13 @@
  * Unit tests for the wall-clock self-profiler (sim/profile_scope.hh,
  * obs/profiler.hh) and the ParallelExecutor runtime introspection it
  * feeds: scope self-time accounting, the categories events declare,
- * attribution-vs-wall coverage, thread-local merge across executor
- * workers, the registerStats() scalars that are available even
- * without a profiling build, and the run-metadata block that result
- * files carry.
+ * attribution-vs-wall coverage, thread-local merge across threads
+ * that each run a simulation, the registerStats() scalars that are
+ * available even without a profiling build, and the run-metadata
+ * block that result files carry.
  *
- * The parallel suites are named Profiler*Parallel* so the tsan preset
- * picks them up alongside the other barrier/mailbox tests.
+ * ProfilerParallel matches the tsan preset's test filter: two of its
+ * tests run simulations on two threads at once.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/kv.hh"
@@ -358,16 +359,15 @@ struct IdleChannel : sim::CrossChannel
     explicit IdleChannel(Tick la) : la_(la) {}
     Tick lookahead() const override { return la_; }
     std::size_t drainInto() override { return 0; }
-    bool idle() const override { return true; }
     Tick la_;
 };
 
 /** Two partitions with self-rescheduling ticks charged to fpc_exec
- *  and app, two workers. */
+ *  and app. */
 struct TwoPartitionWorld
 {
     sim::Simulation pa, pb;
-    sim::ParallelExecutor ex{2};
+    sim::ParallelExecutor ex;
     IdleChannel channel{2'000};
     int ticksA = 0, ticksB = 0;
     std::function<void()> tickA, tickB;
@@ -406,28 +406,48 @@ TEST(ProfilerParallel, StatsPublishedWithoutProfiling)
     EXPECT_EQ(world.ticksB, 101);
 
     sim::StatBase *windows = world.pa.stats().find("executor.windows");
-    sim::StatBase *spills =
-        world.pa.stats().find("executor.mailboxSpills");
     sim::StatBase *crossed =
         world.pa.stats().find("executor.crossDelivered");
     ASSERT_NE(windows, nullptr);
-    ASSERT_NE(spills, nullptr);
     ASSERT_NE(crossed, nullptr);
     EXPECT_EQ(windows->sampleValue(),
               static_cast<double>(world.ex.windowsRun()));
     EXPECT_GE(world.ex.windowsRun(), 5u);
-    EXPECT_EQ(spills->sampleValue(),
-              static_cast<double>(world.ex.mailboxSpills()));
     EXPECT_EQ(crossed->sampleValue(),
               static_cast<double>(world.ex.crossEventsDelivered()));
 
-    // Unprofiled runs must not pay for worker timing: the profile
-    // rows exist (sized at startWorkers) but stay zero.
-    for (const sim::WorkerProfile &w : world.ex.workerProfiles()) {
-        EXPECT_EQ(w.busyNs, 0u);
-        EXPECT_EQ(w.idleNs, 0u);
-        EXPECT_EQ(w.barrierNs, 0u);
-    }
+    // Unprofiled runs must not pay for executor timing: the one
+    // profile row stays zero.
+    std::vector<sim::WorkerProfile> profiles = world.ex.workerProfiles();
+    ASSERT_EQ(profiles.size(), 1u);
+    EXPECT_EQ(profiles[0].busyNs, 0u);
+    EXPECT_EQ(profiles[0].idleNs, 0u);
+    EXPECT_EQ(profiles[0].barrierNs, 0u);
+}
+
+/** One Simulation ticking every 100 ticks on @p cat, run to 10'000 on
+ *  the calling thread: 101 categorized events. */
+void
+runTicker(prof::Cat cat)
+{
+    sim::Simulation sim;
+    std::function<void()> tick = [&] {
+        sim.queue().scheduleCallback(sim.now() + 100, cat, "tick",
+                                     [&] { tick(); });
+    };
+    sim.queue().scheduleCallback(0, cat, "tick", [&] { tick(); });
+    EXPECT_EQ(sim.run(10'000), 10'000u);
+}
+
+/** runTicker on two threads at once: fpc_exec on one, app on the
+ *  other. */
+void
+runTickersOnTwoThreads()
+{
+    std::thread a([] { runTicker(prof::Cat::fpcExec); });
+    std::thread b([] { runTicker(prof::Cat::app); });
+    a.join();
+    b.join();
 }
 
 TEST(ProfilerParallel, ThreadLocalMergeAcrossWorkers)
@@ -435,28 +455,17 @@ TEST(ProfilerParallel, ThreadLocalMergeAcrossWorkers)
     if (!prof::compiledIn)
         GTEST_SKIP() << "profiler compiled out";
     ProfilingOn guard;
-    TwoPartitionWorld world;
     prof::Snapshot before = prof::capture();
-    EXPECT_EQ(world.ex.run(10'000), 10'000u);
+    runTickersOnTwoThreads();
     prof::Snapshot delta = prof::since(before);
 
-    // Partition B ran on the worker thread; its events landed in that
-    // thread's block and capture() must see them merged with the
-    // coordinator's. Both partitions fired 101 categorized events.
+    // Each thread's events landed in its own block, and capture()
+    // must see both merged, each simulation's 101 events.
     EXPECT_GE(delta.count[static_cast<std::size_t>(prof::Cat::fpcExec)],
               101u);
     EXPECT_GE(delta.count[static_cast<std::size_t>(prof::Cat::app)],
               101u);
-
-    // Worker timing was live: every effective thread reports busy
-    // time, and only the coordinator reports barrier waits.
-    std::vector<sim::WorkerProfile> workers = world.ex.workerProfiles();
-    ASSERT_EQ(workers.size(), world.ex.effectiveThreads());
-    ASSERT_EQ(workers.size(), 2u);
-    EXPECT_GT(workers[0].busyNs, 0u);
-    EXPECT_GT(workers[1].busyNs, 0u);
-    EXPECT_EQ(workers[0].idleNs, 0u);
-    EXPECT_EQ(workers[1].barrierNs, 0u);
+    EXPECT_EQ(delta.threads(), 2u);
 }
 
 TEST(ProfilerParallel, SnapshotDeltaIsolatesConsecutiveRuns)
@@ -475,6 +484,11 @@ TEST(ProfilerParallel, SnapshotDeltaIsolatesConsecutiveRuns)
     std::size_t fpc = static_cast<std::size_t>(prof::Cat::fpcExec);
     EXPECT_GE(delta.count[fpc], 99u);
     EXPECT_LE(delta.count[fpc], 110u);
+
+    // The executor timed its partitions on the caller's thread.
+    std::vector<sim::WorkerProfile> profiles = world.ex.workerProfiles();
+    ASSERT_EQ(profiles.size(), 1u);
+    EXPECT_GT(profiles[0].busyNs, 0u);
 }
 
 TEST(ProfilerParallel, ReportCountsThreadsThatRan)
@@ -482,17 +496,16 @@ TEST(ProfilerParallel, ReportCountsThreadsThatRan)
     if (!prof::compiledIn)
         GTEST_SKIP() << "profiler compiled out";
     ProfilingOn guard;
-    TwoPartitionWorld world;
     prof::Snapshot before = prof::capture();
     auto wall0 = std::chrono::steady_clock::now();
-    EXPECT_EQ(world.ex.run(10'000), 10'000u);
+    runTickersOnTwoThreads();
     double wall = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - wall0)
                       .count();
 
-    // Both executor threads closed scopes in the interval, so the
-    // budget is two threads' wall time; each thread's self times are
-    // disjoint slices of its own wall time and cannot overfill it.
+    // Both threads closed scopes in the interval, so the budget is two
+    // threads' wall time; each thread's self times are disjoint slices
+    // of its own wall time and cannot overfill it.
     obs::ProfileReport report =
         obs::makeProfileReport(prof::since(before), wall);
     EXPECT_EQ(report.threads, 2u);
