@@ -163,8 +163,8 @@ KvServerApp::respond(SocketApi::ConnId conn, Conn &state,
         std::uint64_t &offset = state.getOffset[request.key];
         std::size_t start = state.out.size();
         state.out.resize(start + request.valueBytes);
-        for (std::uint32_t i = 0; i < request.valueBytes; ++i)
-            state.out[start + i] = kvValueByte(request.key, offset + i);
+        kvValueBytes(request.key, offset,
+                     std::span(state.out).subspan(start));
         if (config_.oracle != nullptr && request.valueBytes > 0) {
             config_.oracle->onSend(
                 kvGetStream(request.key),

@@ -73,11 +73,16 @@ void kvEncode(const KvHeader &header, std::vector<std::uint8_t> &out);
 /** Decode 16 header bytes; false when the magic doesn't match. */
 bool kvDecode(std::span<const std::uint8_t> bytes, KvHeader &out);
 
-/** Deterministic value byte at @p offset of key @p key's stream. */
-inline std::uint8_t
-kvValueByte(std::uint32_t key, std::uint64_t offset)
+/** Deterministic value bytes of key @p key's stream, one per byte of
+ *  @p out, starting at stream offset @p offset. */
+inline void
+kvValueBytes(std::uint32_t key, std::uint64_t offset,
+             std::span<std::uint8_t> out)
 {
-    return static_cast<std::uint8_t>((offset * 131 + key * 29 + 17) & 0xff);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+        out[i] = static_cast<std::uint8_t>(
+            ((offset + i) * 131 + key * 29 + 17) & 0xff);
+    }
 }
 
 /** Oracle stream ids: one simplex stream per key per direction. */

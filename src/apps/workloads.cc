@@ -5,12 +5,28 @@ namespace f4t::apps
 
 using tcp::CostCategory;
 
+namespace
+{
+
+/** @p bytes pattern bytes from stream offset 0. */
+std::vector<std::uint8_t>
+patternBytes(std::size_t bytes)
+{
+    std::vector<std::uint8_t> out(bytes);
+    for (std::size_t b = 0; b < bytes; ++b)
+        out[b] = patternByte(b);
+    return out;
+}
+
+} // namespace
+
 // ---------------------------------------------------------------------
 // BulkSenderApp
 // ---------------------------------------------------------------------
 
 BulkSenderApp::BulkSenderApp(SocketApi &api, const BulkSenderConfig &config)
-    : api_(api), config_(config), scratch_(config.requestBytes)
+    : api_(api), config_(config),
+      pattern_(patternBytes(config.requestBytes + patternPeriod))
 {}
 
 void
@@ -41,12 +57,12 @@ BulkSenderApp::pump()
         // Always attempt the send: a short or zero accept is what arms
         // the library's writable notification (pre-checking writable()
         // and parking would deadlock — nobody would wake us).
-        for (std::size_t b = 0; b < scratch_.size(); ++b)
-            scratch_[b] = patternByte(bytesSent_ + b);
         double cycles = config_.appCyclesPerRequest;
         api_.core().charge(CostCategory::application,
                            cycles > 1.0 ? cycles : 1.0);
-        std::size_t sent = api_.send(conn_, scratch_);
+        std::size_t sent = api_.send(
+            conn_, std::span(pattern_).subspan(bytesSent_ % patternPeriod,
+                                               config_.requestBytes));
         bytesSent_ += sent;
         if (sent < config_.requestBytes) {
             // Buffer full: the library will call onWritable once ACKs
@@ -125,7 +141,8 @@ BulkSinkApp::drain(SocketApi::ConnId conn)
 
 RoundRobinSenderApp::RoundRobinSenderApp(
     SocketApi &api, const RoundRobinSenderConfig &config)
-    : api_(api), config_(config), scratch_(config.requestBytes)
+    : api_(api), config_(config),
+      request_(patternBytes(config.requestBytes))
 {}
 
 void
@@ -155,14 +172,12 @@ RoundRobinSenderApp::pump()
          ++i) {
         SocketApi::ConnId conn = conns_[nextFlow_];
         nextFlow_ = (nextFlow_ + 1) % conns_.size();
-        for (std::size_t b = 0; b < scratch_.size(); ++b)
-            scratch_[b] = patternByte(b);
         double cycles = config_.appCyclesPerRequest;
         api_.core().charge(CostCategory::application,
                            cycles > 1.0 ? cycles : 1.0);
         // Attempt the send even when the buffer looks full so the
         // stack arms its writable notification.
-        std::size_t sent = api_.send(conn, scratch_);
+        std::size_t sent = api_.send(conn, request_);
         bytesSent_ += sent;
         if (sent < config_.requestBytes) {
             ++blocked_streak;
@@ -222,6 +237,7 @@ EchoServerApp::serve(SocketApi::ConnId conn)
 EchoClientApp::EchoClientApp(SocketApi &api, sim::Histogram *latency,
                              const EchoClientConfig &config)
     : api_(api), latency_(latency), config_(config),
+      message_(patternBytes(config.messageBytes)),
       scratch_(config.messageBytes)
 {}
 
@@ -257,14 +273,12 @@ EchoClientApp::fire(SocketApi::ConnId conn)
 {
     api_.core().charge(CostCategory::application,
                        config_.appCyclesPerMessage);
-    for (std::size_t b = 0; b < scratch_.size(); ++b)
-        scratch_[b] = patternByte(b);
     auto index = static_cast<std::size_t>(conn);
     if (index >= flights_.size())
         flights_.resize(index + 1);
     flights_[index] = Flight{true, api_.simulation().now(),
                              config_.messageBytes};
-    api_.send(conn, scratch_);
+    api_.send(conn, message_);
 }
 
 void

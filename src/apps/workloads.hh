@@ -31,6 +31,9 @@ patternByte(std::uint64_t offset)
     return static_cast<std::uint8_t>((offset * 131 + 17) & 0xff);
 }
 
+/** patternByte repeats every this many offsets. */
+inline constexpr std::size_t patternPeriod = 256;
+
 struct BulkSenderConfig
 {
     net::Ipv4Address peer;
@@ -63,7 +66,9 @@ class BulkSenderApp
     bool pumpScheduled_ = false;
     std::uint64_t requestsSent_ = 0;
     std::uint64_t bytesSent_ = 0;
-    std::vector<std::uint8_t> scratch_;
+    /** requestBytes + patternPeriod pattern bytes, written once: a
+     *  request is the window that starts at bytesSent_ % patternPeriod. */
+    std::vector<std::uint8_t> pattern_;
 };
 
 struct BulkSinkConfig
@@ -129,7 +134,8 @@ class RoundRobinSenderApp
     bool pumpScheduled_ = false;
     std::uint64_t requestsSent_ = 0;
     std::uint64_t bytesSent_ = 0;
-    std::vector<std::uint8_t> scratch_;
+    /** The request every send() passes, written once. */
+    std::vector<std::uint8_t> request_;
 };
 
 struct EchoServerConfig
@@ -203,6 +209,9 @@ class EchoClientApp
     std::vector<Flight> flights_;
     std::size_t connected_ = 0;
     std::uint64_t roundTrips_ = 0;
+    /** The message every fire() sends, written once. */
+    std::vector<std::uint8_t> message_;
+    /** Where onEcho() reads echoes; never sent from. */
     std::vector<std::uint8_t> scratch_;
 };
 

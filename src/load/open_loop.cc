@@ -241,10 +241,8 @@ OpenLoopClientApp::dispatch(std::size_t index, const Request &request)
     if (request.op == KvOp::set && request.valueBytes > 0) {
         std::size_t start = slot.out.size();
         slot.out.resize(start + request.valueBytes);
-        for (std::uint32_t i = 0; i < request.valueBytes; ++i) {
-            slot.out[start + i] =
-                apps::kvValueByte(header.key, slot.setOffset + i);
-        }
+        apps::kvValueBytes(header.key, slot.setOffset,
+                           std::span(slot.out).subspan(start));
         if (config_.oracle != nullptr) {
             config_.oracle->onSend(
                 apps::kvSetStream(header.key),

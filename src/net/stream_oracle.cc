@@ -1,5 +1,6 @@
 #include "stream_oracle.hh"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
@@ -49,10 +50,9 @@ void
 StreamOracle::onSend(StreamId stream, std::span<const std::uint8_t> data)
 {
     Stream &s = streams_[stream];
-    for (std::uint8_t byte : data) {
+    for (std::uint8_t byte : data)
         s.sentDigest = (s.sentDigest ^ byte) * fnvPrime;
-        s.inFlight.push_back(byte);
-    }
+    s.inFlight.insert(s.inFlight.end(), data.begin(), data.end());
     s.sent += data.size();
 }
 
@@ -61,29 +61,31 @@ StreamOracle::onDeliver(StreamId stream,
                         std::span<const std::uint8_t> data)
 {
     Stream &s = streams_[stream];
-    for (std::uint8_t byte : data) {
+    for (std::uint8_t byte : data)
         s.deliveredDigest = (s.deliveredDigest ^ byte) * fnvPrime;
-        if (s.inFlight.empty()) {
-            if (!s.corrupt) {
-                s.corrupt = true;
-                violation(format("stream %" PRIu64 ": delivered byte at "
-                                 "offset %" PRIu64 " beyond the %" PRIu64
-                                 " bytes ever sent",
-                                 stream, s.delivered, s.sent));
-            }
-        } else {
-            std::uint8_t expected = s.inFlight.front();
-            s.inFlight.pop_front();
-            if (byte != expected && !s.corrupt) {
-                s.corrupt = true;
-                violation(format("stream %" PRIu64 ": corrupt byte at "
-                                 "offset %" PRIu64 ": expected 0x%02x, "
-                                 "got 0x%02x",
-                                 stream, s.delivered, expected, byte));
-            }
-        }
-        ++s.delivered;
+
+    // The span consumes the oldest in-flight bytes; whatever is left of
+    // it was never sent. Only the first fault of a stream is reported.
+    std::size_t matched = std::min(data.size(), s.inFlight.size());
+    auto window = s.inFlight.begin();
+    if (!s.corrupt && !std::equal(window, window + matched, data.begin())) {
+        auto [expected, got] =
+            std::mismatch(window, window + matched, data.begin());
+        s.corrupt = true;
+        violation(format("stream %" PRIu64 ": corrupt byte at offset "
+                         "%" PRIu64 ": expected 0x%02x, got 0x%02x",
+                         stream, s.delivered + (got - data.begin()),
+                         *expected, *got));
     }
+    if (!s.corrupt && matched < data.size()) {
+        s.corrupt = true;
+        violation(format("stream %" PRIu64 ": delivered byte at offset "
+                         "%" PRIu64 " beyond the %" PRIu64
+                         " bytes ever sent",
+                         stream, s.delivered + matched, s.sent));
+    }
+    s.inFlight.erase(window, window + matched);
+    s.delivered += data.size();
 }
 
 void

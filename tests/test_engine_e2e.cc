@@ -78,6 +78,42 @@ TEST(EngineE2E, EnginePairBulkTransferIntegrity)
     EXPECT_EQ(sink.patternErrors(), 0u);
 }
 
+TEST(EngineE2E, BulkSenderKeepsThePatternAcrossShortAccepts)
+{
+    // A 16 KiB request overruns the send buffer, so the sender blocks
+    // after a short accept that leaves the stream mid-pattern. The next
+    // request must resume at that pattern offset, not at its start.
+    core::EngineConfig config;
+    config.numFpcs = 2;
+    config.flowsPerFpc = 32;
+    config.maxFlows = 1024;
+    EnginePairWorld world(1, config);
+
+    auto server_api = world.apiB(0);
+    apps::BulkSinkConfig sink_config;
+    sink_config.verifyPattern = true;
+    apps::BulkSinkApp sink(server_api, sink_config);
+    sink.start();
+
+    auto client_api = world.apiA(0);
+    apps::BulkSenderConfig sender_config;
+    sender_config.peer = test::ipB();
+    sender_config.requestBytes = 16 * 1024;
+    apps::BulkSenderApp sender(client_api, sender_config);
+    sender.start();
+
+    std::size_t mid_pattern_stops = 0;
+    for (int step = 0; step < 2000; ++step) {
+        world.sim.runFor(sim::microsecondsToTicks(1));
+        if (sender.bytesSent() % apps::patternPeriod != 0)
+            ++mid_pattern_stops;
+    }
+
+    EXPECT_GT(mid_pattern_stops, 0u);
+    EXPECT_GT(sink.bytesReceived(), 1'000'000u);
+    EXPECT_EQ(sink.patternErrors(), 0u);
+}
+
 TEST(EngineE2E, CleanBulkTransferMakesNoPayloadCopies)
 {
     // Payloads must move through the pipeline by transferring their

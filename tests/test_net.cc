@@ -2,11 +2,19 @@
  * @file
  * Unit and property tests for the networking substrate: byte-accurate
  * header round trips, checksums, sequence arithmetic, the cuckoo hash
- * table, interval sets, byte rings, and the link model's timing and
- * fault injection.
+ * table, interval sets, byte rings, the link model's timing and fault
+ * injection, and the stream oracle's ledger.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cinttypes>
+#include <cstdio>
+#include <deque>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "net/byte_ring.hh"
 #include "net/checksum.hh"
@@ -16,6 +24,7 @@
 #include "net/link.hh"
 #include "net/packet.hh"
 #include "net/seq.hh"
+#include "net/stream_oracle.hh"
 #include "harness.hh"
 #include "sim/simulation.hh"
 
@@ -709,6 +718,276 @@ TEST(LinkModel, DuplicationDeliversExtraCopies)
 
     EXPECT_GT(b.packets.size(), static_cast<std::size_t>(n * 1.15));
     EXPECT_LT(b.packets.size(), static_cast<std::size_t>(n * 1.25));
+}
+
+// ---------------------------------------------------------------------
+// stream oracle
+// ---------------------------------------------------------------------
+
+/**
+ * StreamOracle's contract applied one byte at a time: every delivered
+ * byte pops the oldest in-flight byte and is compared with it, and the
+ * first fault of a stream is its only violation. The span-moving oracle
+ * must match it report for report and digest for digest.
+ */
+class ByteLedger
+{
+  public:
+    void
+    onSend(std::uint64_t id, std::span<const std::uint8_t> data)
+    {
+        Stream &s = streams_[id];
+        for (std::uint8_t byte : data) {
+            s.sentDigest = (s.sentDigest ^ byte) * fnvPrime;
+            s.inFlight.push_back(byte);
+        }
+        s.sent += data.size();
+    }
+
+    void
+    onDeliver(std::uint64_t id, std::span<const std::uint8_t> data)
+    {
+        Stream &s = streams_[id];
+        for (std::uint8_t byte : data) {
+            s.deliveredDigest = (s.deliveredDigest ^ byte) * fnvPrime;
+            if (s.inFlight.empty()) {
+                if (!s.corrupt) {
+                    s.corrupt = true;
+                    violation(format("stream %" PRIu64 ": delivered byte "
+                                     "at offset %" PRIu64 " beyond the %"
+                                     PRIu64 " bytes ever sent",
+                                     id, s.delivered, s.sent));
+                }
+            } else {
+                std::uint8_t expected = s.inFlight.front();
+                s.inFlight.pop_front();
+                if (byte != expected && !s.corrupt) {
+                    s.corrupt = true;
+                    violation(format("stream %" PRIu64 ": corrupt byte at "
+                                     "offset %" PRIu64 ": expected 0x%02x, "
+                                     "got 0x%02x",
+                                     id, s.delivered, expected, byte));
+                }
+            }
+            ++s.delivered;
+        }
+    }
+
+    void
+    expectFullyDelivered(std::uint64_t id)
+    {
+        auto it = streams_.find(id);
+        if (it == streams_.end())
+            return;
+        const Stream &s = it->second;
+        if (s.delivered != s.sent) {
+            violation(format("stream %" PRIu64 ": only %" PRIu64 " of %"
+                             PRIu64 " sent bytes delivered",
+                             id, s.delivered, s.sent));
+        } else if (s.deliveredDigest != s.sentDigest && !s.corrupt) {
+            violation(format("stream %" PRIu64 ": digests diverge at "
+                             "equal length %" PRIu64, id, s.sent));
+        }
+    }
+
+    std::uint64_t
+    deliveredBytes(std::uint64_t id) const
+    {
+        auto it = streams_.find(id);
+        return it == streams_.end() ? 0 : it->second.delivered;
+    }
+
+    std::uint64_t
+    ledgerDigest() const
+    {
+        std::uint64_t digest = fnvOffset;
+        auto mix = [&digest](std::uint64_t value) {
+            for (int i = 0; i < 8; ++i) {
+                digest = (digest ^ (value & 0xff)) * fnvPrime;
+                value >>= 8;
+            }
+        };
+        for (const auto &[id, s] : streams_) {
+            mix(id);
+            mix(s.delivered);
+            mix(s.deliveredDigest);
+        }
+        return digest;
+    }
+
+    std::string
+    report() const
+    {
+        if (violations_.empty())
+            return "stream oracle: all checks passed";
+        std::string out = format("stream oracle: %zu violation(s)",
+                                 violations_.size() + suppressed_);
+        for (const std::string &v : violations_)
+            out += "\n  - " + v;
+        if (suppressed_ > 0) {
+            out += format("\n  (… %zu further violations suppressed)",
+                          suppressed_);
+        }
+        return out;
+    }
+
+  private:
+    struct Stream
+    {
+        std::uint64_t sent = 0;
+        std::uint64_t delivered = 0;
+        std::uint64_t sentDigest = fnvOffset;
+        std::uint64_t deliveredDigest = fnvOffset;
+        std::deque<std::uint8_t> inFlight;
+        bool corrupt = false;
+    };
+
+    static constexpr std::uint64_t fnvOffset = 0xcbf29ce484222325ULL;
+    static constexpr std::uint64_t fnvPrime = 0x100000001b3ULL;
+
+    template <class... Args>
+    static std::string
+    format(const char *fmt, Args... args)
+    {
+        char buf[512];
+        std::snprintf(buf, sizeof(buf), fmt, args...);
+        return buf;
+    }
+
+    void
+    violation(std::string message)
+    {
+        if (violations_.size() >= 16)
+            ++suppressed_;
+        else
+            violations_.push_back(std::move(message));
+    }
+
+    std::map<std::uint64_t, Stream> streams_;
+    std::vector<std::string> violations_;
+    std::size_t suppressed_ = 0;
+};
+
+TEST(StreamOracle, MatchesTheByteLedgerOnRandomSplits)
+{
+    // Sends and deliveries of random length on interleaved streams,
+    // with the odd corrupted byte and the odd delivery past the sent
+    // bytes; 24 streams overflow the 16 reported violations. Half the
+    // streams drain before the end-of-run check.
+    test::ScopedRng rng(20);
+    constexpr std::uint64_t streams = 24;
+    for (int round = 0; round < 40; ++round) {
+        StreamOracle oracle;
+        ByteLedger ledger;
+        std::vector<std::vector<std::uint8_t>> sent(streams);
+        std::vector<std::size_t> delivered(streams, 0);
+        for (int op = 0; op < 600; ++op) {
+            std::uint64_t id = rng.below(streams);
+            std::vector<std::uint8_t> bytes;
+            if (rng.chance(0.5)) {
+                bytes.resize(rng.below(300));
+                for (std::uint8_t &b : bytes)
+                    b = static_cast<std::uint8_t>(rng.next());
+                sent[id].insert(sent[id].end(), bytes.begin(), bytes.end());
+                oracle.onSend(id, bytes);
+                ledger.onSend(id, bytes);
+                continue;
+            }
+            std::size_t in_flight = sent[id].size() - delivered[id];
+            std::size_t n = rng.below(in_flight + 1);
+            if (rng.chance(0.01))
+                n += 1 + rng.below(40); // past everything ever sent
+            for (std::size_t i = 0; i < n; ++i) {
+                std::size_t at = delivered[id] + i;
+                bytes.push_back(at < sent[id].size()
+                                    ? sent[id][at]
+                                    : static_cast<std::uint8_t>(rng.next()));
+            }
+            if (n > 0 && rng.chance(0.01))
+                bytes[rng.below(n)] ^= 1 + rng.below(255);
+            delivered[id] = std::min(delivered[id] + n, sent[id].size());
+            oracle.onDeliver(id, bytes);
+            ledger.onDeliver(id, bytes);
+        }
+        for (std::uint64_t id = 0; id < streams; id += 2) {
+            std::span<const std::uint8_t> rest =
+                std::span(sent[id]).subspan(delivered[id]);
+            oracle.onDeliver(id, rest);
+            ledger.onDeliver(id, rest);
+        }
+        for (std::uint64_t id = 0; id < streams; ++id) {
+            EXPECT_EQ(oracle.deliveredBytes(id), ledger.deliveredBytes(id));
+            oracle.expectFullyDelivered(id);
+            ledger.expectFullyDelivered(id);
+        }
+        ASSERT_EQ(oracle.report(), ledger.report()) << "round " << round;
+        ASSERT_EQ(oracle.ledgerDigest(), ledger.ledgerDigest())
+            << "round " << round;
+    }
+}
+
+std::vector<std::uint8_t>
+countingBytes(std::size_t n, std::size_t from = 0)
+{
+    std::vector<std::uint8_t> out(n);
+    for (std::size_t i = 0; i < n; ++i)
+        out[i] = static_cast<std::uint8_t>(from + i);
+    return out;
+}
+
+TEST(StreamOracle, NamesTheCorruptByteInsideASpan)
+{
+    StreamOracle oracle;
+    oracle.onSend(3, countingBytes(100));
+    oracle.onDeliver(3, countingBytes(40));
+    std::vector<std::uint8_t> span = countingBytes(60, 40);
+    span[25] = 0xee; // stream offset 65, where 0x41 was sent
+    oracle.onDeliver(3, span);
+
+    ASSERT_EQ(oracle.violations().size(), 1u);
+    EXPECT_EQ(oracle.violations()[0],
+              "stream 3: corrupt byte at offset 65: expected 0x41, "
+              "got 0xee");
+    EXPECT_EQ(oracle.deliveredBytes(3), 100u);
+}
+
+TEST(StreamOracle, NamesTheFirstByteBeyondWhatWasSent)
+{
+    StreamOracle oracle;
+    oracle.onSend(7, countingBytes(10));
+    oracle.onDeliver(7, countingBytes(8));
+    oracle.onDeliver(7, countingBytes(8, 8)); // 6 bytes past the end
+
+    ASSERT_EQ(oracle.violations().size(), 1u);
+    EXPECT_EQ(oracle.violations()[0],
+              "stream 7: delivered byte at offset 10 beyond the 10 bytes "
+              "ever sent");
+    EXPECT_EQ(oracle.deliveredBytes(7), 16u);
+}
+
+TEST(StreamOracle, ReportsOneViolationPerStream)
+{
+    StreamOracle oracle;
+    for (std::uint64_t id : {1u, 2u})
+        oracle.onSend(id, countingBytes(64));
+
+    std::vector<std::uint8_t> bad = countingBytes(32);
+    bad[0] ^= 0xff;
+    bad[31] ^= 0xff;
+    oracle.onDeliver(1, bad);
+    oracle.onDeliver(1, bad);                // more corruption
+    oracle.onDeliver(1, countingBytes(40));  // and 8 bytes past the end
+    oracle.onDeliver(2, countingBytes(80));  // 16 bytes past the end
+    oracle.onDeliver(2, countingBytes(8));
+
+    ASSERT_EQ(oracle.violations().size(), 2u);
+    EXPECT_EQ(oracle.violations()[0],
+              "stream 1: corrupt byte at offset 0: expected 0x00, got "
+              "0xff");
+    EXPECT_EQ(oracle.violations()[1],
+              "stream 2: delivered byte at offset 64 beyond the 64 bytes "
+              "ever sent");
+    EXPECT_FALSE(oracle.passed());
 }
 
 } // namespace
