@@ -23,7 +23,6 @@ makeProfileReport(const sim::prof::Snapshot &delta, double wall_seconds)
 {
     ProfileReport report;
     report.wallSeconds = wall_seconds;
-    report.threads = std::max(delta.threads(), 1u);
     report.totalUs = usOf(delta.totalNs());
     report.events = delta.totalCount();
 
@@ -45,12 +44,11 @@ makeProfileReport(const sim::prof::Snapshot &delta, double wall_seconds)
         row.sharePct =
             report.totalUs > 0.0 ? 100.0 * row.selfUs / report.totalUs : 0.0;
 
-    // Coverage: attributed self time against the wall-clock budget of
-    // every thread that closed scopes. Each thread's self times are
-    // disjoint slices of its own wall time, so this stays <= 100%.
-    double budget_us = wall_seconds * 1e6 * report.threads;
+    // Coverage: attributed self time against wall time. Self times are
+    // disjoint slices of the wall interval, so this stays <= 100%.
+    double wall_us = wall_seconds * 1e6;
     report.coveragePct =
-        budget_us > 0.0 ? 100.0 * report.totalUs / budget_us : 0.0;
+        wall_us > 0.0 ? 100.0 * report.totalUs / wall_us : 0.0;
     return report;
 }
 
@@ -58,10 +56,9 @@ void
 printProfileTable(std::FILE *out, const ProfileReport &report)
 {
     std::fprintf(out,
-                 "  profile: %.3f ms wall x %u thread%s, %.3f ms "
-                 "attributed (%.1f%% coverage), %llu scopes\n",
-                 report.wallSeconds * 1e3, report.threads,
-                 report.threads == 1 ? "" : "s", report.totalUs / 1e3,
+                 "  profile: %.3f ms wall, %.3f ms attributed (%.1f%% "
+                 "coverage), %llu scopes\n",
+                 report.wallSeconds * 1e3, report.totalUs / 1e3,
                  report.coveragePct,
                  static_cast<unsigned long long>(report.events));
     std::fprintf(out, "    %-18s %12s %7s %12s %10s\n", "category",
@@ -83,13 +80,12 @@ writeProfileJson(std::FILE *out, const ProfileReport &report, int indent)
     std::fprintf(out,
                  "%*s\"profile\": {\n"
                  "%*s  \"wall_seconds\": %.6f,\n"
-                 "%*s  \"threads\": %u,\n"
                  "%*s  \"total_us\": %.1f,\n"
                  "%*s  \"coverage_pct\": %.1f,\n"
                  "%*s  \"categories\": {",
                  indent, "", indent, "", report.wallSeconds, indent, "",
-                 report.threads, indent, "", report.totalUs, indent, "",
-                 report.coveragePct, indent, "");
+                 report.totalUs, indent, "", report.coveragePct, indent,
+                 "");
     for (std::size_t i = 0; i < report.rows.size(); ++i) {
         const ProfileRow &row = report.rows[i];
         std::fprintf(out,

@@ -31,13 +31,11 @@ struct ProfileRow
 /**
  * A rendered profile over one measured interval: categories sorted by
  * self time (descending, zero rows dropped), total attributed time,
- * and coverage — attributed time as a percentage of wall time times
- * the threads that did the work.
+ * and coverage — attributed time as a percentage of wall time.
  */
 struct ProfileReport
 {
     double wallSeconds = 0.0;
-    unsigned threads = 1;
     double totalUs = 0.0;
     double coveragePct = 0.0;
     std::uint64_t events = 0; ///< scope activations summed over rows
@@ -45,10 +43,9 @@ struct ProfileReport
 };
 
 /**
- * Build a report from a snapshot delta over @p wall_seconds. The
- * thread count is the number of threads that closed scopes in
- * @p delta (at least one), so coverage stays <= 100% however many
- * threads ran simulations.
+ * Build a report from a snapshot delta over @p wall_seconds. Self
+ * times are disjoint slices of the wall interval, so coverage stays
+ * <= 100%.
  */
 ProfileReport makeProfileReport(const sim::prof::Snapshot &delta,
                                 double wall_seconds);

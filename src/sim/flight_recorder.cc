@@ -1,10 +1,12 @@
 #include "flight_recorder.hh"
 
+#include "sim/logging.hh"
 #include "sim/probe.hh"
 
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <csignal>
 #include <cstdio>
@@ -12,6 +14,7 @@
 #include <cstring>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -22,24 +25,40 @@ namespace f4t::sim::fr
 namespace
 {
 
-/* Dump format: 8-byte magic, u32 version, then length-prefixed reason
- * string, module table and rings. Native endianness — a dump is read
- * on the machine that wrote it. */
+/* Dump format: 8-byte magic, u32 version, then the length-prefixed
+ * reason string, the module table, and the ring (u64 records written,
+ * u32 records retained, the retained records oldest first). Native
+ * endianness — a dump is read on the machine that wrote it. Version 1
+ * held one ring per thread. */
 constexpr unsigned char dumpMagic[8] = {'F', '4', 'T', 'F',
                                         'R', '\n', 0x1a, 0x00};
-constexpr std::uint32_t dumpVersion = 1;
+constexpr std::uint32_t dumpVersion = 2;
 
-/* Cold-path state kept out of the header's Globals so the
- * signal-handler walk stays over trivially-safe fields only. */
-std::mutex &
-coldMutex()
+constexpr std::size_t maxModules = 1024;
+constexpr std::size_t maxModuleName = 48;
+
+/* The module table, written only by the simulation thread; the count
+ * is atomic so that a dump from another thread reads only published
+ * names. Slot 0, "kernel", has no stored name, so the names are all
+ * zeros and add nothing to the size of a binary's file. */
+constinit std::atomic<std::uint32_t> moduleCount{1};
+constinit char moduleNames[maxModules][maxModuleName] = {};
+
+/* One dump per failure: panic and the SIGABRT it raises must not both
+ * write. */
+constinit std::atomic<bool> dumpedOnFailure{false};
+std::uint32_t nextDumpSeq = 0;
+
+static_assert(std::is_trivially_destructible_v<detail::Ring>,
+              "exit-time and signal-time dumps read the ring after "
+              "static destruction");
+
+std::string_view
+moduleNameAt(std::uint32_t m)
 {
-    static std::mutex *mutex = new std::mutex;
-    return *mutex;
+    const char *name = m == 0 ? "kernel" : moduleNames[m];
+    return {name, ::strnlen(name, maxModuleName)};
 }
-
-std::atomic<std::uint32_t> nextThreadId{0};
-std::atomic<std::uint32_t> nextDumpSeq{0};
 
 bool
 writeAll(int fd, const void *buf, std::size_t len)
@@ -96,54 +115,45 @@ appendStr(char *dst, std::size_t off, std::size_t cap, const char *src)
     return off;
 }
 
+bool
+writeHeader(int fd, const char *reason, std::size_t reason_len)
+{
+    return writeAll(fd, dumpMagic, sizeof dumpMagic) &&
+           writeU32(fd, dumpVersion) &&
+           writeU32(fd, static_cast<std::uint32_t>(reason_len)) &&
+           writeAll(fd, reason, reason_len);
+}
+
 /*
- * Write the live rings straight from the global tables. Every call in
+ * Write the live ring straight from the static tables. Every call in
  * here is async-signal-safe (write/strlen/atomic loads over fixed
  * storage), so the fatal-signal handler can use it directly.
  */
 bool
 writeLiveRawFd(int fd, const char *reason)
 {
-    detail::Globals &g = detail::globals();
-    if (!writeAll(fd, dumpMagic, sizeof dumpMagic) ||
-        !writeU32(fd, dumpVersion)) {
+    if (!writeHeader(fd, reason, std::strlen(reason)))
         return false;
-    }
-    std::size_t reason_len = std::strlen(reason);
-    if (!writeU32(fd, static_cast<std::uint32_t>(reason_len)) ||
-        !writeAll(fd, reason, reason_len)) {
+    std::uint32_t count = moduleCount.load(std::memory_order_acquire);
+    if (!writeU32(fd, count))
         return false;
-    }
-    std::uint32_t modules =
-        g.moduleCount.load(std::memory_order_acquire);
-    if (!writeU32(fd, modules))
-        return false;
-    for (std::uint32_t m = 0; m < modules; ++m) {
-        std::size_t len =
-            ::strnlen(g.moduleNames[m], detail::maxModuleName);
-        if (!writeU32(fd, static_cast<std::uint32_t>(len)) ||
-            !writeAll(fd, g.moduleNames[m], len)) {
+    for (std::uint32_t m = 0; m < count; ++m) {
+        std::string_view name = moduleNameAt(m);
+        if (!writeU32(fd, static_cast<std::uint32_t>(name.size())) ||
+            !writeAll(fd, name.data(), name.size())) {
             return false;
         }
     }
-    std::uint32_t rings = g.ringCount.load(std::memory_order_acquire);
-    if (!writeU32(fd, rings))
+    std::uint64_t total = detail::ring.head.load(std::memory_order_relaxed);
+    std::uint64_t start = total > ringCapacity ? total - ringCapacity : 0;
+    if (!writeU64(fd, total) ||
+        !writeU32(fd, static_cast<std::uint32_t>(total - start))) {
         return false;
-    for (std::uint32_t r = 0; r < rings; ++r) {
-        detail::Ring *ring = g.rings[r];
-        std::uint64_t total = ring->head.load(std::memory_order_relaxed);
-        std::uint64_t start = total > ringCapacity ? total - ringCapacity : 0;
-        std::uint32_t count = static_cast<std::uint32_t>(total - start);
-        if (!writeU32(fd, ring->threadId.load(std::memory_order_relaxed)) ||
-            !writeU64(fd, total) ||
-            !writeU32(fd, count)) {
+    }
+    for (std::uint64_t i = start; i < total; ++i) {
+        const Record &rec = detail::ring.slots[i & (ringCapacity - 1)];
+        if (!writeAll(fd, &rec, sizeof rec))
             return false;
-        }
-        for (std::uint64_t i = start; i < total; ++i) {
-            const Record &rec = ring->slots[i & (ringCapacity - 1)];
-            if (!writeAll(fd, &rec, sizeof rec))
-                return false;
-        }
     }
     return true;
 }
@@ -151,38 +161,21 @@ writeLiveRawFd(int fd, const char *reason)
 bool
 writeSnapshotFd(int fd, const Snapshot &snap, const std::string &reason)
 {
-    if (!writeAll(fd, dumpMagic, sizeof dumpMagic) ||
-        !writeU32(fd, dumpVersion)) {
+    if (!writeHeader(fd, reason.data(), reason.size()) ||
+        !writeU32(fd, static_cast<std::uint32_t>(snap.modules.size()))) {
         return false;
     }
-    if (!writeU32(fd, static_cast<std::uint32_t>(reason.size())) ||
-        !writeAll(fd, reason.data(), reason.size())) {
-        return false;
-    }
-    if (!writeU32(fd, static_cast<std::uint32_t>(snap.modules.size())))
-        return false;
     for (const std::string &name : snap.modules) {
         if (!writeU32(fd, static_cast<std::uint32_t>(name.size())) ||
             !writeAll(fd, name.data(), name.size())) {
             return false;
         }
     }
-    if (!writeU32(fd, static_cast<std::uint32_t>(snap.rings.size())))
-        return false;
-    for (const Snapshot::RingCopy &ring : snap.rings) {
-        if (!writeU32(fd, ring.threadId) ||
-            !writeU64(fd, ring.totalWritten) ||
-            !writeU32(fd,
-                      static_cast<std::uint32_t>(ring.records.size()))) {
-            return false;
-        }
-        if (!ring.records.empty() &&
-            !writeAll(fd, ring.records.data(),
-                      ring.records.size() * sizeof(Record))) {
-            return false;
-        }
-    }
-    return true;
+    return writeU64(fd, snap.totalWritten) &&
+           writeU32(fd, static_cast<std::uint32_t>(snap.records.size())) &&
+           (snap.records.empty() ||
+            writeAll(fd, snap.records.data(),
+                     snap.records.size() * sizeof(Record)));
 }
 
 const char *
@@ -194,17 +187,14 @@ dumpDir()
 
 /*
  * The shared failure funnel: first caller wins, everything here is
- * async-signal-safe. Prints the dump path (or nothing on failure) so
- * CI logs point straight at the artifact.
+ * async-signal-safe. Prints the dump path, or that it could not be
+ * written, so CI logs point straight at the artifact or its absence.
  */
 void
 dumpOnFailureC(const char *reason)
 {
-    detail::Globals &g = detail::globals();
     bool expected = false;
-    if (!g.dumpedOnFailure.compare_exchange_strong(expected, true))
-        return;
-    if (!g.enabled.load(std::memory_order_relaxed))
+    if (!dumpedOnFailure.compare_exchange_strong(expected, true))
         return;
     char path[512];
     std::size_t off = appendStr(path, 0, sizeof path, dumpDir());
@@ -214,16 +204,14 @@ dumpOnFailureC(const char *reason)
     off = appendStr(path, off, sizeof path, pid);
     appendStr(path, off, sizeof path, ".f4tfr");
     int fd = ::open(path, O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (fd < 0)
-        return;
-    bool ok = writeLiveRawFd(fd, reason);
-    ::close(fd);
-    if (ok) {
-        const char prefix[] = "flight recorder: dumped ";
-        (void)!::write(2, prefix, sizeof prefix - 1);
-        (void)!::write(2, path, std::strlen(path));
-        (void)!::write(2, "\n", 1);
-    }
+    bool ok = fd >= 0 && writeLiveRawFd(fd, reason);
+    if (fd >= 0)
+        ::close(fd);
+    const char *what = ok ? "flight recorder: dumped "
+                          : "flight recorder: cannot write ";
+    (void)!::write(2, what, std::strlen(what));
+    (void)!::write(2, path, std::strlen(path));
+    (void)!::write(2, "\n", 1);
 }
 
 void
@@ -267,7 +255,6 @@ void
 watchdogLoop()
 {
     Watchdog &dog = watchdog();
-    detail::Globals &g = detail::globals();
     std::unique_lock<std::mutex> lock(dog.mutex);
     for (;;) {
         dog.cv.wait(lock, [&] { return dog.armed; });
@@ -276,14 +263,14 @@ watchdogLoop()
         auto poll = std::chrono::duration<double>(
             std::min(timeout / 4.0, 0.25));
         std::uint64_t last_beat =
-            g.heartbeat.load(std::memory_order_relaxed);
+            detail::heartbeat.load(std::memory_order_relaxed);
         auto last_change = std::chrono::steady_clock::now();
         while (dog.armed && dog.generation == my_generation) {
             dog.cv.wait_for(lock, poll);
             if (!dog.armed || dog.generation != my_generation)
                 break;
             std::uint64_t beat_now =
-                g.heartbeat.load(std::memory_order_relaxed);
+                detail::heartbeat.load(std::memory_order_relaxed);
             auto now = std::chrono::steady_clock::now();
             if (beat_now != last_beat) {
                 last_beat = beat_now;
@@ -319,176 +306,71 @@ watchdogLoop()
     }
 }
 
-/* Runtime gate + fatal-signal handlers come up with the process, not
- * with any particular harness, so release binaries are covered too. */
-struct EnvInit
+/* Fatal-signal handlers come up with the process, not with any
+ * particular harness, so release binaries are covered too. */
+struct SignalInit
 {
-    EnvInit()
-    {
-        const char *env = std::getenv("F4T_FLIGHT_RECORDER");
-        if (env != nullptr && std::strcmp(env, "0") == 0) {
-            detail::globals().enabled.store(false,
-                                            std::memory_order_relaxed);
-        }
-        installSignalHandlers();
-    }
+    SignalInit() { installSignalHandlers(); }
 };
-EnvInit envInit;
+SignalInit signalInit;
 
 } // namespace
 
 namespace detail
 {
 
-Globals &
-globals()
-{
-    /* Immortal: dumps can run from atexit/signal context after
-     * function-local statics would have been destroyed. */
-    static Globals *g = new Globals;
-    return *g;
-}
-
-namespace
-{
-
-/** Hands the thread's ring back when the thread exits: a registered
- *  ring is retired (dumpable until reused), an unregistered one —
- *  the table was full — is freed, since no dump can reach it. */
-class RingLease
-{
-  public:
-    RingLease(Ring *ring, bool registered)
-        : ring_(ring), registered_(registered)
-    {}
-
-    ~RingLease()
-    {
-        if (registered_)
-            ring_->retired.store(true, std::memory_order_release);
-        else
-            delete ring_;
-    }
-
-    RingLease(const RingLease &) = delete;
-    RingLease &operator=(const RingLease &) = delete;
-
-    Ring &ring() const { return *ring_; }
-
-  private:
-    Ring *ring_;
-    bool registered_;
-};
-
-} // namespace
-
-Ring &
-threadRingSlow()
-{
-    Globals &g = globals();
-    std::uint32_t id = nextThreadId.fetch_add(1, std::memory_order_relaxed);
-    Ring *ring = nullptr;
-    bool registered = true;
-    {
-        std::lock_guard<std::mutex> lock(coldMutex());
-        std::uint32_t count = g.ringCount.load(std::memory_order_relaxed);
-        for (std::uint32_t r = 0; r < count && ring == nullptr; ++r) {
-            if (g.rings[r]->retired.load(std::memory_order_acquire))
-                ring = g.rings[r];
-        }
-        if (ring != nullptr) {
-            ring->head.store(0, std::memory_order_relaxed);
-            ring->retired.store(false, std::memory_order_relaxed);
-        } else {
-            ring = new Ring; /* never freed: dumps outlive the thread */
-            registered = count < maxRings;
-            if (registered) {
-                g.rings[count] = ring;
-                g.ringCount.store(count + 1, std::memory_order_release);
-            }
-        }
-        ring->threadId.store(id, std::memory_order_relaxed);
-    }
-    thread_local RingLease lease(ring, registered);
-    return lease.ring();
-}
+constinit Ring ring;
+constinit std::atomic<std::uint64_t> heartbeat{0};
 
 } // namespace detail
-
-void
-setEnabled(bool on)
-{
-    detail::globals().enabled.store(on, std::memory_order_relaxed);
-}
 
 std::uint16_t
 internModule(std::string_view name)
 {
-    detail::Globals &g = detail::globals();
-    std::lock_guard<std::mutex> lock(coldMutex());
-    std::uint32_t count = g.moduleCount.load(std::memory_order_relaxed);
-    std::size_t len = std::min(name.size(), detail::maxModuleName - 1);
+    std::uint32_t count = moduleCount.load(std::memory_order_relaxed);
+    name = name.substr(0, maxModuleName - 1);
     for (std::uint32_t m = 0; m < count; ++m) {
-        if (::strnlen(g.moduleNames[m], detail::maxModuleName) == len &&
-            std::memcmp(g.moduleNames[m], name.data(), len) == 0) {
+        if (moduleNameAt(m) == name)
             return static_cast<std::uint16_t>(m);
-        }
     }
-    if (count >= detail::maxModules)
+    if (count >= maxModules)
         return 0;
-    std::memcpy(g.moduleNames[count], name.data(), len);
-    g.moduleNames[count][len] = '\0';
-    g.moduleCount.store(count + 1, std::memory_order_release);
+    std::memcpy(moduleNames[count], name.data(), name.size());
+    moduleNames[count][name.size()] = '\0';
+    moduleCount.store(count + 1, std::memory_order_release);
     return static_cast<std::uint16_t>(count);
 }
 
 std::string
 moduleName(std::uint16_t id)
 {
-    detail::Globals &g = detail::globals();
-    if (id >= g.moduleCount.load(std::memory_order_acquire))
+    if (id >= moduleCount.load(std::memory_order_acquire))
         return {};
-    return std::string(g.moduleNames[id],
-                       ::strnlen(g.moduleNames[id], detail::maxModuleName));
+    return std::string(moduleNameAt(id));
 }
 
 Snapshot
 snapshot()
 {
-    detail::Globals &g = detail::globals();
     Snapshot snap;
-    std::uint32_t modules = g.moduleCount.load(std::memory_order_acquire);
-    snap.modules.reserve(modules);
-    for (std::uint32_t m = 0; m < modules; ++m) {
-        snap.modules.emplace_back(
-            g.moduleNames[m],
-            ::strnlen(g.moduleNames[m], detail::maxModuleName));
-    }
-    std::uint32_t rings = g.ringCount.load(std::memory_order_acquire);
-    for (std::uint32_t r = 0; r < rings; ++r) {
-        detail::Ring *ring = g.rings[r];
-        Snapshot::RingCopy copy;
-        copy.threadId = ring->threadId.load(std::memory_order_relaxed);
-        copy.totalWritten = ring->head.load(std::memory_order_relaxed);
-        std::uint64_t start = copy.totalWritten > ringCapacity
-                                  ? copy.totalWritten - ringCapacity
-                                  : 0;
-        copy.records.reserve(
-            static_cast<std::size_t>(copy.totalWritten - start));
-        for (std::uint64_t i = start; i < copy.totalWritten; ++i)
-            copy.records.push_back(ring->slots[i & (ringCapacity - 1)]);
-        snap.rings.push_back(std::move(copy));
-    }
+    std::uint32_t count = moduleCount.load(std::memory_order_acquire);
+    snap.modules.reserve(count);
+    for (std::uint32_t m = 0; m < count; ++m)
+        snap.modules.emplace_back(moduleNameAt(m));
+    snap.totalWritten = detail::ring.head.load(std::memory_order_relaxed);
+    std::uint64_t start = snap.totalWritten > ringCapacity
+                              ? snap.totalWritten - ringCapacity
+                              : 0;
+    snap.records.reserve(static_cast<std::size_t>(snap.totalWritten - start));
+    for (std::uint64_t i = start; i < snap.totalWritten; ++i)
+        snap.records.push_back(detail::ring.slots[i & (ringCapacity - 1)]);
     return snap;
 }
 
 void
 clear()
 {
-    detail::Globals &g = detail::globals();
-    std::uint32_t rings = g.ringCount.load(std::memory_order_acquire);
-    for (std::uint32_t r = 0; r < rings; ++r)
-        g.rings[r]->head.store(0, std::memory_order_relaxed);
+    detail::ring.head.store(0, std::memory_order_relaxed);
 }
 
 bool
@@ -512,13 +394,9 @@ dumpToFile(const std::string &path, const std::string &reason)
 std::string
 dumpNow(const std::string &reason)
 {
-    if (!enabled())
-        return {};
-    std::uint32_t seq =
-        nextDumpSeq.fetch_add(1, std::memory_order_relaxed);
     std::string path = std::string(dumpDir()) + "/f4t-" +
                        std::to_string(::getpid()) + "-" +
-                       std::to_string(seq) + ".f4tfr";
+                       std::to_string(nextDumpSeq++) + ".f4tfr";
     return dumpToFile(path, reason) ? path : std::string();
 }
 
@@ -531,10 +409,10 @@ dumpOnFailure(const std::string &reason)
 void
 installSignalHandlers()
 {
-    static std::atomic<bool> installed{false};
-    bool expected = false;
-    if (!installed.compare_exchange_strong(expected, true))
+    static bool installed = false;
+    if (installed)
         return;
+    installed = true;
     struct sigaction action;
     std::memset(&action, 0, sizeof action);
     action.sa_handler = fatalSignalHandler;
@@ -593,7 +471,26 @@ defaultWatchdogSeconds()
         const char *env = std::getenv("F4T_WATCHDOG_SECS");
         if (env == nullptr || env[0] == '\0')
             return 120.0;
-        return std::strtod(env, nullptr);
+        // Digits with at most one decimal point: no sign, exponent,
+        // hex, inf or nan, and nothing after the number.
+        bool digit = false;
+        bool point = false;
+        bool plain = true;
+        for (const char *p = env; *p != '\0' && plain; ++p) {
+            if (*p >= '0' && *p <= '9')
+                digit = true;
+            else if (*p == '.' && !point)
+                point = true;
+            else
+                plain = false;
+        }
+        double value = plain && digit ? std::strtod(env, nullptr) : -1.0;
+        if (!std::isfinite(value) || value < 0.0) {
+            f4t_fatal("F4T_WATCHDOG_SECS='%s' is not a finite, "
+                      "non-negative number of seconds",
+                      env);
+        }
+        return value;
     }();
     return secs;
 }
@@ -657,71 +554,51 @@ readDump(const std::string &path, Snapshot &snap_out,
         return fail("unsupported version");
     if (!readString(f, reason_out, 1u << 20))
         return fail("bad reason string");
-    std::uint32_t modules;
-    if (!readU32(f, modules) || modules > detail::maxModules)
+    std::uint32_t module_count;
+    if (!readU32(f, module_count) || module_count > maxModules)
         return fail("bad module count");
     snap_out.modules.clear();
-    snap_out.modules.reserve(modules);
-    for (std::uint32_t m = 0; m < modules; ++m) {
+    snap_out.modules.reserve(module_count);
+    for (std::uint32_t m = 0; m < module_count; ++m) {
         std::string name;
-        if (!readString(f, name, detail::maxModuleName))
+        if (!readString(f, name, maxModuleName))
             return fail("bad module name");
         snap_out.modules.push_back(std::move(name));
     }
-    std::uint32_t rings;
-    if (!readU32(f, rings) || rings > detail::maxRings)
-        return fail("bad ring count");
-    snap_out.rings.clear();
-    snap_out.rings.reserve(rings);
-    for (std::uint32_t r = 0; r < rings; ++r) {
-        Snapshot::RingCopy ring;
-        std::uint32_t count;
-        if (!readU32(f, ring.threadId) ||
-            !readU64(f, ring.totalWritten) || !readU32(f, count) ||
-            count > ringCapacity) {
-            return fail("bad ring header");
-        }
-        ring.records.resize(count);
-        if (count > 0 &&
-            !readExact(f, ring.records.data(), count * sizeof(Record))) {
-            return fail("truncated ring");
-        }
-        snap_out.rings.push_back(std::move(ring));
+    std::uint32_t count;
+    if (!readU64(f, snap_out.totalWritten) || !readU32(f, count) ||
+        count > ringCapacity || count > snap_out.totalWritten) {
+        return fail("bad ring header");
+    }
+    snap_out.records.resize(count);
+    if (count > 0 &&
+        !readExact(f, snap_out.records.data(), count * sizeof(Record))) {
+        return fail("truncated ring");
     }
     std::fclose(f);
     return true;
 }
 
-std::vector<TimelineEntry>
-mergeTimeline(const Snapshot &snap)
+std::vector<Record>
+tickOrdered(const Snapshot &snap)
 {
-    std::vector<TimelineEntry> timeline;
-    std::size_t total = 0;
-    for (const Snapshot::RingCopy &ring : snap.rings)
-        total += ring.records.size();
-    timeline.reserve(total);
-    for (const Snapshot::RingCopy &ring : snap.rings) {
-        for (const Record &rec : ring.records)
-            timeline.push_back(TimelineEntry{rec, ring.threadId});
-    }
+    std::vector<Record> timeline = snap.records;
     std::stable_sort(timeline.begin(), timeline.end(),
-                     [](const TimelineEntry &a, const TimelineEntry &b) {
-                         return a.rec.tick < b.rec.tick;
+                     [](const Record &a, const Record &b) {
+                         return a.tick < b.tick;
                      });
     return timeline;
 }
 
 std::string
-formatEntry(const Snapshot &snap, const TimelineEntry &entry)
+formatEntry(const Snapshot &snap, const Record &rec)
 {
-    const Record &rec = entry.rec;
     const char *module = rec.module < snap.modules.size()
                              ? snap.modules[rec.module].c_str()
                              : "?";
     char buf[96];
-    std::snprintf(buf, sizeof buf, "@%-14llu t%-3u %-22s ",
-                  static_cast<unsigned long long>(rec.tick),
-                  entry.threadId, module);
+    std::snprintf(buf, sizeof buf, "@%-14llu %-22s ",
+                  static_cast<unsigned long long>(rec.tick), module);
     return buf + probe::format(rec);
 }
 

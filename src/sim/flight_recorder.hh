@@ -1,24 +1,18 @@
 /**
  * @file
- * Always-on flight recorder: a per-thread, fixed-capacity ring of
- * compact binary records capturing the simulator's last moments, and
- * the machinery that dumps those rings automatically at the point of
- * failure.
+ * Always-on flight recorder: one fixed-capacity ring of compact binary
+ * records capturing the simulator's last moments, and the machinery
+ * that dumps that ring automatically at the point of failure.
  *
  * Every instrumented site writes here through SimObject::probe()
  * (sim/simulation.hh); the text trace and the Chrome timeline are
  * views of the same record (sim/probe.hh). Unlike those views, pcap
- * and `--profile`, the recorder is **not** behind a compile gate: it
- * is built into the release preset too, because its whole purpose is
- * post-failure forensics for runs that were never expected to fail.
- * The cost budget that makes always-on acceptable:
- *
- *  - hot path: one relaxed atomic load (the runtime gate), a handful
- *    of plain stores into a thread-local L2-resident ring slot, and a
- *    relaxed index bump. No locks, no CAS, no allocation, no
- *    branches that depend on ring contents.
- *  - runtime off (`F4T_FLIGHT_RECORDER=0` in the environment): one
- *    relaxed load and a predictable branch.
+ * and `--profile`, the recorder is **not** behind a compile gate or a
+ * runtime switch: it is built into the release preset too, because its
+ * whole purpose is post-failure forensics for runs that were never
+ * expected to fail. The hot path is a handful of plain stores into an
+ * L2-resident slot of a static ring and a relaxed index bump: no
+ * locks, no CAS, no allocation, no call, no branch.
  *
  * The recorder never touches simulated state, so fingerprints (which
  * mix simulated quantities only) are unchanged by construction; its
@@ -31,30 +25,27 @@
  * means "no flow". Payload words carry kind-specific detail (bytes,
  * priorities, window numbers), labelled per kind in sim/probe.cc.
  *
- * Ring protocol: each thread owns one Ring, registered in a global
- * fixed-size table and never freed. When the thread exits its ring is
- * marked retired: it stays in dumps until a later thread takes it
- * over, so the table holds at most as many rings as threads ever ran
- * at once. The writer publishes with a relaxed head bump; readers
- * (dump paths) take a racy-but-harmless snapshot — a record being
- * overwritten mid-dump decodes as garbage for that one slot, which is
- * acceptable for forensics and keeps the writer wait-free. The module
- * name table and the ring table use fixed static storage with an
- * atomic count so the fatal-signal path can walk them without
- * touching the allocator or any lock.
+ * Threading contract: only the thread that runs simulations writes
+ * records and interns modules. The watchdog thread and the
+ * fatal-signal handler only read. That is why the ring's head and the
+ * module count are atomic: a reader takes a racy-but-harmless
+ * snapshot — a record being overwritten mid-dump decodes as garbage
+ * for that one slot, which is acceptable for forensics and keeps the
+ * writer wait-free. The ring and the module table are constinit,
+ * trivially destructible statics, so panic, atexit, watchdog and
+ * signal dumps can walk them without touching the allocator or a lock.
  *
  * Dump triggers (each writes a versioned `.f4tfr` file):
  *  1. F4T_CHECK / audit failure — hooked into sim::detail::panicImpl.
  *  2. Fatal signal (SIGSEGV/SIGABRT/SIGBUS/SIGFPE) — handlers
  *     installed at static-init time, async-signal-safe write() path.
- *  3. Wall-clock watchdog — fires when no event progress (beat())
- *     happens for the armed timeout; catches parallel-kernel
- *     deadlocks that otherwise hang CI.
+ *  3. Wall-clock watchdog — armed by the partitioned executor; fires
+ *     when no event progress (beat()) happens for the armed timeout.
  *  4. Explicit API — dumpNow()/dumpToFile().
  *
  * Dumps land in $F4T_DUMP_DIR (default "."). tools/f4t_blackbox
- * decodes them; the decoder core lives here (readDump/mergeTimeline)
- * so tests can round-trip without spawning the tool.
+ * decodes them; the decoder core lives here (readDump/tickOrdered) so
+ * tests can round-trip without spawning the tool.
  */
 
 #ifndef F4T_SIM_FLIGHT_RECORDER_HH
@@ -73,8 +64,9 @@ namespace f4t::sim::fr
 
 /**
  * Event kinds: the one name of every probe point. Append only — dumps
- * store the raw byte. What each kind's payload words mean, its text
- * name and its timeline category are the rows of sim/probe.cc.
+ * store the raw byte, so removing or reordering a kind takes a new dump
+ * version. What each kind's payload words mean, its text name and its
+ * timeline category are the rows of sim/probe.cc.
  */
 enum class Kind : std::uint8_t
 {
@@ -98,7 +90,6 @@ enum class Kind : std::uint8_t
     pcieDma,
     pcieDoorbell,
     parBarrier,
-    mailboxSpill, ///< no writer: a crossing cannot spill
     mark,
     rxParse,
     rxDropUnknown,
@@ -145,69 +136,31 @@ struct Record
 
 static_assert(sizeof(Record) == 32, "dump format assumes 32-byte records");
 
-/** Records kept per thread (power of two; 4096 x 32 B = 128 KiB). */
+/** Records kept (power of two; 4096 x 32 B = 128 KiB). */
 constexpr std::size_t ringCapacity = 4096;
 
 namespace detail
 {
 
-/** Per-thread ring. head counts records ever written; the slot for
- *  record n is slots[n & (ringCapacity - 1)]. */
+/** head counts records ever written; record n sits in
+ *  slots[n & (ringCapacity - 1)]. */
 struct Ring
 {
     std::atomic<std::uint64_t> head{0};
-    /** Its thread exited; the next new thread may take it over. */
-    std::atomic<bool> retired{false};
-    /** Atomic: a reused ring is renamed while dumps may read it. */
-    std::atomic<std::uint32_t> threadId{0};
-    Record slots[ringCapacity];
+    Record slots[ringCapacity] = {};
 };
 
-/** Fixed-size tables the signal handler can walk without locks. */
-constexpr std::size_t maxRings = 256;
-constexpr std::size_t maxModules = 1024;
-constexpr std::size_t maxModuleName = 48;
-
-struct Globals
-{
-    std::atomic<bool> enabled{true};
-    std::atomic<std::uint32_t> ringCount{0};
-    Ring *rings[maxRings] = {};
-    std::atomic<std::uint32_t> moduleCount{1}; ///< slot 0 = "kernel"
-    char moduleNames[maxModules][maxModuleName] = {"kernel"};
-    /** One dump per failure: panic and the SIGABRT it raises must not
-     *  both write. */
-    std::atomic<bool> dumpedOnFailure{false};
-    /** Watchdog heartbeat: bumped by beat(), polled by the watchdog. */
-    std::atomic<std::uint64_t> heartbeat{0};
-};
-
-Globals &globals();
-Ring &threadRingSlow();
-
-inline Ring &
-threadRing()
-{
-    thread_local Ring *ring = &threadRingSlow();
-    return *ring;
-}
+/** The one ring, written by the simulation thread. */
+extern constinit Ring ring;
+/** Watchdog heartbeat: bumped by beat(), polled by the watchdog. */
+extern constinit std::atomic<std::uint64_t> heartbeat;
 
 } // namespace detail
 
-/** Runtime gate. Defaults on; F4T_FLIGHT_RECORDER=0 disables. */
-inline bool
-enabled()
-{
-    return detail::globals().enabled.load(std::memory_order_relaxed);
-}
-
-/** Flip the runtime gate (tests; env wins only at process start). */
-void setEnabled(bool on);
-
 /**
  * Intern @p name into the module table, returning its stable id.
- * Mutex-guarded cold path — call once at module construction and cache
- * the id. Returns 0 (the "kernel" module) when the table is full.
+ * Cold path — call once at module construction and cache the id.
+ * Returns 0 (the "kernel" module) when the table is full.
  */
 std::uint16_t internModule(std::string_view name);
 
@@ -215,19 +168,15 @@ std::uint16_t internModule(std::string_view name);
 std::string moduleName(std::uint16_t id);
 
 /**
- * The hot path: append one record to the calling thread's ring.
- * One relaxed load, plain stores, relaxed index bump — see file
- * comment for the cost contract.
+ * The hot path: append one record to the ring. Plain stores and a
+ * relaxed index bump — see the file comment for the cost contract.
  */
 inline void
 record(Kind kind, std::uint64_t tick, std::uint16_t module,
        std::uint32_t flow, std::uint64_t a = 0, std::uint64_t b = 0)
 {
-    if (!enabled())
-        return;
-    detail::Ring &ring = detail::threadRing();
-    std::uint64_t head = ring.head.load(std::memory_order_relaxed);
-    Record &slot = ring.slots[head & (ringCapacity - 1)];
+    std::uint64_t head = detail::ring.head.load(std::memory_order_relaxed);
+    Record &slot = detail::ring.slots[head & (ringCapacity - 1)];
     slot.tick = tick;
     slot.a = a;
     slot.b = b;
@@ -235,35 +184,30 @@ record(Kind kind, std::uint64_t tick, std::uint16_t module,
     slot.module = module;
     slot.kind = static_cast<std::uint8_t>(kind);
     slot.pad = 0;
-    ring.head.store(head + 1, std::memory_order_relaxed);
+    detail::ring.head.store(head + 1, std::memory_order_relaxed);
 }
 
 /** Watchdog heartbeat: cheap enough to call every few thousand events. */
 inline void
 beat()
 {
-    detail::globals().heartbeat.fetch_add(1, std::memory_order_relaxed);
+    detail::heartbeat.fetch_add(1, std::memory_order_relaxed);
 }
 
 // --- snapshots and dumps ------------------------------------------------
 
-/** A racy-but-harmless copy of every ring plus the module table. */
+/** A racy-but-harmless copy of the ring plus the module table. */
 struct Snapshot
 {
-    struct RingCopy
-    {
-        std::uint32_t threadId = 0;
-        std::uint64_t totalWritten = 0;
-        std::vector<Record> records; ///< oldest first
-    };
     std::vector<std::string> modules;
-    std::vector<RingCopy> rings;
+    std::uint64_t totalWritten = 0;
+    std::vector<Record> records; ///< oldest first, in write order
 };
 
-/** Copy all rings now (no synchronization with writers — forensics). */
+/** Copy the ring now (no synchronization with the writer — forensics). */
 Snapshot snapshot();
 
-/** Reset every ring (fuzz harness clears between worlds). */
+/** Reset the ring (fuzz harness clears between worlds). */
 void clear();
 
 /** Write @p snap as a versioned .f4tfr file. */
@@ -275,7 +219,7 @@ bool dumpToFile(const std::string &path, const std::string &reason);
 
 /**
  * Dump to $F4T_DUMP_DIR (default ".") under a generated name.
- * Returns the path, or an empty string on failure / recorder off.
+ * Returns the path, or an empty string on failure.
  */
 std::string dumpNow(const std::string &reason);
 
@@ -309,8 +253,9 @@ void disarmWatchdog();
 /** True once an armed watchdog has fired (tests). */
 bool watchdogFired();
 
-/** Watchdog timeout for parallel runs from $F4T_WATCHDOG_SECS
- *  (default 120; 0 disables). */
+/** Watchdog timeout for partitioned runs from $F4T_WATCHDOG_SECS: a
+ *  finite, non-negative decimal (unset or empty: 120; 0 disables).
+ *  Anything else is fatal. Read once, on first use. */
 double defaultWatchdogSeconds();
 
 // --- decoder core (shared by tools/f4t_blackbox and tests) --------------
@@ -320,19 +265,16 @@ double defaultWatchdogSeconds();
 bool readDump(const std::string &path, Snapshot &snap_out,
               std::string &reason_out, std::string &error_out);
 
-/** A record stamped with its source thread for merged timelines. */
-struct TimelineEntry
-{
-    Record rec;
-    std::uint32_t threadId;
-};
+/**
+ * The snapshot's records sorted by tick. The sort is stable, so
+ * same-tick records keep their write order. Write order is not tick
+ * order: a partitioned run writes one partition's window before the
+ * other's, and link_tx is stamped at its serialization start.
+ */
+std::vector<Record> tickOrdered(const Snapshot &snap);
 
-/** Merge all rings into one tick-sorted timeline (stable: ring order
- *  breaks ties, so same-tick records keep their per-thread order). */
-std::vector<TimelineEntry> mergeTimeline(const Snapshot &snap);
-
-/** Human-readable one-liner for a merged record. */
-std::string formatEntry(const Snapshot &snap, const TimelineEntry &entry);
+/** Human-readable one-liner for a record of @p snap. */
+std::string formatEntry(const Snapshot &snap, const Record &rec);
 
 } // namespace f4t::sim::fr
 

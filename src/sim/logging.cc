@@ -69,7 +69,7 @@ panicImpl(const char *file, int line, const std::string &msg)
 {
     std::fprintf(stderr, "panic: %s (%s:%d)\n", msg.c_str(), file, line);
     // Black box first: the check message names the failing module and
-    // flow, and the rings hold the last moments leading up to it. The
+    // flow, and the ring holds the last moments leading up to it. The
     // once-guard inside keeps the abort's SIGABRT handler from
     // writing a second dump.
     fr::dumpOnFailure("panic: " + msg + " (" + file + ":" +

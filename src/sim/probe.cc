@@ -39,7 +39,6 @@ constexpr KindInfo rows[] = {
     {Kind::pcieDma, "pcie_dma", "dma", "bytes", "d2h"},
     {Kind::pcieDoorbell, "pcie_doorbell", "mmio", nullptr, nullptr},
     {Kind::parBarrier, "par_barrier", nullptr, "window", "end_tick"},
-    {Kind::mailboxSpill, "mailbox_spill", nullptr, "spills", "total"},
     {Kind::mark, "mark", nullptr, "a", "b"},
     {Kind::rxParse, "rx_parse", nullptr, "seq", "payload"},
     {Kind::rxDropUnknown, "rx_drop_unknown", "drop", "src_port", "dst_port"},

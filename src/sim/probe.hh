@@ -14,8 +14,8 @@
  *  - the Chrome timeline draws an instant (or the span) named
  *    format(record) under the kind's category, when a sink is attached
  *    and the kind has a category;
- *  - tools/f4t_blackbox prints format(record) after the tick, thread
- *    and module of each decoded record (fr::formatEntry).
+ *  - tools/f4t_blackbox prints format(record) after the tick and
+ *    module of each decoded record (fr::formatEntry).
  */
 
 #ifndef F4T_SIM_PROBE_HH

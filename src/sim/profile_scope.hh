@@ -1,7 +1,7 @@
 /**
  * @file
- * Wall-clock self-profiler core: scoped steady-clock timers with
- * thread-local accumulators, attributing the simulator's own CPU time
+ * Wall-clock self-profiler core: scoped steady-clock timers with one
+ * static accumulator block, attributing the simulator's own CPU time
  * to event categories and modules.
  *
  * Everything observability-adjacent in this codebase follows the same
@@ -15,10 +15,10 @@
  *     band-identical, the same bar the trace layer met.
  *  2. Runtime gate: setEnabled(true), flipped by `--profile` in
  *     bench::Obs. With the build gate on but the runtime gate off, an
- *     instrumentation site costs one relaxed atomic load and a
- *     predictable branch.
+ *     instrumentation site costs one byte load and a predictable
+ *     branch.
  *
- * Attribution model: scopes nest on a per-thread stack and record
+ * Attribution model: scopes nest on one stack and record
  * *self* time — a scope's elapsed time minus the elapsed time of the
  * scopes nested inside it. EventQueue::run() opens a root scope
  * (Cat::eventQueue), EventQueue::fire() opens one per event on the
@@ -29,23 +29,19 @@
  * the bench harnesses can assert that attributed time covers >= 90% of
  * a measured run.
  *
- * Threading: accumulators are plain (non-atomic) per-thread blocks,
- * registered once in a global list and intentionally leaked so a
- * capture() can outlive the thread. capture() merges all blocks; call
- * it only when no profiled scope can be mid-flight on another thread
- * (a thread that ran a simulation and was joined is safe, including
- * under TSan).
+ * Threading contract: only the thread that runs simulations opens
+ * scopes, flips the gate and captures. The accumulators are one plain
+ * static block, trivially destructible, so the whole-process report
+ * that bench::Obs prints from atexit can still read it after static
+ * teardown.
  */
 
 #ifndef F4T_SIM_PROFILE_SCOPE_HH
 #define F4T_SIM_PROFILE_SCOPE_HH
 
-#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
-#include <vector>
 
 namespace f4t::sim::prof
 {
@@ -119,58 +115,41 @@ toString(Cat cat)
     return "invalid";
 }
 
+/** Accumulated self time and closed scopes per category. */
+struct Snapshot
+{
+    std::uint64_t ns[categoryCount] = {};
+    std::uint64_t count[categoryCount] = {};
+
+    std::uint64_t
+    totalNs() const
+    {
+        std::uint64_t total = 0;
+        for (std::uint64_t v : ns)
+            total += v;
+        return total;
+    }
+
+    std::uint64_t
+    totalCount() const
+    {
+        std::uint64_t total = 0;
+        for (std::uint64_t v : count)
+            total += v;
+        return total;
+    }
+};
+
 class Scope;
 
 namespace detail
 {
 
-/** Per-thread accumulators: plain integers, written only by the
- *  owning thread (see the threading contract in the file comment). */
-struct ThreadBlock
-{
-    std::uint64_t ns[categoryCount] = {};
-    std::uint64_t count[categoryCount] = {};
-};
-
-struct BlockRegistry
-{
-    std::mutex mutex;
-    /** Leaked on purpose: capture() may run after a thread exited. */
-    std::vector<ThreadBlock *> blocks;
-};
-
-inline BlockRegistry &
-blockRegistry()
-{
-    // Immortal (never destroyed): the whole-process atexit report in
-    // bench::Obs registers before the first Scope constructs this, so
-    // a plain function-local static would be torn down first and
-    // capture() would lock a destroyed mutex.
-    static BlockRegistry *registry = new BlockRegistry;
-    return *registry;
-}
-
-inline ThreadBlock &
-threadBlock()
-{
-    thread_local ThreadBlock *block = [] {
-        auto *fresh = new ThreadBlock;
-        BlockRegistry &registry = blockRegistry();
-        std::lock_guard<std::mutex> lock(registry.mutex);
-        registry.blocks.push_back(fresh);
-        return fresh;
-    }();
-    return *block;
-}
-
-inline std::atomic<bool> &
-runtimeEnabled()
-{
-    static std::atomic<bool> flag{false};
-    return flag;
-}
-
-inline thread_local Scope *tlsCurrentScope = nullptr;
+/** The accumulators: what every closed scope has charged so far. */
+inline constinit Snapshot block{};
+/** The innermost open scope, or null. */
+inline constinit Scope *currentScope = nullptr;
+inline constinit bool runtimeEnabled = false;
 
 inline std::uint64_t
 nowNs()
@@ -190,19 +169,19 @@ enabled()
 {
     if constexpr (!compiledIn)
         return false;
-    return detail::runtimeEnabled().load(std::memory_order_relaxed);
+    return detail::runtimeEnabled;
 }
 
 /** Flip the runtime gate (no-op effect when not compiled in). */
 inline void
 setEnabled(bool on)
 {
-    detail::runtimeEnabled().store(on, std::memory_order_relaxed);
+    detail::runtimeEnabled = on;
 }
 
 /**
  * RAII self-time scope. Construction is a no-op unless enabled(); an
- * active scope pushes itself on the thread's scope stack, and its
+ * active scope pushes itself on the scope stack, and its
  * destructor charges elapsed-minus-children to its own category and
  * propagates its elapsed total to the parent's child time.
  */
@@ -216,8 +195,8 @@ class Scope
             return;
         active_ = true;
         cat_ = cat;
-        parent_ = detail::tlsCurrentScope;
-        detail::tlsCurrentScope = this;
+        parent_ = detail::currentScope;
+        detail::currentScope = this;
         startNs_ = detail::nowNs();
     }
 
@@ -227,10 +206,9 @@ class Scope
             return;
         std::uint64_t total = detail::nowNs() - startNs_;
         std::uint64_t self = total > childNs_ ? total - childNs_ : 0;
-        detail::ThreadBlock &block = detail::threadBlock();
-        block.ns[static_cast<std::size_t>(cat_)] += self;
-        ++block.count[static_cast<std::size_t>(cat_)];
-        detail::tlsCurrentScope = parent_;
+        detail::block.ns[static_cast<std::size_t>(cat_)] += self;
+        ++detail::block.count[static_cast<std::size_t>(cat_)];
+        detail::currentScope = parent_;
         if (parent_ != nullptr)
             parent_->childNs_ += total;
     }
@@ -252,70 +230,11 @@ class Scope
 #endif
 };
 
-/** A merged view of every thread's accumulators at one instant. */
-struct Snapshot
-{
-    std::uint64_t ns[categoryCount] = {};
-    std::uint64_t count[categoryCount] = {};
-    /** Scopes closed per registered thread, in registration order
-     *  (blocks are never removed, so indices stay stable). */
-    std::vector<std::uint64_t> threadScopes;
-
-    /** Threads that closed at least one scope; after since(), the
-     *  threads that did profiled work during the interval. */
-    unsigned
-    threads() const
-    {
-        unsigned active = 0;
-        for (std::uint64_t scopes : threadScopes) {
-            if (scopes > 0)
-                ++active;
-        }
-        return active;
-    }
-
-    std::uint64_t
-    totalNs() const
-    {
-        std::uint64_t total = 0;
-        for (std::uint64_t v : ns)
-            total += v;
-        return total;
-    }
-
-    std::uint64_t
-    totalCount() const
-    {
-        std::uint64_t total = 0;
-        for (std::uint64_t v : count)
-            total += v;
-        return total;
-    }
-};
-
-/**
- * Merge every registered thread block. All-zero when not compiled in.
- * Caller contract: no profiled scope may be mid-flight on another
- * thread (after joining the threads that ran simulations is safe).
- */
+/** A copy of the accumulators. All-zero when not compiled in. */
 inline Snapshot
 capture()
 {
-    Snapshot snap;
-    if constexpr (!compiledIn)
-        return snap;
-    detail::BlockRegistry &registry = detail::blockRegistry();
-    std::lock_guard<std::mutex> lock(registry.mutex);
-    for (const detail::ThreadBlock *block : registry.blocks) {
-        std::uint64_t scopes = 0;
-        for (std::size_t c = 0; c < categoryCount; ++c) {
-            snap.ns[c] += block->ns[c];
-            snap.count[c] += block->count[c];
-            scopes += block->count[c];
-        }
-        snap.threadScopes.push_back(scopes);
-    }
-    return snap;
+    return detail::block;
 }
 
 /** capture() minus @p before, element-wise (saturating at zero). */
@@ -330,10 +249,6 @@ since(const Snapshot &before)
         now.ns[c] = minus(now.ns[c], before.ns[c]);
         now.count[c] = minus(now.count[c], before.count[c]);
     }
-    // Threads registered after @p before keep their whole count.
-    for (std::size_t t = 0;
-         t < now.threadScopes.size() && t < before.threadScopes.size(); ++t)
-        now.threadScopes[t] = minus(now.threadScopes[t], before.threadScopes[t]);
     return now;
 }
 

@@ -302,8 +302,8 @@ runDifferential(std::uint64_t seed)
     Scenario sc = Scenario::fromSeed(seed);
 
     // Each world runs against a freshly cleared flight recorder and its
-    // rings are snapshotted before the next world overwrites them —
-    // a failure at any point can dump every world it has.
+    // ring is snapshotted before the next world overwrites it — a
+    // failure at any point can dump every world it has.
     sim::fr::Snapshot snaps[worldCount];
     RunResult results[worldCount];
     std::size_t ran = 0;

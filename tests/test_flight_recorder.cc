@@ -1,33 +1,32 @@
 /**
  * @file
- * Flight recorder: ring semantics and reuse, per-thread merge, the
- * probe kinds a pair world records, failure-triggered dumps, malformed
- * dumps, and the wall-clock watchdog.
+ * Flight recorder: ring semantics and tick order, the probe kinds a
+ * pair world records, failure-triggered dumps, malformed dumps, the
+ * watchdog's timeout variable, and the wall-clock watchdog.
  *
  * Suite naming is deliberate: FlightRecorderDeathTest runs first
  * (gtest orders *DeathTest suites ahead of the rest), so the forked
  * children see a process where defaultWatchdogSeconds() has not been
  * memoized yet and the watchdog thread has never been started — a
- * fork would not carry a live thread across. FlightRecorderParallel
- * matches the tsan preset's test filter, putting the lock-free ring's
- * cross-thread paths under the race detector; the timing-sensitive
- * watchdog suites, the death tests included, deliberately do not
- * match it.
+ * fork would not carry a live thread across.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <latch>
+#include <iterator>
 #include <map>
 #include <set>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <stdlib.h>
@@ -55,17 +54,6 @@ struct WatchdogEnv
 };
 WatchdogEnv watchdogEnv;
 
-/** This thread's ring in @p snap, identified by write count. */
-const fr::Snapshot::RingCopy *
-ringWithTotal(const fr::Snapshot &snap, std::uint64_t total)
-{
-    for (const auto &ring : snap.rings) {
-        if (ring.totalWritten == total)
-            return &ring;
-    }
-    return nullptr;
-}
-
 std::string
 onlyDumpIn(const std::string &dir)
 {
@@ -91,10 +79,10 @@ slurpFile(const std::string &path)
 }
 
 void
-expectTickSorted(const std::vector<fr::TimelineEntry> &timeline)
+expectTickSorted(const std::vector<fr::Record> &timeline)
 {
     for (std::size_t i = 1; i < timeline.size(); ++i)
-        ASSERT_GE(timeline[i].rec.tick, timeline[i - 1].rec.tick);
+        ASSERT_GE(timeline[i].tick, timeline[i - 1].tick);
 }
 
 /** Channel stub: fixed lookahead, no cross traffic. */
@@ -116,7 +104,6 @@ TEST(FlightRecorderDeathTest, CheckFailureDumpRoundTripsThroughDecoder)
 
     // Records made here are inherited by the forked child, so the
     // crash dump must carry them back out through the file.
-    fr::setEnabled(true);
     fr::clear();
     std::uint16_t module = fr::internModule("test.fpc0");
     for (std::uint64_t i = 0; i < 32; ++i)
@@ -134,14 +121,14 @@ TEST(FlightRecorderDeathTest, CheckFailureDumpRoundTripsThroughDecoder)
               std::string::npos)
         << reason;
 
-    auto timeline = fr::mergeTimeline(snap);
+    auto timeline = fr::tickOrdered(snap);
     ASSERT_GE(timeline.size(), 32u);
     expectTickSorted(timeline);
 
     // The timeline names the module and the flow.
     bool named = false;
-    for (const auto &entry : timeline) {
-        std::string line = fr::formatEntry(snap, entry);
+    for (const fr::Record &rec : timeline) {
+        std::string line = fr::formatEntry(snap, rec);
         if (line.find("test.fpc0") != std::string::npos &&
             line.find("flow=abcd1234") != std::string::npos) {
             named = true;
@@ -159,7 +146,6 @@ TEST(FlightRecorderDeathTest, ParallelBarrierStallTriggersWatchdogDump)
     char dir[] = "/tmp/f4tfr-stall-XXXXXX";
     ASSERT_NE(::mkdtemp(dir), nullptr);
     ::setenv("F4T_DUMP_DIR", dir, 1);
-    fr::setEnabled(true);
     fr::clear();
 
     // The wedge event sleeps far past the 0.25 s watchdog default set
@@ -189,14 +175,13 @@ TEST(FlightRecorderDeathTest, ParallelBarrierStallTriggersWatchdogDump)
 
     // The dispatch record lands before the event body runs, so the
     // last kernel record in the timeline is the wedged dispatch.
-    auto timeline = fr::mergeTimeline(snap);
+    auto timeline = fr::tickOrdered(snap);
     ASSERT_FALSE(timeline.empty());
     expectTickSorted(timeline);
     bool saw_wedge_dispatch = false;
-    for (const auto &entry : timeline) {
-        if (entry.rec.kind ==
-                static_cast<std::uint8_t>(fr::Kind::evDispatch) &&
-            entry.rec.tick == 500) {
+    for (const fr::Record &rec : timeline) {
+        if (rec.kind == static_cast<std::uint8_t>(fr::Kind::evDispatch) &&
+            rec.tick == 500) {
             saw_wedge_dispatch = true;
         }
     }
@@ -206,11 +191,60 @@ TEST(FlightRecorderDeathTest, ParallelBarrierStallTriggersWatchdogDump)
     std::filesystem::remove_all(dir);
 }
 
+TEST(FlightRecorderDeathTest, UnwritableCrashDumpSaysSo)
+{
+    // A dump directory that does not exist: no dump can be written,
+    // and the crash log says which file it could not write.
+    char dir[] = "/tmp/f4tfr-missing-XXXXXX";
+    ASSERT_NE(::mkdtemp(dir), nullptr);
+    std::string missing = std::string(dir) + "/no-such-dir";
+    ::setenv("F4T_DUMP_DIR", missing.c_str(), 1);
+
+    EXPECT_DEATH(f4t_assert(false, "injected forensics failure"),
+                 "flight recorder: cannot write " + missing +
+                     "/f4t-crash-[0-9]+\\.f4tfr");
+
+    ::unsetenv("F4T_DUMP_DIR");
+    EXPECT_TRUE(std::filesystem::is_empty(dir));
+    std::filesystem::remove_all(dir);
+}
+
+/** Exit 0 after printing what defaultWatchdogSeconds() makes of
+ *  F4T_WATCHDOG_SECS=@p value; it is read once, so only a fresh
+ *  (forked) process may call this. */
+[[noreturn]] void
+readWatchdogSeconds(const char *value)
+{
+    ::setenv("F4T_WATCHDOG_SECS", value, 1);
+    std::fprintf(stderr, "secs=%g\n", fr::defaultWatchdogSeconds());
+    std::exit(0);
+}
+
+TEST(FlightRecorderDeathTest, WatchdogSecondsAreReadStrictly)
+{
+    // Each child is the first reader of the variable: this process
+    // never reads it (the stall test arms the watchdog in its child).
+    for (const char *bad : {"abc", "-5", "10x", "nan", "inf", "1e3", " 5",
+                            "0x10", "1.2.3", "."}) {
+        EXPECT_EXIT(readWatchdogSeconds(bad), testing::ExitedWithCode(1),
+                    std::string("fatal: F4T_WATCHDOG_SECS='") + bad + "'")
+            << bad;
+    }
+    // 0 disables the watchdog; unset or empty means 120 s.
+    const std::pair<const char *, const char *> good[] = {
+        {"0", "secs=0\n"},   {"2.5", "secs=2.5\n"}, {"7.", "secs=7\n"},
+        {".5", "secs=0.5\n"}, {"", "secs=120\n"}};
+    for (const auto &[value, want] : good) {
+        EXPECT_EXIT(readWatchdogSeconds(value), testing::ExitedWithCode(0),
+                    want)
+            << value;
+    }
+}
+
 // --- ring semantics -----------------------------------------------------
 
 TEST(FlightRecorder, RecordsAppearInSnapshotInOrder)
 {
-    fr::setEnabled(true);
     fr::clear();
     std::uint16_t module = fr::internModule("test.ring");
     fr::record(fr::Kind::mark, 10, module, 1, 100, 200);
@@ -218,39 +252,62 @@ TEST(FlightRecorder, RecordsAppearInSnapshotInOrder)
     fr::record(fr::Kind::switchDrop, 30, module, 3);
 
     fr::Snapshot snap = fr::snapshot();
-    const auto *ring = ringWithTotal(snap, 3);
-    ASSERT_NE(ring, nullptr);
-    ASSERT_EQ(ring->records.size(), 3u);
-    EXPECT_EQ(ring->records[0].tick, 10u);
-    EXPECT_EQ(ring->records[0].a, 100u);
-    EXPECT_EQ(ring->records[0].b, 200u);
-    EXPECT_EQ(ring->records[1].kind,
+    EXPECT_EQ(snap.totalWritten, 3u);
+    ASSERT_EQ(snap.records.size(), 3u);
+    EXPECT_EQ(snap.records[0].tick, 10u);
+    EXPECT_EQ(snap.records[0].a, 100u);
+    EXPECT_EQ(snap.records[0].b, 200u);
+    EXPECT_EQ(snap.records[1].kind,
               static_cast<std::uint8_t>(fr::Kind::linkTx));
-    EXPECT_EQ(ring->records[2].flow, 3u);
+    EXPECT_EQ(snap.records[2].flow, 3u);
     ASSERT_LT(module, snap.modules.size());
     EXPECT_EQ(snap.modules[module], "test.ring");
 }
 
 TEST(FlightRecorder, WrapKeepsLastCapacityRecordsOldestFirst)
 {
-    fr::setEnabled(true);
     fr::clear();
     const std::uint64_t total = fr::ringCapacity + 123;
     for (std::uint64_t i = 0; i < total; ++i)
         fr::record(fr::Kind::mark, i, 0, 0, i);
 
     fr::Snapshot snap = fr::snapshot();
-    const auto *ring = ringWithTotal(snap, total);
-    ASSERT_NE(ring, nullptr);
-    ASSERT_EQ(ring->records.size(), fr::ringCapacity);
-    EXPECT_EQ(ring->records.front().tick, 123u); // oldest survivor
-    for (std::size_t i = 0; i < ring->records.size(); ++i)
-        ASSERT_EQ(ring->records[i].tick, 123 + i);
+    EXPECT_EQ(snap.totalWritten, total);
+    ASSERT_EQ(snap.records.size(), fr::ringCapacity);
+    EXPECT_EQ(snap.records.front().tick, 123u); // oldest survivor
+    for (std::size_t i = 0; i < snap.records.size(); ++i)
+        ASSERT_EQ(snap.records[i].tick, 123 + i);
+}
+
+TEST(FlightRecorder, TimelineSortsByTickAndKeepsWriteOrderOnTies)
+{
+    // Write order is not tick order: a partitioned run writes one
+    // partition's window before the other's, and link_tx is stamped at
+    // its serialization start, before records written ahead of it.
+    fr::clear();
+    std::uint16_t pa = fr::internModule("test.partition_a");
+    std::uint16_t pb = fr::internModule("test.partition_b");
+    const std::pair<Tick, std::uint16_t> writes[] = {
+        {100, pa}, {300, pa}, {300, pa}, // partition a's window
+        {100, pb}, {200, pb}, {300, pb}, // then partition b's
+        {250, pa},                       // stamped before it was written
+    };
+    for (std::uint64_t i = 0; i < std::size(writes); ++i)
+        fr::record(fr::Kind::mark, writes[i].first, writes[i].second, 0, i);
+
+    fr::Snapshot snap = fr::snapshot();
+    ASSERT_EQ(snap.records.size(), std::size(writes));
+    for (std::uint64_t i = 0; i < std::size(writes); ++i)
+        EXPECT_EQ(snap.records[i].a, i); // the ring keeps write order
+
+    std::vector<std::uint64_t> order;
+    for (const fr::Record &rec : fr::tickOrdered(snap))
+        order.push_back(rec.a);
+    EXPECT_EQ(order, (std::vector<std::uint64_t>{0, 3, 4, 6, 1, 2, 5}));
 }
 
 TEST(FlightRecorder, SnapshotRoundTripsThroughDumpFile)
 {
-    fr::setEnabled(true);
     fr::clear();
     std::uint16_t module = fr::internModule("test.roundtrip");
     for (std::uint64_t i = 0; i < 100; ++i)
@@ -265,49 +322,16 @@ TEST(FlightRecorder, SnapshotRoundTripsThroughDumpFile)
     std::string reason, error;
     ASSERT_TRUE(fr::readDump(path, snap, reason, error)) << error;
     EXPECT_EQ(reason, "round trip");
-    const auto *ring = ringWithTotal(snap, 100);
-    ASSERT_NE(ring, nullptr);
-    ASSERT_EQ(ring->records.size(), 100u);
+    EXPECT_EQ(snap.totalWritten, 100u);
+    ASSERT_EQ(snap.records.size(), 100u);
     for (std::size_t i = 0; i < 100; ++i) {
-        ASSERT_EQ(ring->records[i].tick, 7 * i);
-        ASSERT_EQ(ring->records[i].a, i);
-        ASSERT_EQ(ring->records[i].b, 2 * i);
+        ASSERT_EQ(snap.records[i].tick, 7 * i);
+        ASSERT_EQ(snap.records[i].a, i);
+        ASSERT_EQ(snap.records[i].b, 2 * i);
     }
     ASSERT_LT(module, snap.modules.size());
     EXPECT_EQ(snap.modules[module], "test.roundtrip");
     std::filesystem::remove_all(dir);
-}
-
-TEST(FlightRecorder, DisabledRunRecordsNothingAndBehaviorIsIdentical)
-{
-    // Identical event patterns with the recorder on and off must land
-    // on identical simulated end states (the recorder never feeds back
-    // into the model), and the disabled run must leave zero records.
-    auto drive = [](sim::Simulation &sim) {
-        for (Tick t = 100; t <= 1000; t += 100)
-            sim.queue().scheduleCallback(t, [] {});
-        sim.run(2'000);
-    };
-
-    fr::setEnabled(true);
-    fr::clear();
-    sim::Simulation enabled_sim;
-    drive(enabled_sim);
-    fr::Snapshot with = fr::snapshot();
-    ASSERT_NE(ringWithTotal(with, 10), nullptr); // 10 dispatches
-
-    fr::setEnabled(false);
-    fr::clear();
-    sim::Simulation disabled_sim;
-    drive(disabled_sim);
-    fr::Snapshot without = fr::snapshot();
-    fr::setEnabled(true);
-
-    for (const auto &ring : without.rings)
-        EXPECT_EQ(ring.totalWritten, 0u);
-    EXPECT_EQ(enabled_sim.now(), disabled_sim.now());
-    EXPECT_EQ(enabled_sim.queue().eventsProcessed(),
-              disabled_sim.queue().eventsProcessed());
 }
 
 TEST(FlightRecorder, FpcRecordsEachAbsorbedEventKind)
@@ -326,7 +350,6 @@ TEST(FlightRecorder, FpcRecordsEachAbsorbedEventKind)
     // never fills the reorder buffer or congests an FPC, and has no
     // software stack: rx_ooo_drop, sched_rebalance and soft_tcp_state
     // are not in the list.)
-    fr::setEnabled(true);
     core::EngineConfig config;
     config.numFpcs = 1;
     config.flowsPerFpc = 8;
@@ -397,16 +420,13 @@ TEST(FlightRecorder, FpcRecordsEachAbsorbedEventKind)
     for (int slice = 0; slice < 3200; ++slice) {
         world.runFor(sim::microsecondsToTicks(5));
         fr::Snapshot snap = fr::snapshot();
+        ASSERT_LE(snap.totalWritten, fr::ringCapacity);
         bool fresh = false;
-        for (const auto &ring : snap.rings) {
-            ASSERT_LE(ring.totalWritten, fr::ringCapacity);
-            for (const fr::Record &rec : ring.records) {
-                ASSERT_LT(rec.module, snap.modules.size());
-                if (snap.modules[rec.module].find(".fpc") !=
-                    std::string::npos)
-                    fpc_kinds.insert(static_cast<fr::Kind>(rec.kind));
-                fresh |= !decoded.count(rec.kind);
-            }
+        for (const fr::Record &rec : snap.records) {
+            ASSERT_LT(rec.module, snap.modules.size());
+            if (snap.modules[rec.module].find(".fpc") != std::string::npos)
+                fpc_kinds.insert(static_cast<fr::Kind>(rec.kind));
+            fresh |= !decoded.count(rec.kind);
         }
         fr::clear();
         if (!fresh)
@@ -415,8 +435,8 @@ TEST(FlightRecorder, FpcRecordsEachAbsorbedEventKind)
         fr::Snapshot read;
         std::string reason, error;
         ASSERT_TRUE(fr::readDump(path, read, reason, error)) << error;
-        for (const auto &entry : fr::mergeTimeline(read))
-            decoded.emplace(entry.rec.kind, fr::formatEntry(read, entry));
+        for (const fr::Record &rec : fr::tickOrdered(read))
+            decoded.emplace(rec.kind, fr::formatEntry(read, rec));
     }
     std::filesystem::remove_all(dir);
     ASSERT_EQ(closed, connections) << "echo connections never closed";
@@ -482,9 +502,8 @@ writeBytes(const std::string &path, const std::string &bytes)
 
 TEST(FlightRecorder, MutatedDumpsDecodeOrFailCleanly)
 {
-    // A real dump of an engine pair's first microseconds, cut to a few
-    // records per ring so every truncation point can be tried.
-    fr::setEnabled(true);
+    // A real dump of an engine pair's first microseconds, cut to at
+    // most its last 24 records so every truncation point can be tried.
     fr::clear();
     {
         testbed::EnginePairWorld world(1);
@@ -492,11 +511,9 @@ TEST(FlightRecorder, MutatedDumpsDecodeOrFailCleanly)
         world.runFor(sim::microsecondsToTicks(5));
     }
     fr::Snapshot snap = fr::snapshot();
-    for (auto &ring : snap.rings) {
-        if (ring.records.size() > 24)
-            ring.records.erase(ring.records.begin(),
-                               ring.records.end() - 24);
-    }
+    ASSERT_FALSE(snap.records.empty());
+    if (snap.records.size() > 24)
+        snap.records.erase(snap.records.begin(), snap.records.end() - 24);
     char dir[] = "/tmp/f4tfr-mutate-XXXXXX";
     ASSERT_NE(::mkdtemp(dir), nullptr);
     std::string base = std::string(dir) + "/base.f4tfr";
@@ -515,10 +532,10 @@ TEST(FlightRecorder, MutatedDumpsDecodeOrFailCleanly)
             EXPECT_FALSE(error.empty());
             return false;
         }
-        for (const auto &entry : fr::mergeTimeline(read)) {
-            std::string line = fr::formatEntry(read, entry);
+        for (const fr::Record &rec : fr::tickOrdered(read)) {
+            std::string line = fr::formatEntry(read, rec);
             EXPECT_NE(line.find(" flow="), std::string::npos) << line;
-            if (entry.rec.kind >= fr::numKinds) {
+            if (rec.kind >= fr::numKinds) {
                 EXPECT_NE(line.find(" unknown flow="), std::string::npos)
                     << line;
             }
@@ -527,8 +544,8 @@ TEST(FlightRecorder, MutatedDumpsDecodeOrFailCleanly)
     };
     ASSERT_TRUE(decodes(good));
 
-    // Every proper prefix misses part of the last ring, so it is an
-    // error, never a shorter snapshot.
+    // Every proper prefix misses part of the ring, so it is an error,
+    // never a shorter snapshot.
     for (std::size_t len = 0; len < good.size(); ++len) {
         ASSERT_FALSE(decodes(good.substr(0, len))) << "prefix " << len;
         if (len % 61 == 0) {
@@ -553,19 +570,25 @@ TEST(FlightRecorder, MutatedDumpsDecodeOrFailCleanly)
     }
     EXPECT_GT(decoded, 0u);
 
-    // A kind byte past the table decodes as unknown, with both words.
-    for (auto &ring : snap.rings) {
-        if (!ring.records.empty())
-            ring.records.front().kind = 0xff;
-    }
-    ASSERT_TRUE(fr::writeSnapshot(snap, path, "unknown kind"));
+    // A version-1 dump (one ring per thread) is refused whole.
+    std::string v1 = good;
+    const std::uint32_t version1 = 1;
+    std::memcpy(v1.data() + 8, &version1, sizeof version1);
+    writeBytes(path, v1);
     fr::Snapshot read;
     std::string reason, error;
+    ASSERT_FALSE(fr::readDump(path, read, reason, error));
+    EXPECT_NE(error.find("unsupported version"), std::string::npos) << error;
+    EXPECT_EQ(blackboxStatus(path), 1);
+
+    // A kind byte past the table decodes as unknown, with both words.
+    snap.records.front().kind = 0xff;
+    ASSERT_TRUE(fr::writeSnapshot(snap, path, "unknown kind"));
     ASSERT_TRUE(fr::readDump(path, read, reason, error)) << error;
     bool unknown = false;
-    for (const auto &entry : fr::mergeTimeline(read)) {
-        if (entry.rec.kind == 0xff) {
-            std::string line = fr::formatEntry(read, entry);
+    for (const fr::Record &rec : fr::tickOrdered(read)) {
+        if (rec.kind == 0xff) {
+            std::string line = fr::formatEntry(read, rec);
             EXPECT_NE(line.find(" unknown flow="), std::string::npos);
             EXPECT_NE(line.find(" a="), std::string::npos) << line;
             unknown = true;
@@ -576,80 +599,7 @@ TEST(FlightRecorder, MutatedDumpsDecodeOrFailCleanly)
     std::filesystem::remove_all(dir);
 }
 
-// --- cross-thread merge (named to run under the tsan preset) ------------
-
-TEST(FlightRecorderParallel, TwoThreadMergeIsTickSorted)
-{
-    fr::setEnabled(true);
-    fr::clear();
-    std::uint16_t even = fr::internModule("test.even");
-    std::uint16_t odd = fr::internModule("test.odd");
-
-    // Both threads stay alive until both have recorded: a thread that
-    // exits first retires its ring, and the other could take it over.
-    std::latch recorded(2);
-    std::thread a([&] {
-        for (std::uint64_t i = 0; i < 1'000; ++i)
-            fr::record(fr::Kind::mark, 2 * i, even, 0xe, i);
-        recorded.arrive_and_wait();
-    });
-    std::thread b([&] {
-        for (std::uint64_t i = 0; i < 1'000; ++i)
-            fr::record(fr::Kind::mark, 2 * i + 1, odd, 0xd, i);
-        recorded.arrive_and_wait();
-    });
-    a.join();
-    b.join();
-
-    fr::Snapshot snap = fr::snapshot();
-    auto timeline = fr::mergeTimeline(snap);
-    std::size_t even_count = 0, odd_count = 0;
-    std::uint64_t last = 0;
-    for (const auto &entry : timeline) {
-        ASSERT_GE(entry.rec.tick, last);
-        last = entry.rec.tick;
-        even_count += entry.rec.module == even;
-        odd_count += entry.rec.module == odd;
-    }
-    EXPECT_EQ(even_count, 1'000u);
-    EXPECT_EQ(odd_count, 1'000u);
-}
-
-TEST(FlightRecorderParallel, ExitedThreadRingsAreReused)
-{
-    // More short-lived threads than the ring table has slots: each
-    // records one mark and exits. Their rings are handed on instead of
-    // leaked, so the table does not fill and the last thread's record
-    // is still in the snapshot after it exited.
-    fr::setEnabled(true);
-    fr::clear();
-    std::uint16_t module = fr::internModule("test.shortlived");
-    constexpr std::uint64_t threads = fr::detail::maxRings + 44;
-    for (std::uint64_t i = 0; i < threads; ++i) {
-        std::thread([&] {
-            fr::record(fr::Kind::mark, 1'000 + i, module, 0x5, i);
-        }).join();
-    }
-
-    fr::Snapshot snap = fr::snapshot();
-    EXPECT_LT(snap.rings.size(), fr::detail::maxRings);
-    std::size_t marks = 0;
-    bool saw_last = false;
-    for (const auto &ring : snap.rings) {
-        for (const fr::Record &rec : ring.records) {
-            if (rec.module != module)
-                continue;
-            ++marks;
-            saw_last |= rec.a == threads - 1;
-        }
-    }
-    EXPECT_TRUE(saw_last) << "the last thread's record is missing";
-    // Reuse starts a ring over, so only the survivors' marks remain.
-    EXPECT_GE(marks, 1u);
-    EXPECT_LT(marks, threads);
-}
-
-// --- watchdog (timing-based; excluded from the tsan filter) -------------
+// --- watchdog (timing-based) ---------------------------------------------
 
 TEST(FlightRecorderWatchdog, HeartbeatsPreventFiring)
 {

@@ -3,13 +3,9 @@
  * Unit tests for the wall-clock self-profiler (sim/profile_scope.hh,
  * obs/profiler.hh) and the ParallelExecutor runtime introspection it
  * feeds: scope self-time accounting, the categories events declare,
- * attribution-vs-wall coverage, thread-local merge across threads
- * that each run a simulation, the registerStats() scalars that are
+ * attribution-vs-wall coverage, the registerStats() scalars that are
  * available even without a profiling build, and the run-metadata
  * block that result files carry.
- *
- * ProfilerParallel matches the tsan preset's test filter: two of its
- * tests run simulations on two threads at once.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +14,6 @@
 #include <cstdio>
 #include <functional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "apps/kv.hh"
@@ -321,6 +316,13 @@ TEST(Profiler, AttributionSumsToWallTime)
     // so the only loss is the capture calls themselves).
     EXPECT_GT(delta.totalNs(), wall_ns * 0.9);
     EXPECT_LE(delta.totalNs(), wall_ns * 1.05);
+
+    // Every scope opened and closed inside the measured interval, so the
+    // report's coverage, attributed time over wall time, cannot pass
+    // 100%.
+    obs::ProfileReport report = obs::makeProfileReport(delta, wall_ns / 1e9);
+    EXPECT_GT(report.coveragePct, 90.0);
+    EXPECT_LE(report.coveragePct, 100.0);
 }
 
 TEST(Profiler, ReportSharesAndCoverage)
@@ -330,10 +332,8 @@ TEST(Profiler, ReportSharesAndCoverage)
     delta.count[static_cast<std::size_t>(prof::Cat::fpcExec)] = 30;
     delta.ns[static_cast<std::size_t>(prof::Cat::linkSwitch)] = 1'000'000;
     delta.count[static_cast<std::size_t>(prof::Cat::linkSwitch)] = 10;
-    delta.threadScopes = {40};
 
     obs::ProfileReport report = obs::makeProfileReport(delta, 0.005);
-    EXPECT_EQ(report.threads, 1u);
     ASSERT_EQ(report.rows.size(), 2u);
     // Sorted by self time, shares out of attributed total, coverage
     // out of the wall budget: 4 ms attributed / 5 ms wall = 80%.
@@ -342,13 +342,6 @@ TEST(Profiler, ReportSharesAndCoverage)
     EXPECT_NEAR(report.rows[1].sharePct, 25.0, 0.1);
     EXPECT_NEAR(report.coveragePct, 80.0, 0.1);
     EXPECT_EQ(report.events, 40u);
-
-    // Two threads that closed scopes double the budget: same
-    // attribution, half coverage. A thread that closed none does not.
-    delta.threadScopes = {30, 0, 10};
-    obs::ProfileReport wide = obs::makeProfileReport(delta, 0.005);
-    EXPECT_EQ(wide.threads, 2u);
-    EXPECT_NEAR(wide.coveragePct, 40.0, 0.1);
 }
 
 // --- parallel executor introspection ------------------------------------
@@ -425,49 +418,6 @@ TEST(ProfilerParallel, StatsPublishedWithoutProfiling)
     EXPECT_EQ(profiles[0].barrierNs, 0u);
 }
 
-/** One Simulation ticking every 100 ticks on @p cat, run to 10'000 on
- *  the calling thread: 101 categorized events. */
-void
-runTicker(prof::Cat cat)
-{
-    sim::Simulation sim;
-    std::function<void()> tick = [&] {
-        sim.queue().scheduleCallback(sim.now() + 100, cat, "tick",
-                                     [&] { tick(); });
-    };
-    sim.queue().scheduleCallback(0, cat, "tick", [&] { tick(); });
-    EXPECT_EQ(sim.run(10'000), 10'000u);
-}
-
-/** runTicker on two threads at once: fpc_exec on one, app on the
- *  other. */
-void
-runTickersOnTwoThreads()
-{
-    std::thread a([] { runTicker(prof::Cat::fpcExec); });
-    std::thread b([] { runTicker(prof::Cat::app); });
-    a.join();
-    b.join();
-}
-
-TEST(ProfilerParallel, ThreadLocalMergeAcrossWorkers)
-{
-    if (!prof::compiledIn)
-        GTEST_SKIP() << "profiler compiled out";
-    ProfilingOn guard;
-    prof::Snapshot before = prof::capture();
-    runTickersOnTwoThreads();
-    prof::Snapshot delta = prof::since(before);
-
-    // Each thread's events landed in its own block, and capture()
-    // must see both merged, each simulation's 101 events.
-    EXPECT_GE(delta.count[static_cast<std::size_t>(prof::Cat::fpcExec)],
-              101u);
-    EXPECT_GE(delta.count[static_cast<std::size_t>(prof::Cat::app)],
-              101u);
-    EXPECT_EQ(delta.threads(), 2u);
-}
-
 TEST(ProfilerParallel, SnapshotDeltaIsolatesConsecutiveRuns)
 {
     if (!prof::compiledIn)
@@ -489,28 +439,6 @@ TEST(ProfilerParallel, SnapshotDeltaIsolatesConsecutiveRuns)
     std::vector<sim::WorkerProfile> profiles = world.ex.workerProfiles();
     ASSERT_EQ(profiles.size(), 1u);
     EXPECT_GT(profiles[0].busyNs, 0u);
-}
-
-TEST(ProfilerParallel, ReportCountsThreadsThatRan)
-{
-    if (!prof::compiledIn)
-        GTEST_SKIP() << "profiler compiled out";
-    ProfilingOn guard;
-    prof::Snapshot before = prof::capture();
-    auto wall0 = std::chrono::steady_clock::now();
-    runTickersOnTwoThreads();
-    double wall = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - wall0)
-                      .count();
-
-    // Both threads closed scopes in the interval, so the budget is two
-    // threads' wall time; each thread's self times are disjoint slices
-    // of its own wall time and cannot overfill it.
-    obs::ProfileReport report =
-        obs::makeProfileReport(prof::since(before), wall);
-    EXPECT_EQ(report.threads, 2u);
-    EXPECT_GT(report.coveragePct, 0.0);
-    EXPECT_LE(report.coveragePct, 100.0);
 }
 
 // --- run metadata --------------------------------------------------------

@@ -1,8 +1,8 @@
 /**
  * @file
- * Decoder for flight-recorder dumps (.f4tfr): merges the per-thread
- * rings into one tick-ordered timeline and summarizes activity per
- * module and per event kind, with a per-flow drill-down.
+ * Decoder for flight-recorder dumps (.f4tfr): sorts the ring into a
+ * tick-ordered timeline and summarizes activity per module and per
+ * event kind, with a per-flow drill-down.
  *
  *   f4t_blackbox dump.f4tfr             # summary + last 50 events
  *   f4t_blackbox --last 200 dump.f4tfr  # longer tail
@@ -26,7 +26,6 @@
 #include <cstdlib>
 #include <map>
 #include <string>
-#include <thread>
 #include <vector>
 
 namespace
@@ -48,24 +47,18 @@ printDump(const std::string &path, std::size_t last_k,
 
     std::printf("== %s ==\n", path.c_str());
     std::printf("reason: %s\n", reason.c_str());
-    std::size_t total = 0;
-    std::uint64_t written = 0;
-    for (const auto &ring : snap.rings) {
-        total += ring.records.size();
-        written += ring.totalWritten;
-    }
-    std::printf("rings: %zu (%zu records retained of %llu written)\n",
-                snap.rings.size(), total,
-                static_cast<unsigned long long>(written));
+    std::printf("records: %zu retained of %llu written\n",
+                snap.records.size(),
+                static_cast<unsigned long long>(snap.totalWritten));
 
-    std::vector<fr::TimelineEntry> timeline = fr::mergeTimeline(snap);
+    std::vector<fr::Record> timeline = fr::tickOrdered(snap);
 
     // Per-module and per-kind activity over the retained window.
     std::map<std::uint16_t, std::uint64_t> by_module;
     std::map<std::uint8_t, std::uint64_t> by_kind;
-    for (const fr::TimelineEntry &entry : timeline) {
-        ++by_module[entry.rec.module];
-        ++by_kind[entry.rec.kind];
+    for (const fr::Record &rec : timeline) {
+        ++by_module[rec.module];
+        ++by_kind[rec.kind];
     }
     std::printf("\nper-module counts:\n");
     for (const auto &[module, count] : by_module) {
@@ -82,8 +75,8 @@ printDump(const std::string &path, std::size_t last_k,
     }
 
     if (flow_set) {
-        std::erase_if(timeline, [flow](const fr::TimelineEntry &e) {
-            return e.rec.flow != flow;
+        std::erase_if(timeline, [flow](const fr::Record &rec) {
+            return rec.flow != flow;
         });
         std::printf("\nflow %08x drill-down: %zu records\n", flow,
                     timeline.size());
@@ -99,22 +92,25 @@ printDump(const std::string &path, std::size_t last_k,
     std::printf("\n");
 }
 
-/** Synthesize rings on two threads, dump, re-decode, verify. */
+/** Write two interleaved modules with out-of-order ticks, wrap the
+ *  ring, dump, re-decode, verify. */
 int
 selftest()
 {
-    fr::setEnabled(true);
     std::uint16_t alpha = fr::internModule("selftest.alpha");
     std::uint16_t beta = fr::internModule("selftest.beta");
     fr::clear();
 
-    // Main thread wraps its ring; the second thread interleaves ticks.
-    for (std::uint64_t i = 0; i < fr::ringCapacity + 100; ++i)
-        fr::record(fr::Kind::mark, 2 * i, alpha, 7, i);
-    std::thread([beta] {
-        for (std::uint64_t i = 0; i < 500; ++i)
-            fr::record(fr::Kind::evDispatch, 2 * i + 1, beta, 9, i);
-    }).join();
+    // Every eighth record is beta's, stamped one tick before alpha's
+    // record it follows, so write order is not tick order. The first
+    // 100 records wrap out.
+    constexpr std::size_t total = fr::ringCapacity + 100;
+    for (std::uint64_t i = 0; i < total; ++i) {
+        if (i % 8 == 7)
+            fr::record(fr::Kind::evDispatch, 2 * i - 3, beta, 9, i);
+        else
+            fr::record(fr::Kind::mark, 2 * i, alpha, 7, i);
+    }
 
     const char *dir = std::getenv("TMPDIR");
     std::string path = std::string(dir && dir[0] ? dir : "/tmp") +
@@ -136,24 +132,37 @@ selftest()
                      reason.c_str());
         return 1;
     }
-    std::vector<fr::TimelineEntry> timeline = fr::mergeTimeline(snap);
+    if (snap.totalWritten != total ||
+        snap.records.size() != fr::ringCapacity) {
+        std::fprintf(stderr,
+                     "selftest: retained %zu of %llu records (want %zu "
+                     "of %zu)\n",
+                     snap.records.size(),
+                     static_cast<unsigned long long>(snap.totalWritten),
+                     fr::ringCapacity, total);
+        return 1;
+    }
     std::uint64_t last = 0;
     std::size_t alpha_count = 0;
     std::size_t beta_count = 0;
-    for (const fr::TimelineEntry &entry : timeline) {
-        if (entry.rec.tick < last) {
+    for (const fr::Record &rec : fr::tickOrdered(snap)) {
+        if (rec.tick < last) {
             std::fprintf(stderr, "selftest: timeline not tick-sorted\n");
             return 1;
         }
-        last = entry.rec.tick;
-        alpha_count += entry.rec.module == alpha ? 1 : 0;
-        beta_count += entry.rec.module == beta ? 1 : 0;
+        last = rec.tick;
+        alpha_count += rec.module == alpha ? 1 : 0;
+        beta_count += rec.module == beta ? 1 : 0;
     }
-    if (alpha_count != fr::ringCapacity || beta_count != 500) {
+    // Records 100 .. total-1 survive; 512 of them are beta's.
+    constexpr std::size_t want_beta = 512;
+    if (alpha_count != fr::ringCapacity - want_beta ||
+        beta_count != want_beta) {
         std::fprintf(stderr,
                      "selftest: retained %zu alpha / %zu beta records "
-                     "(want %zu / 500)\n",
-                     alpha_count, beta_count, fr::ringCapacity);
+                     "(want %zu / %zu)\n",
+                     alpha_count, beta_count, fr::ringCapacity - want_beta,
+                     want_beta);
         return 1;
     }
     printDump(path, 5, true, 9);
