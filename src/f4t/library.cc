@@ -319,46 +319,4 @@ F4tLibrary::handleCompletion(const host::Command &command)
     }
 }
 
-F4tEpoll::F4tEpoll(F4tLibrary &library) : library_(library)
-{
-    F4tCallbacks callbacks;
-    callbacks.onReadable = [this](SockFd fd, std::size_t) {
-        if (interest_.count(fd))
-            push(Event{fd, true, false, false});
-    };
-    callbacks.onWritable = [this](SockFd fd) {
-        if (interest_.count(fd))
-            push(Event{fd, false, true, false});
-    };
-    callbacks.onPeerClosed = [this](SockFd fd) {
-        if (interest_.count(fd))
-            push(Event{fd, false, false, true});
-    };
-    library_.setCallbacks(callbacks);
-}
-
-void
-F4tEpoll::add(SockFd fd)
-{
-    interest_[fd] = true;
-}
-
-void
-F4tEpoll::push(const Event &event)
-{
-    ready_.push_back(event);
-}
-
-std::size_t
-F4tEpoll::wait(std::span<Event> out)
-{
-    std::size_t n = out.size() < ready_.size() ? out.size()
-                                               : ready_.size();
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = ready_[i];
-    ready_.erase(ready_.begin(), ready_.begin() +
-                                     static_cast<std::ptrdiff_t>(n));
-    return n;
-}
-
 } // namespace f4t::lib

@@ -13,8 +13,7 @@
  *
  * The API is event-driven (callbacks for connected / readable /
  * writable / closed) because simulated applications are state
- * machines; an epoll-compatible shim (F4tEpoll) layers the paper's
- * linked-list-of-events epoll() emulation on top.
+ * machines.
  */
 
 #ifndef F4T_LIB_LIBRARY_HH
@@ -142,38 +141,6 @@ class F4tLibrary
 
     std::uint64_t bytesSent_ = 0;
     std::uint64_t bytesReceived_ = 0;
-};
-
-/**
- * The paper's epoll() emulation: the library maintains an internal
- * list of ready events and returns them to the application without
- * touching the hardware.
- */
-class F4tEpoll
-{
-  public:
-    struct Event
-    {
-        SockFd fd;
-        bool readable = false;
-        bool writable = false;
-        bool hangup = false;
-    };
-
-    explicit F4tEpoll(F4tLibrary &library);
-
-    /** Add a socket to the interest list. */
-    void add(SockFd fd);
-
-    /** Drain up to @p max ready events (non-blocking emulation). */
-    std::size_t wait(std::span<Event> out);
-
-  private:
-    void push(const Event &event);
-
-    F4tLibrary &library_;
-    std::map<SockFd, bool> interest_;
-    std::vector<Event> ready_;
 };
 
 } // namespace f4t::lib

@@ -32,30 +32,9 @@ OpenLoopClientApp::key(std::size_t slot) const
     return config_.streamBase + static_cast<std::uint32_t>(slot);
 }
 
-std::uint64_t
-OpenLoopClientApp::slotValueBytesReceived(std::size_t slot) const
-{
-    return slot < slots_.size() ? slots_[slot].valueBytesReceived : 0;
-}
-
 void
 OpenLoopClientApp::start()
 {
-    if (config_.replay != nullptr) {
-        const std::vector<TraceRecord> &records = *config_.replay;
-        for (std::size_t i = 0; i < records.size(); ++i) {
-            const TraceRecord &record = records[i];
-            if (record.client == config_.clientId &&
-                record.conn >= slots_.size())
-                f4t_fatal("open-loop client %u: replay record %zu "
-                          "(time_ps %llu) uses conn %u, but the client "
-                          "has %zu connections",
-                          config_.clientId, i,
-                          static_cast<unsigned long long>(record.timePs),
-                          record.conn, slots_.size());
-        }
-    }
-
     SocketApi::Handlers handlers;
     handlers.onConnected = [this](SocketApi::ConnId conn) {
         auto it = slotById_.find(conn);
@@ -97,12 +76,8 @@ OpenLoopClientApp::start()
     api_.setHandlers(handlers);
 
     connectSlot(0);
-    if (config_.replay != nullptr) {
-        scheduleNextReplay();
-    } else {
-        lastArrival_ = std::max(config_.startAt, api_.simulation().now());
-        scheduleNextArrival();
-    }
+    lastArrival_ = std::max(config_.startAt, api_.simulation().now());
+    scheduleNextArrival();
 }
 
 void
@@ -149,35 +124,6 @@ OpenLoopClientApp::onArrival(Request request)
 }
 
 void
-OpenLoopClientApp::scheduleNextReplay()
-{
-    const std::vector<TraceRecord> &records = *config_.replay;
-    while (replayNext_ < records.size() &&
-           records[replayNext_].client != config_.clientId) {
-        ++replayNext_;
-    }
-    if (replayNext_ >= records.size())
-        return;
-    TraceRecord record = records[replayNext_++];
-    sim::Tick at = std::max<sim::Tick>(record.timePs,
-                                       api_.simulation().now());
-    api_.simulation().queue().scheduleCallback(
-        at, sim::prof::Cat::app, "openloop.replay", [this, record, at] {
-            Request request;
-            request.arrival = at;
-            request.op = record.op;
-            request.valueBytes = record.valueBytes;
-            ++issued_;
-            std::size_t slot = record.conn;
-            slots_[slot].pending.push_back(request);
-            peakBacklog_ =
-                std::max(peakBacklog_, slots_[slot].pending.size());
-            tryDispatchSlot(slot);
-            scheduleNextReplay();
-        });
-}
-
-void
 OpenLoopClientApp::tryDispatch()
 {
     while (!backlog_.empty()) {
@@ -203,12 +149,6 @@ OpenLoopClientApp::tryDispatchSlot(std::size_t index)
     Slot &slot = slots_[index];
     if (!slot.connected || slot.busy || slot.dead)
         return;
-    if (!slot.pending.empty()) {
-        Request request = slot.pending.front();
-        slot.pending.pop_front();
-        dispatch(index, request);
-        return;
-    }
     tryDispatch();
 }
 
@@ -219,16 +159,6 @@ OpenLoopClientApp::dispatch(std::size_t index, const Request &request)
     slot.busy = true;
     slot.current = request;
     ++dispatched_;
-
-    if (config_.traceWriter != nullptr) {
-        TraceRecord record;
-        record.timePs = api_.simulation().now();
-        record.client = config_.clientId;
-        record.conn = static_cast<std::uint32_t>(index);
-        record.op = request.op;
-        record.valueBytes = request.valueBytes;
-        config_.traceWriter->append(record);
-    }
 
     api_.core().charge(CostCategory::application,
                        config_.appCyclesPerRequest);
@@ -306,9 +236,7 @@ OpenLoopClientApp::onReadable(std::size_t index)
                                           std::span(scratch_.data(), n));
             }
             slot.valueRemaining -= static_cast<std::uint32_t>(n);
-            slot.valueBytesReceived += n;
             valueBytesReceived_ += n;
-            slot.getOffset += n;
         } else {
             completeCurrent(index);
         }

@@ -12,13 +12,9 @@
  * runs from the *arrival* tick to response completion — queue wait
  * included, which is where open-loop tails live.
  *
- * Modes:
- *  - generation: draw (arrival gap, op, value size) from the seeded
- *    substream generators; optionally record every dispatch as a
- *    TraceRecord through a TraceWriter;
- *  - replay: re-issue a recorded trace — each record fires at its
- *    recorded dispatch tick on its recorded connection slot, which
- *    reproduces the original run's request stream exactly.
+ * Every arrival draws (arrival gap, op, value size) from the seeded
+ * substream generators, so a run's request stream is a pure function
+ * of (seed, clientId): the seed, not a recording, reproduces it.
  *
  * ChurnClientApp stresses the control path instead: it opens
  * connections on an arrival process, runs a single GET over each, and
@@ -32,13 +28,11 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <optional>
 #include <vector>
 
 #include "apps/kv.hh"
 #include "apps/socket_api.hh"
 #include "load/generators.hh"
-#include "load/trace.hh"
 #include "net/stream_oracle.hh"
 #include "sim/stats.hh"
 
@@ -67,13 +61,7 @@ struct OpenLoopConfig
     sim::Tick connectSpacing = sim::microsecondsToTicks(1);
     double appCyclesPerRequest = 250.0;
 
-    /** Replay this trace (records for clientId only) instead of
-     *  generating. Must outlive the app. start() rejects (fatal) a
-     *  record of this client whose conn is not below connections. */
-    const std::vector<TraceRecord> *replay = nullptr;
-
     /** Optional sinks; all may be null. Must outlive the app. */
-    TraceWriter *traceWriter = nullptr;
     net::StreamOracle *oracle = nullptr;
     sim::Histogram *latencyUs = nullptr;
 };
@@ -93,10 +81,7 @@ class OpenLoopClientApp
     std::uint64_t valueBytesReceived() const { return valueBytesReceived_; }
     /** SET request value bytes produced. */
     std::uint64_t valueBytesSent() const { return valueBytesSent_; }
-    std::size_t backlogDepth() const { return backlog_.size(); }
     std::size_t peakBacklogDepth() const { return peakBacklog_; }
-    /** GET response value bytes per connection slot. */
-    std::uint64_t slotValueBytesReceived(std::size_t slot) const;
 
   private:
     struct Request
@@ -121,16 +106,11 @@ class OpenLoopClientApp
         std::size_t outSent = 0;
         /** SET value stream offset (pattern + oracle continuity). */
         std::uint64_t setOffset = 0;
-        std::uint64_t getOffset = 0;
-        std::uint64_t valueBytesReceived = 0;
-        /** Replay mode: requests bound to this slot, in trace order. */
-        std::deque<Request> pending;
     };
 
     void connectSlot(std::size_t slot);
     void scheduleNextArrival();
     void onArrival(Request request);
-    void scheduleNextReplay();
     void tryDispatch();
     void tryDispatchSlot(std::size_t slot);
     void dispatch(std::size_t slot, const Request &request);
@@ -149,7 +129,6 @@ class OpenLoopClientApp
     std::deque<Request> backlog_;
     std::vector<std::uint8_t> scratch_;
     sim::Tick lastArrival_ = 0;
-    std::size_t replayNext_ = 0;
     std::uint64_t issued_ = 0;
     std::uint64_t dispatched_ = 0;
     std::uint64_t completed_ = 0;

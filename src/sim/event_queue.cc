@@ -53,11 +53,6 @@ EventQueue::~EventQueue()
         // do not call forget() on this dying queue.
         ev->queue_ = nullptr;
     };
-    if (soloEvent_ != nullptr) {
-        Node as_node{soloWhen_, soloPriority_, soloSeq_, soloGeneration_,
-                     soloEvent_, soloSelfDeleting_, nullptr};
-        retire(as_node);
-    }
     for (std::size_t b = 0; b < buckets_.size(); ++b) {
         for (Node *n = buckets_[b]; n != nullptr; n = n->next)
             retire(*n);
@@ -198,21 +193,6 @@ EventQueue::push(Event *ev, Tick when, bool self_deleting)
     ev->queue_ = this;
     std::uint64_t seq = nextSeq_++;
 
-    if (liveEvents_ == 0 && deadEntries_ == 0) {
-        // Nothing pending anywhere: park the event in the solo
-        // register — no node, no bitmap, no heap.
-        soloEvent_ = ev;
-        soloWhen_ = when;
-        soloPriority_ = ev->priority_;
-        soloSeq_ = seq;
-        soloGeneration_ = ev->generation_;
-        soloSelfDeleting_ = self_deleting;
-        ++liveEvents_;
-        return;
-    }
-    if (soloEvent_ != nullptr)
-        spillSolo();
-
     if (!inWindow(when) && ladderNodes_ == 0 && heap_.empty() &&
         deadEntries_ == 0) {
         // Containers are empty: snap the window onto this event so it
@@ -233,22 +213,6 @@ EventQueue::push(Event *ev, Tick when, bool self_deleting)
 }
 
 void
-EventQueue::spillSolo()
-{
-    // The solo invariant says both containers are empty, so the
-    // window may snap onto the spilled event when it lies outside.
-    f4t_assert(ladderNodes_ == 0 && heap_.empty() && deadEntries_ == 0,
-               "solo register set while containers hold entries");
-    if (!inWindow(soloWhen_)) {
-        ladderBase_ = soloWhen_;
-        cursor_ = 0;
-    }
-    insertLadder(soloWhen_, soloPriority_, soloSeq_, soloGeneration_,
-                 soloEvent_, soloSelfDeleting_);
-    soloEvent_ = nullptr;
-}
-
-void
 EventQueue::deschedule(Event *ev)
 {
     if (!ev->scheduled_)
@@ -257,12 +221,6 @@ EventQueue::deschedule(Event *ev)
     ev->scheduled_ = false;
     f4t_assert(liveEvents_ > 0, "live event count underflow");
     --liveEvents_;
-    if (ev == soloEvent_) {
-        // The solo register is removed eagerly: no container entry
-        // exists, so there is nothing to squash.
-        soloEvent_ = nullptr;
-        return;
-    }
     // Lazy removal: the generation bump above squashes the entry.
     ++deadEntries_;
     ++ev->staleEntries_;
@@ -410,7 +368,7 @@ EventQueue::compact()
 #ifndef NDEBUG
     // Full recount: the cheap counter identity can hide paired
     // mistakes, so debug builds re-derive both sides from scratch.
-    std::size_t live = soloEvent_ != nullptr ? 1 : 0, dead = 0, nodes = 0;
+    std::size_t live = 0, dead = 0, nodes = 0;
     for (std::size_t b = 0; b < buckets_.size(); ++b) {
         for (Node *n = buckets_[b]; n != nullptr; n = n->next) {
             ++nodes;
@@ -429,12 +387,10 @@ void
 EventQueue::checkAccounting() const
 {
 #ifndef NDEBUG
-    std::size_t solo = soloEvent_ != nullptr ? 1 : 0;
-    f4t_assert(liveEvents_ + deadEntries_ ==
-                   ladderNodes_ + heap_.size() + solo,
+    f4t_assert(liveEvents_ + deadEntries_ == ladderNodes_ + heap_.size(),
                "event accounting mismatch: %zu live + %zu dead != "
-               "%zu ladder + %zu heap + %zu solo",
-               liveEvents_, deadEntries_, ladderNodes_, heap_.size(), solo);
+               "%zu ladder + %zu heap",
+               liveEvents_, deadEntries_, ladderNodes_, heap_.size());
 #endif
 }
 
@@ -548,7 +504,7 @@ EventQueue::dispatch(Event *ev)
 }
 
 bool
-EventQueue::runOneSlow(Tick limit)
+EventQueue::runOne(Tick limit)
 {
     checkAccounting();
     Candidate cand = findCandidate();

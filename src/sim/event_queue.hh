@@ -172,30 +172,7 @@ class EventQueue
     Tick now() const { return now_; }
 
     /** Schedule @p ev at absolute tick @p when (>= now). */
-    void
-    schedule(Event *ev, Tick when)
-    {
-        // Empty-queue fast path, inline: park the event in the solo
-        // register. The self-rescheduling clock tick that drives every
-        // saturated-pipeline run lands here each cycle. Error cases
-        // (past tick, double schedule) fall through to push(), whose
-        // asserts report them.
-        if (liveEvents_ == 0 && deadEntries_ == 0 && !ev->scheduled_ &&
-            when >= now_) {
-            ev->when_ = when;
-            ev->scheduled_ = true;
-            ev->queue_ = this;
-            soloEvent_ = ev;
-            soloWhen_ = when;
-            soloPriority_ = ev->priority_;
-            soloSeq_ = nextSeq_++;
-            soloGeneration_ = ev->generation_;
-            soloSelfDeleting_ = false;
-            liveEvents_ = 1;
-            return;
-        }
-        push(ev, when, false);
-    }
+    void schedule(Event *ev, Tick when) { push(ev, when, false); }
 
     /** Remove a scheduled event; no-op if it is not scheduled. */
     void deschedule(Event *ev);
@@ -243,8 +220,6 @@ class EventQueue
     Tick
     nextEventLowerBound() const
     {
-        if (soloEvent_ != nullptr)
-            return soloWhen_;
         if (liveEvents_ == 0)
             return maxTick;
         Tick bound = maxTick;
@@ -280,21 +255,7 @@ class EventQueue
     }
 
     /** Run exactly one event if any is pending within @p limit. */
-    bool
-    runOne(Tick limit = maxTick)
-    {
-        // Solo fast path, inline (see schedule()); container pops take
-        // the out-of-line slow path.
-        if (soloEvent_ != nullptr) {
-            if (soloWhen_ > limit)
-                return false;
-            Event *ev = soloEvent_;
-            soloEvent_ = nullptr;
-            fire(ev, soloWhen_, soloSelfDeleting_);
-            return true;
-        }
-        return runOneSlow(limit);
-    }
+    bool runOne(Tick limit = maxTick);
 
     /** Total number of events processed since construction. */
     std::uint64_t eventsProcessed() const { return processed_; }
@@ -389,13 +350,9 @@ class EventQueue
     }
 
     void push(Event *ev, Tick when, bool self_deleting);
-    /** runOne() when the solo register is empty. */
-    bool runOneSlow(Tick limit);
     void insertLadder(Tick when, int priority, std::uint64_t seq,
                       std::uint64_t generation, Event *ev,
                       bool self_deleting);
-    /** Move the solo register's occupant into the ladder/heap. */
-    void spillSolo();
     /** Shared fire tail: pop bookkeeping + process + recycle. */
     void fire(Event *ev, Tick when, bool self_deleting);
     /** Invoke the event body: EventKind switch or virtual process(). */
@@ -448,21 +405,6 @@ class EventQueue
     std::uint64_t processed_ = 0;
     std::size_t liveEvents_ = 0;
     std::size_t deadEntries_ = 0;
-
-    // Solo register: when the queue is otherwise empty, the sole
-    // pending event lives here instead of in a container. A simulator
-    // region driven by one self-rescheduling clock event — the
-    // steady state of every saturated-pipeline scenario — then pops
-    // and pushes through a handful of plain fields. Invariant: while
-    // soloEvent_ is set, the ladder and the heap are empty (the next
-    // push spills the occupant before inserting), so the solo entry
-    // is trivially the global minimum.
-    Event *soloEvent_ = nullptr;
-    Tick soloWhen_ = 0;
-    int soloPriority_ = 0;
-    std::uint64_t soloSeq_ = 0;
-    std::uint64_t soloGeneration_ = 0;
-    bool soloSelfDeleting_ = false;
 
     // Ladder state. Each bucket holds a singly linked chain, sorted
     // by (when, priority, seq), of the entries inside its granule

@@ -14,14 +14,20 @@
  *  - ScopedRng: a fixed-seed sim::Random that, if the test ends up
  *    failing, prints its seed so the failure is reproducible even
  *    when someone later randomizes it;
- *  - runFor / settle: microsecond-denominated simulation advance.
+ *  - runFor / settle: microsecond-denominated simulation advance;
+ *  - F4T_EXPECT_PANIC: EXPECT_DEATH for a deliberate panic, whose
+ *    flight-recorder dump lands in a scratch directory of its own.
  */
 
 #ifndef F4T_TESTS_HARNESS_HH
 #define F4T_TESTS_HARNESS_HH
 
 #include <cstdio>
+#include <filesystem>
 #include <sstream>
+#include <string>
+
+#include <stdlib.h>
 
 #include <gtest/gtest.h>
 
@@ -97,6 +103,48 @@ class ScopedRng : public sim::Random
   private:
     std::uint64_t seed_;
 };
+
+/** Path of the one .f4tfr dump in @p dir; a test failure unless
+ *  exactly one is there. */
+inline std::string
+onlyDumpIn(const std::string &dir)
+{
+    std::string found;
+    for (const auto &entry : std::filesystem::directory_iterator(dir)) {
+        if (entry.path().extension() == ".f4tfr") {
+            EXPECT_TRUE(found.empty())
+                << "more than one dump in " << dir;
+            found = entry.path().string();
+        }
+    }
+    EXPECT_FALSE(found.empty()) << "no .f4tfr dump in " << dir;
+    return found;
+}
+
+/**
+ * EXPECT_DEATH for a statement that panics on purpose. A panic dumps
+ * the flight recorder into $F4T_DUMP_DIR (or the working directory),
+ * where an expected dump would pile up run after run and mix with the
+ * dump of a real failure. So the statement runs with F4T_DUMP_DIR
+ * pointed at a fresh temporary directory (set in the death test's
+ * child only), the helper checks that exactly one dump landed there —
+ * the dump-on-panic contract stays tested — and removes the directory.
+ */
+#define F4T_EXPECT_PANIC(statement, regex)                              \
+    do {                                                                \
+        SCOPED_TRACE("F4T_EXPECT_PANIC(" #statement ")");               \
+        std::string f4t_dump_dir_ =                                     \
+            ::testing::TempDir() + "f4t-panic-XXXXXX";                  \
+        ASSERT_NE(::mkdtemp(f4t_dump_dir_.data()), nullptr);            \
+        EXPECT_DEATH(                                                   \
+            {                                                           \
+                ::setenv("F4T_DUMP_DIR", f4t_dump_dir_.c_str(), 1);     \
+                statement;                                              \
+            },                                                          \
+            regex);                                                     \
+        ::f4t::test::onlyDumpIn(f4t_dump_dir_);                         \
+        std::filesystem::remove_all(f4t_dump_dir_);                     \
+    } while (0)
 
 } // namespace f4t::test
 

@@ -92,7 +92,7 @@ TEST(StallingEngine, SramBoundRefusesMoreFlows)
                                     config);
     for (int i = 0; i < 4; ++i)
         engine.createSyntheticFlow();
-    EXPECT_DEATH(engine.createSyntheticFlow(), "SRAM full");
+    F4T_EXPECT_PANIC(engine.createSyntheticFlow(), "SRAM full");
 }
 
 TEST(TonicModel, SegmentQuantizationShapesThroughput)

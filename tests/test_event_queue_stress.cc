@@ -9,8 +9,8 @@
  * the earliest pending tick exactly (the parallel executor starts its
  * windows there). The randomized test here drives schedule /
  * deschedule / reschedule / runOne / run(limit) at mixed horizons —
- * spanning the solo register, the ladder granules, window rebases, and
- * the far heap out to RTO-scale deadlines — and cross-checks every
+ * spanning the ladder granules, window rebases, and the far heap out
+ * to RTO-scale deadlines — and cross-checks every
  * fired event and every post-run bound against a std::multimap
  * reference model that implements the contract directly.
  *
@@ -190,12 +190,11 @@ TEST(EventQueueStress, RandomizedAgainstReferenceModel)
     EXPECT_TRUE(ref.empty());
 }
 
-TEST(EventQueueStress, SoloRegisterMetronome)
+TEST(EventQueueStress, SingleEventMetronome)
 {
     // The steady state of a saturated pipeline: exactly one live
-    // self-rescheduling event. Must pop/push without touching the
-    // containers and stay exactly ordered across thousands of laps,
-    // including laps longer than the ladder window.
+    // self-rescheduling event. Must stay exactly ordered across
+    // thousands of laps, including laps longer than the ladder window.
     EventQueue queue;
     Tick expect = 0;
     int fired = 0;
@@ -211,28 +210,6 @@ TEST(EventQueueStress, SoloRegisterMetronome)
     // One pooled callback event serviced the whole run.
     EXPECT_EQ(queue.callbackPoolAllocated(), 1u);
     EXPECT_EQ(queue.callbackPoolFree(), 1u);
-}
-
-TEST(EventQueueStress, SoloDescheduleIsEager)
-{
-    EventQueue queue;
-    StressEvent ev;
-    std::vector<FiredRecord> log;
-    ev.id = 0;
-    ev.queue = &queue;
-    ev.log = &log;
-
-    queue.schedule(&ev, 100);
-    EXPECT_EQ(queue.size(), 1u);
-    queue.deschedule(&ev);
-    EXPECT_TRUE(queue.empty());
-    // The solo occupant leaves no squashed residue behind.
-    EXPECT_EQ(queue.squashedEntries(), 0u);
-
-    queue.schedule(&ev, 200);
-    queue.run();
-    ASSERT_EQ(log.size(), 1u);
-    EXPECT_EQ(log[0].when, 200u);
 }
 
 TEST(EventQueueStress, CallbackPoolRecyclesAcrossBursts)

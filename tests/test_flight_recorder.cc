@@ -33,6 +33,7 @@
 #include <sys/wait.h>
 
 #include "apps/testbed.hh"
+#include "harness.hh"
 #include "sim/flight_recorder.hh"
 #include "sim/random.hh"
 #include "sim/parallel.hh"
@@ -41,6 +42,7 @@
 
 using namespace f4t;
 using sim::Tick;
+using test::onlyDumpIn;
 namespace fr = sim::fr;
 
 namespace
@@ -53,21 +55,6 @@ struct WatchdogEnv
     WatchdogEnv() { ::setenv("F4T_WATCHDOG_SECS", "0.25", 1); }
 };
 WatchdogEnv watchdogEnv;
-
-std::string
-onlyDumpIn(const std::string &dir)
-{
-    std::string found;
-    for (const auto &entry : std::filesystem::directory_iterator(dir)) {
-        if (entry.path().extension() == ".f4tfr") {
-            EXPECT_TRUE(found.empty())
-                << "more than one dump in " << dir;
-            found = entry.path().string();
-        }
-    }
-    EXPECT_FALSE(found.empty()) << "no .f4tfr dump in " << dir;
-    return found;
-}
 
 std::string
 slurpFile(const std::string &path)

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "core/fpc.hh"
+#include "harness.hh"
 #include "sim/random.hh"
 #include "sim/simulation.hh"
 
@@ -248,7 +249,7 @@ TEST_F(FpcFixture, EventForWrongFpcPanics)
     auto fpc = makeFpc();
     install(*fpc, 5);
     tcp::TcpEvent ev = sendEvent(99, 100);
-    EXPECT_DEATH(fpc->enqueueEvent(ev), "non-resident flow");
+    F4T_EXPECT_PANIC(fpc->enqueueEvent(ev), "non-resident flow");
 }
 
 TEST_F(FpcFixture, SwapInPortAcceptsOnePerTwoCycles)

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "harness.hh"
 #include "host/command_queue.hh"
 #include "host/cpu.hh"
 #include "host/host_memory.hh"
@@ -131,7 +132,7 @@ TEST(Bram, PortBudgetEnforced)
     bram.newCycle(0);
     bram.write(0, 1);
     bram.read(0);
-    EXPECT_DEATH(bram.read(1), "port overcommit");
+    F4T_EXPECT_PANIC(bram.read(1), "port overcommit");
 }
 
 TEST(Bram, NewCycleResetsBudget)

@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "harness.hh"
 #include "net/link.hh"
 #include "sim/parallel.hh"
 #include "sim/simulation.hh"
@@ -30,13 +31,13 @@ struct CountingEvent : sim::Event
     int fired = 0;
 };
 
-TEST(EventQueueLowerBound, TracksSoloLadderAndHeap)
+TEST(EventQueueLowerBound, TracksLoneEventLadderAndHeap)
 {
     sim::Simulation sim;
     EXPECT_EQ(sim.queue().nextEventLowerBound(), sim::maxTick);
 
-    CountingEvent solo;
-    sim.queue().schedule(&solo, 100);
+    CountingEvent lone;
+    sim.queue().schedule(&lone, 100);
     EXPECT_EQ(sim.queue().nextEventLowerBound(), 100u);
 
     CountingEvent far;
@@ -44,7 +45,7 @@ TEST(EventQueueLowerBound, TracksSoloLadderAndHeap)
     EXPECT_EQ(sim.queue().nextEventLowerBound(), 100u);
 
     sim.run(100);
-    EXPECT_EQ(solo.fired, 1);
+    EXPECT_EQ(lone.fired, 1);
     EXPECT_EQ(sim.queue().nextEventLowerBound(), 1'000'000u);
 
     sim.run(1'000'000);
@@ -234,7 +235,7 @@ TEST(LinkCrossingDeathTest, RegisterChannelsOnDirectCableDies)
     sim::Simulation sim;
     net::Link link(sim, "cable", 100e9, sim::nanosecondsToTicks(500));
     sim::ParallelExecutor ex;
-    EXPECT_DEATH(link.registerChannels(ex), "only a split cable");
+    F4T_EXPECT_PANIC(link.registerChannels(ex), "only a split cable");
 }
 
 TEST(ParallelLink, DeliversAcrossPartitionsAtModeledArrival)

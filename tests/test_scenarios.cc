@@ -1,9 +1,9 @@
 /**
  * @file
  * End-to-end scenario tests over the star testbed: open-loop KV load
- * against the shared-buffer switch, trace record/replay round-trip,
- * connection-churn lifecycle accounting, and multi-segment tail-loss
- * recovery (the RTO path open-loop incast leans on).
+ * against the shared-buffer switch, connection-churn lifecycle
+ * accounting, and multi-segment tail-loss recovery (the RTO path
+ * open-loop incast leans on).
  *
  * Registered under the ctest label "scenarios" (see CMakeLists) so CI
  * can run the scenario suite as its own smoke job.
@@ -11,18 +11,13 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cstdio>
 #include <memory>
-#include <optional>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "apps/kv.hh"
 #include "apps/testbed_star.hh"
 #include "load/open_loop.hh"
-#include "load/trace.hh"
 
 namespace f4t
 {
@@ -77,114 +72,6 @@ TEST(Scenarios, OpenLoopKvAgainstStarWorldCompletes)
     EXPECT_GE(server.gets() + server.sets(), total_completed);
     EXPECT_EQ(server.protocolErrors(), 0u);
     EXPECT_EQ(world.fabric->routeMisses(), 0u);
-}
-
-/** One run's dispatches, read back from the trace every client wrote
- *  through one shared TraceWriter and put in canonical order, plus
- *  per-client completion counts. */
-struct GenerationResult
-{
-    std::vector<load::TraceRecord> merged;
-    std::uint64_t dispatched = 0;
-    std::vector<std::uint64_t> completed;
-    std::vector<std::uint64_t> valueBytesReceived;
-    std::vector<std::uint64_t> valueBytesSent;
-};
-
-GenerationResult
-runScenario(std::size_t num_clients, sim::Tick duration,
-            const std::vector<std::vector<load::TraceRecord>> *replay,
-            const std::string &trace_path)
-{
-    testbed::StarConfig config;
-    config.clients = num_clients;
-    testbed::StarWorld world(config);
-
-    apps::F4tSocketApi server_api = world.serverApi();
-    apps::KvServerApp server(server_api, {});
-    server.start();
-
-    load::TraceWriter writer;
-    EXPECT_TRUE(writer.open(trace_path, "replay-test", 0xABCD));
-
-    std::vector<std::unique_ptr<apps::F4tSocketApi>> apis;
-    std::vector<std::unique_ptr<load::OpenLoopClientApp>> clients;
-    for (std::size_t i = 0; i < num_clients; ++i) {
-        apis.push_back(world.makeClientApi(i));
-        load::OpenLoopConfig ocfg;
-        ocfg.peer = testbed::starServerIp();
-        ocfg.connections = 2;
-        ocfg.streamBase = static_cast<std::uint32_t>(i) * 64;
-        ocfg.clientId = static_cast<std::uint32_t>(i);
-        ocfg.seed = 0xABCD;
-        ocfg.arrivals = load::ArrivalSpec::poisson(60'000.0);
-        ocfg.valueSizes = load::SizeSpec::logNormalSize(512.0, 0.7, 64,
-                                                        16384);
-        ocfg.readFraction = 0.5;
-        ocfg.startAt = sim::microsecondsToTicks(20);
-        ocfg.traceWriter = &writer;
-        if (replay != nullptr)
-            ocfg.replay = &(*replay)[i];
-        clients.push_back(
-            std::make_unique<load::OpenLoopClientApp>(*apis.back(), ocfg));
-        clients.back()->start();
-    }
-
-    world.sim.runFor(duration);
-
-    GenerationResult result;
-    for (auto &client : clients) {
-        result.dispatched += client->dispatched();
-        result.completed.push_back(client->completed());
-        result.valueBytesReceived.push_back(client->valueBytesReceived());
-        result.valueBytesSent.push_back(client->valueBytesSent());
-    }
-    EXPECT_TRUE(writer.close());
-    std::optional<load::TraceFile> trace = load::readTrace(trace_path);
-    EXPECT_TRUE(trace.has_value());
-    if (trace.has_value())
-        result.merged = std::move(trace->records);
-    std::sort(result.merged.begin(), result.merged.end(),
-              [](const load::TraceRecord &a, const load::TraceRecord &b) {
-                  return std::tie(a.timePs, a.client, a.conn, a.valueBytes) <
-                         std::tie(b.timePs, b.client, b.conn, b.valueBytes);
-              });
-    return result;
-}
-
-TEST(Scenarios, TraceReplayReproducesFingerprintAndByteCounts)
-{
-    constexpr std::size_t num_clients = 2;
-    const sim::Tick duration = sim::microsecondsToTicks(700);
-    std::string path = ::testing::TempDir() + "/f4t_scenario_replay.flows";
-
-    // The generation run records through the file format, so its
-    // trace has already round-tripped when it is split per client.
-    GenerationResult original =
-        runScenario(num_clients, duration, nullptr, path);
-    std::uint64_t original_fp = load::traceFingerprint(original.merged);
-    ASSERT_GT(original.merged.size(), 0u);
-    ASSERT_EQ(original.merged.size(), original.dispatched);
-
-    std::vector<std::vector<load::TraceRecord>> per_client(num_clients);
-    for (const auto &r : original.merged)
-        per_client[r.client].push_back(r);
-
-    GenerationResult replayed =
-        runScenario(num_clients, duration, &per_client, path);
-
-    EXPECT_EQ(load::traceFingerprint(replayed.merged), original_fp)
-        << "replay dispatched a different request stream";
-    for (std::size_t i = 0; i < num_clients; ++i) {
-        EXPECT_EQ(replayed.completed[i], original.completed[i])
-            << "client " << i;
-        EXPECT_EQ(replayed.valueBytesReceived[i],
-                  original.valueBytesReceived[i])
-            << "client " << i;
-        EXPECT_EQ(replayed.valueBytesSent[i], original.valueBytesSent[i])
-            << "client " << i;
-    }
-    std::remove(path.c_str());
 }
 
 TEST(Scenarios, ChurnLifecycleCompletesAndTearsDown)

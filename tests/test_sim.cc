@@ -9,6 +9,7 @@
 #include <sstream>
 #include <vector>
 
+#include "harness.hh"
 #include "sim/random.hh"
 #include "sim/simulation.hh"
 
@@ -213,7 +214,8 @@ TEST(Stats, DuplicateNameIsRejected)
 {
     Simulation sim;
     Scalar a(sim.stats(), "dup.name", "first");
-    EXPECT_DEATH(Scalar(sim.stats(), "dup.name", "second"), "duplicate");
+    F4T_EXPECT_PANIC(Scalar(sim.stats(), "dup.name", "second"),
+                     "duplicate");
 }
 
 TEST(Stats, DumpContainsAllStats)

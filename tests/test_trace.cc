@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "harness.hh"
 #include "net/link.hh"
 #include "net/packet.hh"
 #include "net/pcap_writer.hh"
@@ -636,7 +637,7 @@ TEST(Stats, DuplicateNameDies)
 {
     sim::StatRegistry registry;
     sim::Scalar first(registry, "same.name", "");
-    EXPECT_DEATH(sim::Scalar(registry, "same.name", ""), "duplicate");
+    F4T_EXPECT_PANIC(sim::Scalar(registry, "same.name", ""), "duplicate");
 }
 
 TEST(Stats, SampleValueSnapshots)
