@@ -58,8 +58,8 @@ EventQueue::~EventQueue()
             retire(*n);
     }
     for (const HeapEntry &e : heap_) {
-        Node as_node{e.when, e.priority, e.seq, e.generation, e.event,
-                     e.selfDeleting, nullptr};
+        Node as_node{e.when, e.seq, e.generation, e.event, nullptr,
+                     e.priority, e.selfDeleting};
         retire(as_node);
     }
 }
@@ -155,7 +155,7 @@ EventQueue::insertLadder(Tick when, int priority, std::uint64_t seq,
     std::size_t idx =
         static_cast<std::size_t>(when - ladderBase_) >> granuleShift;
     Node *n = acquireNode();
-    *n = Node{when, priority, seq, generation, ev, self_deleting, nullptr};
+    *n = Node{when, seq, generation, ev, nullptr, priority, self_deleting};
 
     Node *tail = tails_[idx];
     if (tail == nullptr) {
@@ -205,8 +205,8 @@ EventQueue::push(Event *ev, Tick when, bool self_deleting)
         insertLadder(when, ev->priority_, seq, ev->generation_, ev,
                      self_deleting);
     } else {
-        heap_.push_back(HeapEntry{when, ev->priority_, seq,
-                                  ev->generation_, ev, self_deleting});
+        heap_.push_back(HeapEntry{when, seq, ev->generation_, ev,
+                                  ev->priority_, self_deleting});
         std::push_heap(heap_.begin(), heap_.end(), HeapCompare{});
     }
     ++liveEvents_;

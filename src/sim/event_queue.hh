@@ -184,6 +184,15 @@ class EventQueue
      */
     void forget(Event *ev);
 
+    /**
+     * Drop every squashed entry from both containers in one sweep.
+     * An owner tearing down many scheduled events deschedules them
+     * all and then calls this once, so their destructors find no
+     * entry to forget() one sweep at a time. Pop order is unchanged;
+     * nextEventLowerBound() is exact afterwards.
+     */
+    void compact();
+
     /** Deschedule if needed and schedule at the new time. */
     void reschedule(Event *ev, Tick when);
 
@@ -270,28 +279,34 @@ class EventQueue
     std::size_t squashedEntries() const { return deadEntries_; }
 
   private:
+    // Entry fields are ordered widest first so the two narrow ones
+    // share one tail word: every pending timer arm holds a heap entry.
+
     /** A scheduled occurrence; doubles as a ladder chain node. */
     struct Node
     {
         Tick when;
-        int priority;
         std::uint64_t seq;
         std::uint64_t generation;
         Event *event;
-        bool selfDeleting;
         Node *next;
+        int priority;
+        bool selfDeleting;
     };
+    static_assert(sizeof(Node) == 48, "Node must pack to 48 bytes");
 
     /** Far-future heap entry (same ordering key, no chain pointer). */
     struct HeapEntry
     {
         Tick when;
-        int priority;
         std::uint64_t seq;
         std::uint64_t generation;
         Event *event;
+        int priority;
         bool selfDeleting;
     };
+    static_assert(sizeof(HeapEntry) == 40,
+                  "HeapEntry must pack to 40 bytes");
 
     struct HeapCompare
     {
@@ -382,8 +397,6 @@ class EventQueue
     void skipSquashed();
     /** Move every heap entry inside the new window into the ladder. */
     void rebaseLadder();
-    /** Rebuild both containers without squashed entries. */
-    void compact();
     void maybeCompact();
     /** Counter cross-check; full recount only in debug builds. */
     void checkAccounting() const;

@@ -179,6 +179,7 @@ CubicPolicy::startEpoch(Tcb &tcb, std::uint64_t now_us) const
     }
     tcb.algoScratch[idxK] = static_cast<std::uint32_t>(k_ms);
     tcb.algoScratch[idxAckedBytes] = 0;
+    tcb.algoScratch[idxEstSegments] = 0;
 }
 
 void
@@ -224,13 +225,22 @@ CubicPolicy::onAck(Tcb &tcb, std::uint32_t acked_bytes,
     if (target < static_cast<std::int64_t>(2u * tcb.mss))
         target = 2u * tcb.mss;
 
-    // TCP-friendly region (standard AIMD estimate).
-    std::uint64_t acked_total = tcb.algoScratch[idxAckedBytes] + acked_bytes;
+    // TCP-friendly region (RFC 8312 §4.2): W_est grows 3(1-β)/(1+β)
+    // ≈ 0.53 segments per RTT, so one segment per cwnd·(1+β)/(3(1-β))
+    // bytes ACKed, counted across ACKs.
+    std::uint64_t per_segment =
+        std::uint64_t{tcb.cwnd} * (cubicScale + cubicBetaScaled) /
+        (3 * (cubicScale - cubicBetaScaled));
+    if (per_segment == 0)
+        per_segment = 1;
+    std::uint64_t acked = tcb.algoScratch[idxAckedBytes] + acked_bytes;
+    tcb.algoScratch[idxEstSegments] +=
+        static_cast<std::uint32_t>(acked / per_segment);
     tcb.algoScratch[idxAckedBytes] =
-        static_cast<std::uint32_t>(acked_total);
-    std::uint64_t w_est = w_max * cubicBetaScaled / cubicScale +
-                          acked_total * 3 * (cubicScale - cubicBetaScaled) /
-                              (cubicScale + cubicBetaScaled);
+        static_cast<std::uint32_t>(acked % per_segment);
+    std::uint64_t w_est =
+        w_max * cubicBetaScaled / cubicScale +
+        std::uint64_t{tcb.algoScratch[idxEstSegments]} * tcb.mss;
     if (target < static_cast<std::int64_t>(w_est))
         target = static_cast<std::int64_t>(w_est);
 

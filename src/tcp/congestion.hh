@@ -101,7 +101,8 @@ class CubicPolicy : public CongestionControl
     static constexpr std::size_t idxEpochLoUs = 1;  ///< epoch start, low
     static constexpr std::size_t idxEpochHiUs = 2;  ///< epoch start, high
     static constexpr std::size_t idxK = 3;          ///< K in milliseconds
-    static constexpr std::size_t idxAckedBytes = 4; ///< TCP-friendly est.
+    static constexpr std::size_t idxAckedBytes = 4; ///< since W_est grew
+    static constexpr std::size_t idxEstSegments = 5; ///< W_est's growth
 
     void startEpoch(Tcb &tcb, std::uint64_t now_us) const;
 };

@@ -66,7 +66,7 @@ struct SoftTcpStack::Conn
     double wMaxSeg = 0;
     double cubicK = 0;
     std::uint64_t epochStartUs = 0;
-    double ackedSinceEpoch = 0;
+    double wEstGrowthSeg = 0; ///< TCP-friendly W_est's growth this epoch
 
     // --- RTT / RTO ----------------------------------------------------------
     double srttUs = 0;
@@ -1021,12 +1021,12 @@ SoftTcpStack::ccOnAck(Conn &conn, std::uint32_t acked, std::uint64_t now_us)
     double d = t - conn.cubicK;
     double w_cubic_seg = C * d * d * d + conn.wMaxSeg;
 
-    conn.ackedSinceEpoch += acked;
-    // TCP-friendly estimate.
+    // TCP-friendly estimate (RFC 8312 §4.2): W_est grows 3(1-β)/(1+β)
+    // ≈ 0.53 segments per RTT, so that times acked/cwnd per ACK.
     constexpr double beta = 0.7;
-    double w_est_seg = conn.wMaxSeg * beta +
-                       (3.0 * (1.0 - beta) / (1.0 + beta)) *
-                           (conn.ackedSinceEpoch / mss);
+    conn.wEstGrowthSeg +=
+        (3.0 * (1.0 - beta) / (1.0 + beta)) * acked / conn.cwnd;
+    double w_est_seg = conn.wMaxSeg * beta + conn.wEstGrowthSeg;
     double target_seg = std::max(w_cubic_seg, w_est_seg);
     double target = std::max(target_seg * mss, 2.0 * mss);
 
@@ -1042,7 +1042,7 @@ SoftTcpStack::cubicStartEpoch(Conn &conn, std::uint64_t now_us)
 {
     constexpr double C = 0.4;
     conn.epochStartUs = now_us;
-    conn.ackedSinceEpoch = 0;
+    conn.wEstGrowthSeg = 0;
     double cwnd_seg = conn.cwnd / config_.mss;
     if (conn.wMaxSeg < cwnd_seg)
         conn.wMaxSeg = cwnd_seg;

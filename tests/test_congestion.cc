@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "tcp/congestion.hh"
 
 namespace f4t::tcp
@@ -145,25 +148,40 @@ TEST(Cubic, ReductionUsesBeta0_7)
 
 TEST(Cubic, ConcaveGrowthTowardWmax)
 {
+    // A loss at W_max = 100 segments with a 10 ms RTT. RFC 8312's
+    // window is then the larger of W_cubic(t) = C(t-K)^3 + W_max and
+    // the TCP-friendly W_est(t) = β·W_max + 3(1-β)/(1+β)·t/RTT, which
+    // grows about 0.53 segments per RTT and leads from the start.
     CubicPolicy cubic;
     Tcb tcb = flowWith(cubic, 50 * 1460);
     tcb.cwnd = 100 * 1460;
     std::uint64_t t = 1'000'000;
     cubic.onEnterRecovery(tcb, t);
     cubic.onExitRecovery(tcb);
-    std::uint32_t after_loss = tcb.cwnd;
+    EXPECT_EQ(tcb.cwnd / 1460, 70u);
 
-    // Feed ACKs over simulated time; the window must grow back toward
-    // (and eventually past) W_max without collapsing.
-    std::uint32_t w_max = 100 * 1460;
-    for (int rtt = 0; rtt < 300; ++rtt) {
-        t += 10'000; // 10 ms per RTT
+    auto rfc_window = [](int rtts) {
+        constexpr double beta = 0.7, c = 0.4, w_max = 100;
+        double k = std::cbrt(w_max * (1 - beta) / c);
+        double w_cubic = c * std::pow(rtts * 0.010 - k, 3) + w_max;
+        double w_est = w_max * beta + 3 * (1 - beta) / (1 + beta) * rtts;
+        return std::max(w_cubic, w_est);
+    };
+
+    std::uint32_t previous = tcb.cwnd;
+    for (int rtt = 1; rtt <= 300; ++rtt) {
+        t += 10'000;
         std::uint32_t acks = tcb.cwnd / 1460;
         for (std::uint32_t i = 0; i < acks; ++i)
             cubic.onAck(tcb, 1460, 10'000, t);
+        // Without a loss the window never shrinks, so a drop is a wrap.
+        ASSERT_GE(tcb.cwnd, previous) << "at RTT " << rtt;
+        previous = tcb.cwnd;
+        if (rtt == 11 || rtt == 50 || rtt == 100 || rtt == 300) {
+            EXPECT_NEAR(tcb.cwnd / 1460.0, rfc_window(rtt), 3.0)
+                << "at RTT " << rtt;
+        }
     }
-    EXPECT_GT(tcb.cwnd, after_loss);
-    EXPECT_GT(tcb.cwnd, w_max); // past the plateau into convex growth
 }
 
 TEST(Cubic, FastConvergenceLowersWmax)

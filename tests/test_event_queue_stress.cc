@@ -7,12 +7,13 @@
  * (tick, priority, insertion sequence) order, identical to a single
  * global priority queue, and after run(limit) nextEventLowerBound() is
  * the earliest pending tick exactly (the parallel executor starts its
- * windows there). The randomized test here drives schedule /
- * deschedule / reschedule / runOne / run(limit) at mixed horizons —
- * spanning the ladder granules, window rebases, and the far heap out
- * to RTO-scale deadlines — and cross-checks every
- * fired event and every post-run bound against a std::multimap
- * reference model that implements the contract directly.
+ * windows there), as it is after compact(). The randomized test here
+ * drives schedule / deschedule / reschedule / runOne / run(limit) /
+ * compact at mixed horizons — spanning the ladder granules, window
+ * rebases, and the far heap out to RTO-scale deadlines — and
+ * cross-checks every fired event and every post-run or post-compact
+ * bound against a std::multimap reference model that implements the
+ * contract directly.
  *
  * The pool tests pin down the steady-state-allocation-free property:
  * callback events and payload buffers must recycle rather than grow
@@ -163,6 +164,15 @@ TEST(EventQueueStress, RandomizedAgainstReferenceModel)
             if (::testing::Test::HasFailure())
                 return;
             EXPECT_EQ(queue.now(), limit);
+            Tick earliest = ref.empty() ? maxTick
+                                        : std::get<0>(ref.begin()->first);
+            ASSERT_EQ(queue.nextEventLowerBound(), earliest);
+            break;
+        }
+        case 11: // drop every squashed entry mid-run
+        {
+            queue.compact();
+            ASSERT_EQ(queue.squashedEntries(), 0u);
             Tick earliest = ref.empty() ? maxTick
                                         : std::get<0>(ref.begin()->first);
             ASSERT_EQ(queue.nextEventLowerBound(), earliest);
