@@ -40,8 +40,6 @@ nginxServerConfig(bool on_linux)
 {
     apps::HttpServerConfig config;
     config.responseBytes = 256;
-    config.appCyclesPerRequest = host::NginxCosts::appProcessing;
-    config.filesystemCyclesPerRequest = host::NginxCosts::filesystem;
     if (on_linux) {
         config.stackCyclesPerRequest = host::NginxCosts::linuxTcp;
         config.kernelCyclesPerRequest = host::NginxCosts::linuxKernelOther;
@@ -69,7 +67,6 @@ makeLoadGens(std::size_t flows, std::size_t client_cores,
         config.port = 80;
         config.connections = share;
         config.responseBytes = 256;
-        config.appCyclesPerRequest = host::wrkRequestCost;
         gens.push_back(std::make_unique<apps::HttpLoadGenApp>(
             *keep_apis.back(), latency, config));
         gens.back()->start();

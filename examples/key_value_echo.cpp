@@ -59,7 +59,6 @@ main()
         apps::EchoClientConfig client_config;
         client_config.peer = testbed::ipB();
         client_config.flows = flows / threads;
-        client_config.messageBytes = 128;
         client_config.connectSpacing = sim::nanosecondsToTicks(100);
         clients.push_back(std::make_unique<apps::EchoClientApp>(
             *client_apis.back(), &latency, client_config));

@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "host/cost_model.hh"
+
 namespace f4t::apps
 {
 
@@ -74,9 +76,9 @@ void
 HttpServerApp::respond(SocketApi::ConnId conn)
 {
     api_.core().charge(CostCategory::application,
-                       config_.appCyclesPerRequest);
+                       host::NginxCosts::appProcessing);
     api_.core().charge(CostCategory::filesystem,
-                       config_.filesystemCyclesPerRequest);
+                       host::NginxCosts::filesystem);
     if (config_.stackCyclesPerRequest > 0) {
         api_.core().charge(CostCategory::tcpStack,
                            config_.stackCyclesPerRequest);
@@ -127,8 +129,7 @@ HttpLoadGenApp::connectNext(std::size_t index)
 void
 HttpLoadGenApp::issue(SocketApi::ConnId conn)
 {
-    api_.core().charge(CostCategory::application,
-                       config_.appCyclesPerRequest);
+    api_.core().charge(CostCategory::application, host::wrkRequestCost);
     awaiting_[conn] = config_.responseBytes;
     sendTime_[conn] = api_.simulation().now();
     api_.send(conn,

@@ -31,9 +31,8 @@ struct HttpServerConfig
 {
     std::uint16_t port = 80;
     std::size_t responseBytes = 256;
-    double appCyclesPerRequest = 2600.0;
-    double filesystemCyclesPerRequest = 950.0;
-    /** Linux-only per-request kernel budgets (zero on F4T). */
+    /** Linux-only per-request kernel budgets (zero on F4T); the app
+     *  and filesystem budgets are host::NginxCosts on both stacks. */
     double stackCyclesPerRequest = 0.0;
     double kernelCyclesPerRequest = 0.0;
 };
@@ -65,7 +64,6 @@ struct HttpLoadGenConfig
     std::uint16_t port = 80;
     std::size_t connections = 64;
     std::size_t responseBytes = 256;
-    double appCyclesPerRequest = 600.0;
     sim::Tick connectSpacing = sim::microsecondsToTicks(1);
     std::string target = "/index.html";
 };

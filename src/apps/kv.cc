@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "host/cost_model.hh"
+
 namespace f4t::apps
 {
 
@@ -121,8 +123,8 @@ KvServerApp::process(SocketApi::ConnId conn, Conn &state)
             state.haveHeader = true;
             bool is_set = state.request.op == KvOp::set;
             api_.core().charge(CostCategory::application,
-                               is_set ? config_.cyclesPerSet
-                                      : config_.cyclesPerGet);
+                               is_set ? host::AppCosts::kvSet
+                                      : host::AppCosts::kvGet);
             state.valueRemaining = is_set ? state.request.valueBytes : 0;
             if (state.valueRemaining == 0) {
                 respond(conn, state, state.request);

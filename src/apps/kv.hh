@@ -101,9 +101,6 @@ kvGetStream(std::uint32_t key)
 struct KvServerConfig
 {
     std::uint16_t port = 11211;
-    /** Host cycles charged per parsed operation. */
-    double cyclesPerGet = 450.0;
-    double cyclesPerSet = 600.0;
     /** Optional byte-exact ledger for value payloads. */
     net::StreamOracle *oracle = nullptr;
 };

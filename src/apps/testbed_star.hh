@@ -42,12 +42,8 @@ namespace f4t::testbed
 struct StarConfig
 {
     std::size_t clients = 8;
-    std::size_t coresPerHost = 1;
     core::EngineConfig engine;
     net::SwitchConfig fabric; ///< numPorts overwritten to clients+1+extraPorts
-    double clientBandwidthBps = 100e9;
-    double serverBandwidthBps = 100e9;
-    sim::Tick propagationDelay = sim::nanosecondsToTicks(500);
     /** Faults on the switch->server (bottleneck) direction. */
     net::FaultModel serverLinkFaults;
     /** Faults on the server->switch direction; defaults to the
@@ -87,6 +83,13 @@ starServerMac()
 /** N clients and one server behind a switch. */
 struct StarWorld : WorldKernel
 {
+    /** CPU cores (and F4T queue pairs) per host. */
+    static constexpr std::size_t coresPerHost = 1;
+    /** Bandwidth and one-way propagation delay of every cable, the
+     *  client uplinks and the server downlink alike. */
+    static constexpr double linkBandwidthBps = 100e9;
+    static constexpr sim::Tick propagationDelay = sim::nanosecondsToTicks(500);
+
     explicit StarWorld(const StarConfig &config = {},
                        Placement placement = {})
         : WorldKernel(placement)
@@ -106,8 +109,7 @@ struct StarWorld : WorldKernel
             engine->addArpEntry(starServerIp(), starServerMac());
 
             auto link = std::make_unique<net::Link>(
-                sim, "uplink" + suffix, config.clientBandwidthBps,
-                config.propagationDelay);
+                sim, "uplink" + suffix, linkBandwidthBps, propagationDelay);
             // Endpoint A is the switch port, so aToB is the switch's
             // transmitter toward the client and bToA the client's uplink.
             link->connect(fabric->port(i), *engine);
@@ -119,10 +121,9 @@ struct StarWorld : WorldKernel
             fabric->addRoute(starClientIp(i), i);
 
             clientCpus.push_back(std::make_unique<host::CpuComplex>(
-                sim, "clientCpu" + suffix, config.coresPerHost));
+                sim, "clientCpu" + suffix, coresPerHost));
             clientRuntimes.push_back(std::make_unique<lib::F4tRuntime>(
-                sim, "clientRuntime" + suffix, *engine,
-                config.coresPerHost));
+                sim, "clientRuntime" + suffix, *engine, coresPerHost));
             clientEngines.push_back(std::move(engine));
             clientLinks.push_back(std::move(link));
         }
@@ -137,14 +138,13 @@ struct StarWorld : WorldKernel
         fabric->addRoute(starServerIp(), config.clients);
 
         serverCpu = std::make_unique<host::CpuComplex>(
-            simServer, "serverCpu", config.coresPerHost);
+            simServer, "serverCpu", coresPerHost);
         serverRuntime = std::make_unique<lib::F4tRuntime>(
-            simServer, "serverRuntime", *serverEngine, config.coresPerHost);
+            simServer, "serverRuntime", *serverEngine, coresPerHost);
 
         serverLink = std::make_unique<net::Link>(
-            sim, simServer, "downlink", config.serverBandwidthBps,
-            config.propagationDelay, config.serverLinkFaults,
-            config.serverLinkReverseFaults);
+            sim, simServer, "downlink", linkBandwidthBps, propagationDelay,
+            config.serverLinkFaults, config.serverLinkReverseFaults);
         serverLink->connect(fabric->port(config.clients), *serverEngine);
         fabric->attachTx(config.clients, serverLink->aToB());
         serverEngine->setTransmit([this](net::Packet &&pkt) {
@@ -152,13 +152,6 @@ struct StarWorld : WorldKernel
         });
 
         partition("clients", "server", *serverLink);
-    }
-
-    apps::F4tSocketApi
-    clientApi(std::size_t client, std::size_t thread = 0)
-    {
-        return apps::F4tSocketApi(sim, *clientRuntimes[client], thread,
-                                  clientCpus[client]->core(thread));
     }
 
     apps::F4tSocketApi

@@ -1,5 +1,7 @@
 #include "workloads.hh"
 
+#include "host/cost_model.hh"
+
 namespace f4t::apps
 {
 
@@ -53,13 +55,12 @@ BulkSenderApp::pump()
     if (!connected_ || pumpScheduled_)
         return;
 
-    for (std::size_t i = 0; i < config_.burstRequests; ++i) {
+    for (std::size_t i = 0; i < burstRequests; ++i) {
         // Always attempt the send: a short or zero accept is what arms
         // the library's writable notification (pre-checking writable()
         // and parking would deadlock — nobody would wake us).
-        double cycles = config_.appCyclesPerRequest;
         api_.core().charge(CostCategory::application,
-                           cycles > 1.0 ? cycles : 1.0);
+                           host::AppCosts::bulkRequest);
         std::size_t sent = api_.send(
             conn_, std::span(pattern_).subspan(bytesSent_ % patternPeriod,
                                                config_.requestBytes));
@@ -116,7 +117,7 @@ BulkSinkApp::drain(SocketApi::ConnId conn)
     // Bounded work per activation; re-armed by the next onReadable.
     for (int round = 0; round < 8; ++round) {
         api_.core().charge(CostCategory::application,
-                           config_.appCyclesPerRecv);
+                           host::AppCosts::bulkRecv);
         std::size_t n = api_.recv(conn, scratch_);
         if (n == 0)
             return;
@@ -168,13 +169,11 @@ RoundRobinSenderApp::pump()
 
     std::size_t blocked_streak = 0;
     for (std::size_t i = 0;
-         i < config_.burstRequests && blocked_streak < conns_.size();
-         ++i) {
+         i < burstRequests && blocked_streak < conns_.size(); ++i) {
         SocketApi::ConnId conn = conns_[nextFlow_];
         nextFlow_ = (nextFlow_ + 1) % conns_.size();
-        double cycles = config_.appCyclesPerRequest;
         api_.core().charge(CostCategory::application,
-                           cycles > 1.0 ? cycles : 1.0);
+                           host::AppCosts::roundRobinRequest);
         // Attempt the send even when the buffer looks full so the
         // stack arms its writable notification.
         std::size_t sent = api_.send(conn, request_);
@@ -201,7 +200,7 @@ RoundRobinSenderApp::pump()
 // ---------------------------------------------------------------------
 
 EchoServerApp::EchoServerApp(SocketApi &api, const EchoServerConfig &config)
-    : api_(api), config_(config), scratch_(config.messageBytes)
+    : api_(api), config_(config), scratch_(echoMessageBytes)
 {}
 
 void
@@ -218,11 +217,10 @@ EchoServerApp::start()
 void
 EchoServerApp::serve(SocketApi::ConnId conn)
 {
-    while (api_.readable(conn) >= config_.messageBytes) {
+    while (api_.readable(conn) >= echoMessageBytes) {
         api_.core().charge(CostCategory::application,
-                           config_.appCyclesPerMessage);
-        std::size_t n = api_.recv(
-            conn, std::span(scratch_).subspan(0, config_.messageBytes));
+                           host::AppCosts::echoMessage);
+        std::size_t n = api_.recv(conn, scratch_);
         if (n == 0)
             return;
         api_.send(conn, std::span(scratch_).subspan(0, n));
@@ -237,8 +235,7 @@ EchoServerApp::serve(SocketApi::ConnId conn)
 EchoClientApp::EchoClientApp(SocketApi &api, sim::Histogram *latency,
                              const EchoClientConfig &config)
     : api_(api), latency_(latency), config_(config),
-      message_(patternBytes(config.messageBytes)),
-      scratch_(config.messageBytes)
+      message_(patternBytes(echoMessageBytes)), scratch_(echoMessageBytes)
 {}
 
 void
@@ -272,12 +269,12 @@ void
 EchoClientApp::fire(SocketApi::ConnId conn)
 {
     api_.core().charge(CostCategory::application,
-                       config_.appCyclesPerMessage);
+                       host::AppCosts::echoMessage);
     auto index = static_cast<std::size_t>(conn);
     if (index >= flights_.size())
         flights_.resize(index + 1);
-    flights_[index] = Flight{true, api_.simulation().now(),
-                             config_.messageBytes};
+    flights_[index] =
+        Flight{true, api_.simulation().now(), echoMessageBytes};
     api_.send(conn, message_);
 }
 

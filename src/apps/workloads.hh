@@ -34,19 +34,24 @@ patternByte(std::uint64_t offset)
 /** patternByte repeats every this many offsets. */
 inline constexpr std::size_t patternPeriod = 256;
 
+/** Size of every echo message, as the server reads and the client
+ *  sends it. */
+inline constexpr std::size_t echoMessageBytes = 128;
+
 struct BulkSenderConfig
 {
     net::Ipv4Address peer;
     std::uint16_t port = 5001;
     std::size_t requestBytes = 128;
-    std::size_t burstRequests = 32;
-    double appCyclesPerRequest = 20.0;
 };
 
 /** iPerf-like sender: one connection, back-to-back send() calls. */
 class BulkSenderApp
 {
   public:
+    /** send() calls per burst before the app yields its core. */
+    static constexpr std::size_t burstRequests = 32;
+
     BulkSenderApp(SocketApi &api, const BulkSenderConfig &config);
 
     void start();
@@ -75,7 +80,6 @@ struct BulkSinkConfig
 {
     std::uint16_t port = 5001;
     bool verifyPattern = false;
-    double appCyclesPerRecv = 20.0;
 };
 
 /** iPerf-like receiver: accepts connections and drains them. */
@@ -106,14 +110,15 @@ struct RoundRobinSenderConfig
     std::uint16_t port = 5001;
     std::size_t flows = 16;
     std::size_t requestBytes = 128;
-    std::size_t burstRequests = 32;
-    double appCyclesPerRequest = 30.0;
 };
 
 /** Round-robin sender: requests rotate over a set of flows (8b). */
 class RoundRobinSenderApp
 {
   public:
+    /** send() calls per burst before the app yields its core. */
+    static constexpr std::size_t burstRequests = 32;
+
     RoundRobinSenderApp(SocketApi &api,
                         const RoundRobinSenderConfig &config);
 
@@ -141,8 +146,6 @@ class RoundRobinSenderApp
 struct EchoServerConfig
 {
     std::uint16_t port = 7;
-    std::size_t messageBytes = 128;
-    double appCyclesPerMessage = 50.0;
 };
 
 /** Echoes fixed-size messages back to the sender. */
@@ -169,8 +172,6 @@ struct EchoClientConfig
     net::Ipv4Address peer;
     std::uint16_t port = 7;
     std::size_t flows = 64;
-    std::size_t messageBytes = 128;
-    double appCyclesPerMessage = 50.0;
     /** Stagger connection establishment (ticks between connects). */
     sim::Tick connectSpacing = sim::microsecondsToTicks(1);
 };

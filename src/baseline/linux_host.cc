@@ -3,27 +3,6 @@
 namespace f4t::baseline
 {
 
-namespace
-{
-
-tcp::SoftCostModel
-linuxCostModel()
-{
-    tcp::SoftCostModel costs;
-    costs.sendSyscall = host::LinuxCosts::sendSyscall;
-    costs.sendPerByte = host::LinuxCosts::sendPerByte;
-    costs.recvSyscall = host::LinuxCosts::recvSyscall;
-    costs.recvPerByte = host::LinuxCosts::recvPerByte;
-    costs.txSegment = host::LinuxCosts::txSegment;
-    costs.rxSegment = host::LinuxCosts::rxSegment;
-    costs.rxPerByte = host::LinuxCosts::rxPerByte;
-    costs.connectionSetup = host::LinuxCosts::connectionSetup;
-    costs.kernelShare = host::LinuxCosts::kernelShare;
-    return costs;
-}
-
-} // namespace
-
 LinuxHost::LinuxHost(sim::Simulation &sim, std::string name,
                      const LinuxHostConfig &config)
     : SimObject(sim, std::move(name)), config_(config), rng_(config.seed)
@@ -40,11 +19,10 @@ LinuxHost::LinuxHost(sim::Simulation &sim, std::string name,
         stack_config.recvBufBytes = config_.recvBufBytes;
         stack_config.ephemeralPortBase =
             static_cast<std::uint16_t>(32768 + i * 2048);
-        if (config_.chargeCosts)
-            stack_config.costs = linuxCostModel();
         stacks_.push_back(std::make_unique<tcp::SoftTcpStack>(
             sim, statName("stack" + std::to_string(i)), stack_config));
-        stacks_.back()->setAccountant(&cores_->core(i));
+        if (config_.chargeCosts)
+            stacks_.back()->setAccountant(&cores_->core(i));
     }
 }
 

@@ -50,7 +50,6 @@ class LinuxHost : public sim::SimObject, public net::PacketSink
     LinuxHost(sim::Simulation &sim, std::string name,
               const LinuxHostConfig &config);
 
-    std::size_t coreCount() const { return cores_->size(); }
     host::CpuCore &core(std::size_t i) { return cores_->core(i); }
     host::CpuComplex &cpu() { return *cores_; }
     tcp::SoftTcpStack &stack(std::size_t i) { return *stacks_.at(i); }

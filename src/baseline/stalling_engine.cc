@@ -27,7 +27,6 @@ StallingEngine::createSyntheticFlow(std::uint32_t peer_window)
 
     tcp::Tcb tcb;
     tcb.flowId = flow;
-    tcb.mss = config_.mss;
     tcb.iss = tcp::FpuProgram::initialSequence(flow);
     tcb.sndUna = tcb.iss;
     tcb.sndUnaProcessed = tcb.iss;
@@ -87,7 +86,7 @@ StallingEngine::tick()
     if (actionSink_ && !actions.empty())
         actionSink_(event.flow, std::move(actions));
 
-    busy_ = config_.stallCycles + config_.fpuLatency - 1;
+    busy_ = stallCycles + config_.fpuLatency - 1;
     return true;
 }
 

@@ -30,17 +30,17 @@ namespace f4t::baseline
 
 struct StallingEngineConfig
 {
-    /** Cycles of stall per event on top of the processing latency. */
-    unsigned stallCycles = 16;
     /** TCP algorithm processing latency (17 total at the default 1). */
     unsigned fpuLatency = 1;
     std::size_t maxFlows = 1024; ///< SRAM-only designs support ~1 K
-    std::uint16_t mss = 1460;
 };
 
 class StallingEngine : public sim::ClockedObject
 {
   public:
+    /** Cycles of stall per event on top of the processing latency. */
+    static constexpr unsigned stallCycles = 16;
+
     using ActionSink =
         std::function<void(tcp::FlowId, tcp::FpuActions &&)>;
 
@@ -63,7 +63,7 @@ class StallingEngine : public sim::ClockedObject
     /** Occupancy per event in cycles (for analytic cross-checks). */
     unsigned cyclesPerEvent() const
     {
-        return config_.stallCycles + config_.fpuLatency;
+        return stallCycles + config_.fpuLatency;
     }
 
     const tcp::Tcb &tcb(tcp::FlowId flow) const { return tcbs_.at(flow); }

@@ -21,17 +21,10 @@ namespace f4t::baseline
 
 struct TonicModel
 {
-    double clockHz = 100e6;
-    std::size_t segmentBytes = 128;
-    std::size_t maxFlows = 1024;
-    unsigned maxAlgorithmLatencyCycles = 1;
-
-    /** Idealized w/o-RMW: one arbitrary-length request per cycle. */
-    double
-    idealRequestsPerSecond() const
-    {
-        return clockHz;
-    }
+    static constexpr double clockHz = 100e6;
+    static constexpr std::size_t segmentBytes = 128;
+    static constexpr std::size_t maxFlows = 1024;
+    static constexpr unsigned maxAlgorithmLatencyCycles = 1;
 
     /** Idealized w/o-RMW goodput for a given request size. */
     double
@@ -50,13 +43,6 @@ struct TonicModel
         std::size_t segments =
             (request_bytes + segmentBytes - 1) / segmentBytes;
         return clockHz / static_cast<double>(segments);
-    }
-
-    double
-    nativeThroughputBps(std::size_t request_bytes) const
-    {
-        return nativeRequestsPerSecond(request_bytes) *
-               static_cast<double>(request_bytes) * 8.0;
     }
 
     /** Can TONIC run an algorithm with this processing latency? */

@@ -6,7 +6,7 @@ namespace f4t::core
 FtEngine::FtEngine(sim::Simulation &sim, std::string name,
                    const EngineConfig &config)
     : SimObject(sim, std::move(name)), config_(config),
-      pcie_(sim, statName("pcie"), config.pcie),
+      pcie_(sim, statName("pcie")),
       flowInfo_(config.maxFlows),
       flowsOpened_(sim.stats(), statName("flowsOpened"),
                    "flows allocated"),
@@ -21,8 +21,6 @@ FtEngine::FtEngine(sim::Simulation &sim, std::string name,
 
     FpcConfig fpc_config;
     fpc_config.slots = config_.flowsPerFpc;
-    fpc_config.inputFifoDepth = config_.fpcInputFifoDepth;
-    fpc_config.fpuLatencyOverride = config_.fpuLatencyOverride;
     for (std::size_t i = 0; i < config_.numFpcs; ++i) {
         fpcs_.push_back(std::make_unique<Fpc>(
             sim, statName("fpc" + std::to_string(i)), sim.engineClock(),
@@ -67,7 +65,7 @@ FtEngine::FtEngine(sim::Simulation &sim, std::string name,
         });
 
     packetGenerator_ = std::make_unique<PacketGenerator>(
-        sim, statName("packetGenerator"), sim.netClock(), config_.mss);
+        sim, statName("packetGenerator"), sim.netClock());
     packetGenerator_->setAddressLookup(
         [this](tcp::FlowId flow) { return addressFor(flow); });
 
@@ -77,7 +75,6 @@ FtEngine::FtEngine(sim::Simulation &sim, std::string name,
     });
 
     HostInterfaceConfig host_config;
-    host_config.commandBytes = config_.commandBytes;
     host_config.payloadDma = config_.payloadDma;
     hostInterface_ = std::make_unique<HostInterface>(
         sim, statName("hostInterface"), pcie_, host_config);
@@ -168,7 +165,6 @@ FtEngine::freshTcb(tcp::FlowId flow, const net::FourTuple &tuple,
     tcb.flowId = flow;
     tcb.tuple = tuple;
     tcb.passiveOpen = passive;
-    tcb.mss = config_.mss;
     tcb.rcvBufBytes = static_cast<std::uint32_t>(config_.tcpBufferBytes);
     // Deterministic ISS lets the host library compute its stream base
     // without a round trip; the FPU re-derives the same value.

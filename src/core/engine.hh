@@ -46,21 +46,14 @@ struct EngineConfig
     mem::DramConfig dram = mem::DramConfig::hbm();
 
     std::string congestionControl = "newreno";
-    /** Override every FPC's FPU latency (0 = policy default). */
-    unsigned fpuLatencyOverride = 0;
-    /** Shared TCP-logic tunables (RTO floor, TIME_WAIT, probes...). */
+    /** Shared TCP-logic tunables (TIME_WAIT). */
     tcp::FpuConfig fpu;
 
-    std::size_t commandBytes = 16;
     bool payloadDma = true;
 
-    std::uint16_t mss = 1460;
     std::size_t tcpBufferBytes = 512 * 1024;
     std::size_t tcbCacheLines = 1024;
-    std::size_t fpcInputFifoDepth = 16;
     bool coalescingEnabled = true;
-
-    host::PcieConfig pcie;
 };
 
 class FtEngine : public sim::SimObject, public net::PacketSink

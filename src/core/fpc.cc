@@ -62,7 +62,6 @@ Fpc::Fpc(sim::Simulation &sim, std::string name, sim::ClockDomain &domain,
       inFpuBits_((config.slots + 63) / 64, 0),
       evictBits_((config.slots + 63) / 64, 0),
       eventsValidBits_((config.slots + 63) / 64, 0),
-      workPendingBits_((config.slots + 63) / 64, 0),
       lastActiveCycle_(config.slots, 0),
       slotFlow_(config.slots, tcp::invalidFlowId),
       tcbTable_(config.slots), eventTable_(config.slots),
@@ -103,8 +102,7 @@ Fpc::auditInvariants() const
                   "%s: slot %zu event-valid mirror diverged from the "
                   "event table", name().c_str(), i);
         if (!testBit(occupiedBits_, i)) {
-            F4T_CHECK(!testBit(inFpuBits_, i) && !testBit(evictBits_, i) &&
-                          !testBit(workPendingBits_, i),
+            F4T_CHECK(!testBit(inFpuBits_, i) && !testBit(evictBits_, i),
                       "%s: empty slot %zu carries live flags",
                       name().c_str(), i);
             F4T_CHECK(slotFlow_[i] == tcp::invalidFlowId,
@@ -121,10 +119,6 @@ Fpc::auditInvariants() const
                       cam_.lookup(slotFlow_[i]) == i,
                   "%s: slot %zu holds flow %u but the CAM disagrees",
                   name().c_str(), i, slotFlow_[i]);
-        F4T_CHECK(testBit(workPendingBits_, i) ==
-                      tcbTable_.peek(i).workPending,
-                  "%s: slot %zu work-pending mirror diverged from the "
-                  "TCB table", name().c_str(), i);
     }
     F4T_CHECK(occupied == cam_.occupancy(),
               "%s: %zu occupied slots vs CAM occupancy %zu",
@@ -185,7 +179,6 @@ Fpc::installTcb(const MigratingTcb &incoming)
     assignBit(inFpuBits_, slot_index, false);
     assignBit(evictBits_, slot_index, false);
     assignBit(eventsValidBits_, slot_index, incoming.events.validMask != 0);
-    assignBit(workPendingBits_, slot_index, incoming.tcb.workPending);
     slotFlow_[slot_index] = incoming.tcb.flowId;
     lastActiveCycle_[slot_index] = curCycle();
     tcbTable_.peekMutable(slot_index) = incoming.tcb;
@@ -254,12 +247,11 @@ Fpc::peekMergedTcb(tcp::FlowId flow) const
 bool
 Fpc::slotEligible(std::size_t index) const
 {
-    // Pure bit tests: eventsValidBits_/workPendingBits_ mirror the
-    // tables (`validMask != 0` / `workPending`), maintained at every
-    // table write site. The audit recounts the mirrors.
+    // Pure bit tests: eventsValidBits_ mirrors the event table
+    // (`validMask != 0`), maintained at every table write site. The
+    // audit recounts the mirror.
     return testBit(occupiedBits_, index) && !testBit(inFpuBits_, index) &&
-           (testBit(evictBits_, index) || testBit(eventsValidBits_, index) ||
-            testBit(workPendingBits_, index));
+           (testBit(evictBits_, index) || testBit(eventsValidBits_, index));
 }
 
 void
@@ -269,7 +261,6 @@ Fpc::recycleSlot(std::size_t index)
     assignBit(inFpuBits_, index, false);
     assignBit(evictBits_, index, false);
     assignBit(eventsValidBits_, index, false);
-    assignBit(workPendingBits_, index, false);
     lastActiveCycle_[index] = 0;
     slotFlow_[index] = tcp::invalidFlowId;
 }
@@ -537,7 +528,6 @@ Fpc::writeback(FpuJob &job, sim::Cycles cycle)
             evictSink_(std::move(leaving));
     } else {
         tcbTable_.write(job.slotIndex, job.merged);
-        assignBit(workPendingBits_, job.slotIndex, job.merged.workPending);
     }
 
     if (actionSink_ && !actions.empty())

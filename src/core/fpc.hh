@@ -308,7 +308,7 @@ class Fpc : public sim::ClockedObject
     eligibleWord(std::size_t w) const
     {
         return occupiedBits_[w] & ~inFpuBits_[w] &
-               (evictBits_[w] | eventsValidBits_[w] | workPendingBits_[w]);
+               (evictBits_[w] | eventsValidBits_[w]);
     }
     /** First eligible slot at or (circularly) after @p from, else
      *  config_.slots when none is eligible. */
@@ -320,20 +320,18 @@ class Fpc : public sim::ClockedObject
 
     sim::RingFifo<tcp::TcpEvent> inputFifo_;
     /**
-     * Per-slot state, struct-of-arrays (DESIGN.md §17). The five
+     * Per-slot state, struct-of-arrays (DESIGN.md §17). The four
      * booleans the round-robin eligibility scan reads are bitmap words;
-     * eventsValidBits_/workPendingBits_ are maintained mirrors of the
-     * BRAM contents (every table write site updates them — the BRAM
-     * model is write-first, so mirror and table never diverge within a
-     * cycle; the audit recounts both against the tables).
+     * eventsValidBits_ is a maintained mirror of the event table (every
+     * table write site updates it — the BRAM model is write-first, so
+     * mirror and table never diverge within a cycle; the audit recounts
+     * it against the table).
      */
     std::vector<std::uint64_t> occupiedBits_;
     std::vector<std::uint64_t> inFpuBits_;
     std::vector<std::uint64_t> evictBits_;
     /** Mirror: eventTable_.peek(i).validMask != 0. */
     std::vector<std::uint64_t> eventsValidBits_;
-    /** Mirror: tcbTable_.peek(i).workPending, occupied slots only. */
-    std::vector<std::uint64_t> workPendingBits_;
     std::vector<std::uint64_t> lastActiveCycle_;
     std::vector<tcp::FlowId> slotFlow_;
     mem::DualPortBram<tcp::Tcb> tcbTable_;

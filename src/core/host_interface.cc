@@ -97,13 +97,11 @@ HostInterface::startFetch(std::size_t queue_index)
         state.pair->hwDoorbell = false;
         return;
     }
-    std::size_t batch = pending < config_.fetchBatchMax
-                            ? pending
-                            : config_.fetchBatchMax;
+    std::size_t batch = pending < fetchBatchMax ? pending : fetchBatchMax;
     state.fetchInProgress = true;
 
     sim::Tick fetch_start = now();
-    pcie_.hostToDevice(batch * config_.commandBytes,
+    pcie_.hostToDevice(batch * host::commandBytes,
                        [this, queue_index, batch, fetch_start] {
                            QueueState &qs = queues_[queue_index];
                            auto commands = qs.pair->sq.popBatch(batch);
@@ -128,7 +126,7 @@ HostInterface::postCompletion(tcp::FlowId flow, const host::Command &command)
     if (state.flushScheduled)
         return;
     state.flushScheduled = true;
-    queue().scheduleCallback(now() + config_.completionFlushDelay,
+    queue().scheduleCallback(now() + completionFlushDelay,
                              sim::prof::Cat::hostComplex,
                              "hostif.flushCompletions", [this, queue_index] {
                                  flushCompletions(queue_index);
@@ -152,7 +150,7 @@ HostInterface::flushCompletions(std::size_t queue_index)
     }
 
     pcie_.deviceToHost(
-        batch.size() * config_.commandBytes,
+        batch.size() * host::commandBytes,
         [this, queue_index, batch = std::move(batch)] {
             QueueState &qs = queues_[queue_index];
             for (const host::Command &cmd : batch) {

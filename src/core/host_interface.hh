@@ -39,11 +39,7 @@ namespace f4t::core
 
 struct HostInterfaceConfig
 {
-    std::size_t commandBytes = 16;
-    std::size_t fetchBatchMax = 32;
     bool payloadDma = true;
-    /** Completion coalescing window. */
-    sim::Tick completionFlushDelay = sim::nanosecondsToTicks(100);
 };
 
 class HostInterface : public sim::SimObject,
@@ -56,6 +52,12 @@ class HostInterface : public sim::SimObject,
         std::function<void(const host::Command &, std::size_t queue)>;
     /** Completions arrived on a queue (wake a sleeping poller). */
     using CompletionWaker = std::function<void(std::size_t queue)>;
+
+    /** Most commands one submission-ring DMA read fetches. */
+    static constexpr std::size_t fetchBatchMax = 32;
+    /** Completion coalescing window. */
+    static constexpr sim::Tick completionFlushDelay =
+        sim::nanosecondsToTicks(100);
 
     HostInterface(sim::Simulation &sim, std::string name,
                   host::PcieModel &pcie, const HostInterfaceConfig &config);

@@ -10,7 +10,7 @@ MemoryManager::MemoryManager(sim::Simulation &sim, std::string name,
                              mem::DramModel &dram,
                              const MemoryManagerConfig &config)
     : ClockedObject(sim, std::move(name), domain, sim::prof::Cat::memory),
-      config_(config), dram_(dram), cache_(config.cacheLines),
+      dram_(dram), cache_(config.cacheLines),
       eventsHandled_(sim.stats(), statName("eventsHandled"),
                      "events handled against DRAM-resident TCBs"),
       cacheHits_(sim.stats(), statName("cacheHits"), "TCB cache hits"),

@@ -39,7 +39,6 @@ class Scheduler;
 struct MemoryManagerConfig
 {
     std::size_t cacheLines = 4096;
-    std::size_t inputFifoDepth = 64;
 };
 
 class MemoryManager : public sim::ClockedObject
@@ -103,10 +102,10 @@ class MemoryManager : public sim::ClockedObject
     }
 
     // --- event input (from the scheduler) -----------------------------------
-    bool canAcceptEvent() const
-    {
-        return inputFifo_.size() < config_.inputFifoDepth;
-    }
+    /** Depth of the event input FIFO. */
+    static constexpr std::size_t inputFifoDepth = 64;
+
+    bool canAcceptEvent() const { return inputFifo_.size() < inputFifoDepth; }
     void enqueueEvent(const tcp::TcpEvent &event);
 
     // --- statistics ---------------------------------------------------------
@@ -129,7 +128,6 @@ class MemoryManager : public sim::ClockedObject
 
     void checkLogic(tcp::FlowId flow);
 
-    MemoryManagerConfig config_;
     mem::DramModel &dram_;
     Scheduler *scheduler_ = nullptr;
 

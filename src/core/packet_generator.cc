@@ -7,9 +7,8 @@ namespace f4t::core
 {
 
 PacketGenerator::PacketGenerator(sim::Simulation &sim, std::string name,
-                                 sim::ClockDomain &domain,
-                                 std::uint16_t mss)
-    : SimObject(sim, std::move(name)), domain_(domain), mss_(mss),
+                                 sim::ClockDomain &domain)
+    : SimObject(sim, std::move(name)), domain_(domain),
       segments_(sim.stats(), statName("segments"),
                 "data segments generated"),
       controls_(sim.stats(), statName("controls"),
@@ -63,7 +62,8 @@ PacketGenerator::requestSegments(const tcp::SegmentRequest &request)
     std::uint32_t remaining = request.length;
     net::SeqNum seq = request.seq;
     while (remaining > 0) {
-        std::uint32_t chunk = remaining < mss_ ? remaining : mss_;
+        std::uint32_t chunk =
+            remaining < tcp::mssBytes ? remaining : tcp::mssBytes;
 
         net::TcpHeader tcp;
         tcp.srcPort = addr.tuple.localPort;

@@ -55,7 +55,7 @@ class PacketGenerator : public sim::SimObject
     using Transmit = std::function<void(net::Packet &&)>;
 
     PacketGenerator(sim::Simulation &sim, std::string name,
-                    sim::ClockDomain &domain, std::uint16_t mss);
+                    sim::ClockDomain &domain);
 
     void setAddressLookup(AddressLookup fn) { lookup_ = std::move(fn); }
     void setTransmit(Transmit fn) { transmit_ = std::move(fn); }
@@ -76,7 +76,6 @@ class PacketGenerator : public sim::SimObject
     void emit(net::Packet &&pkt, sim::Tick when);
 
     sim::ClockDomain &domain_;
-    std::uint16_t mss_;
     AddressLookup lookup_;
     Transmit transmit_;
     PayloadSource *payload_ = nullptr;

@@ -62,11 +62,6 @@ class ResourceModel
     ResourceModel(std::size_t num_fpcs, std::size_t flows_per_fpc,
                   bool hbm);
 
-    const std::vector<ResourceUsage> &components() const
-    {
-        return components_;
-    }
-
     ResourceUsage total() const;
 
     /** Formatted table matching Fig. 7b's layout. */

@@ -13,8 +13,8 @@ Scheduler::Scheduler(sim::Simulation &sim, std::string name,
                      const SchedulerConfig &config)
     : ClockedObject(sim, std::move(name), domain,
                     sim::prof::Cat::scheduler),
-      config_(config), lut_(config.maxFlows), fifos_(config.coalesceFifos),
-      pendingRing_(config.pendingRetryCycles + 1),
+      config_(config), lut_(config.maxFlows), fifos_(coalesceFifos),
+      pendingRing_(pendingRetryCycles + 1),
       pendedCount_(config.maxFlows, 0),
       moveIdx_(config.maxFlows, -1), parkedIdx_(config.maxFlows, -1),
       eventsRouted_(sim.stats(), statName("eventsRouted"),
@@ -34,9 +34,6 @@ Scheduler::Scheduler(sim::Simulation &sim, std::string name,
       fifoOverflows_(sim.stats(), statName("fifoOverflows"),
                      "events submitted past the coalesce window")
 {
-    f4t_assert(config_.coalesceFifos > 0, "need at least one FIFO");
-    f4t_assert(config_.pendingRetryCycles > 0,
-               "pending retries need a nonzero backoff");
     f4t_assert(config_.maxFlows <=
                    static_cast<std::size_t>(
                        std::numeric_limits<std::int32_t>::max()),
@@ -368,8 +365,7 @@ Scheduler::submitEvent(const tcp::TcpEvent &event)
     // window (the FIFO's nominal depth) is searched, as in hardware.
     std::size_t window =
         config_.coalescingEnabled
-            ? (fifo.size() < config_.coalesceDepth ? fifo.size()
-                                                   : config_.coalesceDepth)
+            ? (fifo.size() < coalesceDepth ? fifo.size() : coalesceDepth)
             : 0;
     for (std::size_t i = fifo.size() - window; i < fifo.size(); ++i) {
         if (fifo[i].flow != event.flow)
@@ -383,7 +379,7 @@ Scheduler::submitEvent(const tcp::TcpEvent &event)
         break; // same flow but not mergeable: keep ordering
     }
 
-    if (fifo.size() >= config_.coalesceDepth)
+    if (fifo.size() >= coalesceDepth)
         ++fifoOverflows_; // upstream buffering modelled as elastic
     fifo.push_back(event);
     activate();
@@ -399,7 +395,7 @@ Scheduler::routeEvent(const tcp::TcpEvent &event)
         if (!fpc->canAcceptEvent()) {
             // Congestion: consider migrating this flow to the idlest
             // FPC (Section 4.4.2) and retry the event later.
-            if (fpc->inputBacklog() >= config_.congestionThreshold &&
+            if (fpc->inputBacklog() >= congestionThreshold &&
                 !movingState(event.flow) && fpcs_.size() > 1) {
                 // The idlest FPC by *input backlog* (the congestion
                 // signal), not by flow count.
@@ -666,7 +662,7 @@ Scheduler::settleFlow(tcp::FlowId flow, bool in_tick)
     // scan runs right after and must see it), the next cycle when
     // settling from a completion callback (this cycle's scan already
     // ran — ClockedObject tick events carry clockPriority).
-    const sim::Cycles period = config_.pendingRetryCycles;
+    const sim::Cycles period = pendingRetryCycles;
     const sim::Cycles horizon = curCycle() + (in_tick ? 0 : 1);
     while (!parked.empty()) {
         PendingEntry entry = std::move(parked.front());
@@ -771,7 +767,7 @@ Scheduler::tick()
             if (routeEvent(entry.event)) {
                 --pendedCount_[entry.event.flow];
             } else {
-                entry.retryCycle = cycle + config_.pendingRetryCycles;
+                entry.retryCycle = cycle + pendingRetryCycles;
                 if (lut_[entry.event.flow].kind ==
                         Location::Kind::moving)
                     parkEntry(std::move(entry));
@@ -801,7 +797,7 @@ Scheduler::tick()
                 ++eventsPended_;
                 ++pendedCount_[event.flow];
                 PendingEntry entry{event,
-                                   cycle + config_.pendingRetryCycles,
+                                   cycle + pendingRetryCycles,
                                    nextPendSeq_++};
                 if (kind == Location::Kind::moving)
                     parkEntry(std::move(entry));

@@ -61,11 +61,6 @@ struct Location
 struct SchedulerConfig
 {
     std::size_t maxFlows = 65536;
-    std::size_t coalesceFifos = 4;
-    std::size_t coalesceDepth = 16;
-    sim::Cycles pendingRetryCycles = 12;
-    /** Input backlog at which an FPC counts as congested. */
-    std::size_t congestionThreshold = 12;
     /** Event coalescing (Section 4.4.1); off in the 1FPC ablation. */
     bool coalescingEnabled = true;
 };
@@ -73,6 +68,14 @@ struct SchedulerConfig
 class Scheduler : public sim::ClockedObject
 {
   public:
+    /** Coalescing FIFOs, and the entries each holds (4 x 16). */
+    static constexpr std::size_t coalesceFifos = 4;
+    static constexpr std::size_t coalesceDepth = 16;
+    /** Pending-queue retry period for events of a MOVING flow. */
+    static constexpr sim::Cycles pendingRetryCycles = 12;
+    /** Input backlog at which an FPC counts as congested. */
+    static constexpr std::size_t congestionThreshold = 12;
+
     Scheduler(sim::Simulation &sim, std::string name,
               sim::ClockDomain &domain, const SchedulerConfig &config);
     ~Scheduler() override;

@@ -15,8 +15,7 @@ F4tRuntime::F4tRuntime(sim::Simulation &sim, std::string name,
     core::HostInterface &host_if = engine_.hostInterface();
     host_if.setHostMemory(&memory_);
     for (std::size_t i = 0; i < num_queues; ++i) {
-        queues_.push_back(std::make_unique<host::QueuePair>(
-            1024, engine_.config().commandBytes));
+        queues_.push_back(std::make_unique<host::QueuePair>(1024));
         std::size_t index = host_if.attachQueue(queues_.back().get());
         f4t_assert(index == i, "queue index mismatch");
     }

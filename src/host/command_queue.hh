@@ -44,8 +44,11 @@ enum class CmdOp : std::uint8_t
 
 const char *toString(CmdOp op);
 
-/** A queue entry. The modelled wire footprint is CommandQueue's
- *  commandBytes, not sizeof(Command). */
+/** Modelled wire size of one queue entry, what the PCIe model charges
+ *  per command (not sizeof(Command)). */
+constexpr std::size_t commandBytes = 16;
+
+/** A queue entry. */
 struct Command
 {
     CmdOp op = CmdOp::send;
@@ -58,13 +61,9 @@ struct Command
 class CommandQueue
 {
   public:
-    explicit CommandQueue(std::size_t depth = 1024,
-                          std::size_t command_bytes = 16)
-        : depth_(depth), commandBytes_(command_bytes)
-    {}
+    explicit CommandQueue(std::size_t depth = 1024) : depth_(depth) {}
 
     std::size_t depth() const { return depth_; }
-    std::size_t commandBytes() const { return commandBytes_; }
     std::size_t size() const { return ring_.size(); }
     bool empty() const { return ring_.empty(); }
     bool full() const { return ring_.size() >= depth_; }
@@ -108,7 +107,6 @@ class CommandQueue
 
   private:
     std::size_t depth_;
-    std::size_t commandBytes_;
     std::deque<Command> ring_;
 };
 
@@ -118,9 +116,7 @@ class CommandQueue
  */
 struct QueuePair
 {
-    QueuePair(std::size_t depth, std::size_t command_bytes)
-        : sq(depth, command_bytes), cq(depth, command_bytes)
-    {}
+    explicit QueuePair(std::size_t depth) : sq(depth), cq(depth) {}
 
     CommandQueue sq;
     CommandQueue cq;

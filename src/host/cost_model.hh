@@ -104,6 +104,27 @@ struct NginxCosts
 constexpr double wrkRequestCost = 600.0;
 
 /**
+ * Application work of the synthetic benchmark apps (cycles per
+ * operation, besides the stack), charged alike on F4T and on Linux.
+ */
+struct AppCosts
+{
+    /** BulkSenderApp: build one request. */
+    static constexpr double bulkRequest = 20.0;
+    /** BulkSinkApp: consume one recv(). */
+    static constexpr double bulkRecv = 20.0;
+    /** RoundRobinSenderApp: pick the next flow and build a request. */
+    static constexpr double roundRobinRequest = 30.0;
+    /** EchoServerApp and EchoClientApp: handle one message. */
+    static constexpr double echoMessage = 50.0;
+    /** KvServerApp: parse and serve one GET, one SET. */
+    static constexpr double kvGet = 450.0;
+    static constexpr double kvSet = 600.0;
+    /** OpenLoopClientApp and ChurnClientApp: build one KV request. */
+    static constexpr double kvClientRequest = 250.0;
+};
+
+/**
  * Linux wakeup latency model (Fig. 12): response latency includes
  * scheduler/softirq jitter with a heavy tail; F4T's polling library
  * avoids it. Parameters of a log-normal + rare-spike mixture.

@@ -41,8 +41,6 @@ class HostMemory
         : bufferBytes_(buffer_bytes)
     {}
 
-    std::size_t bufferBytes() const { return bufferBytes_; }
-
     FlowBuffers &
     ensure(tcp::FlowId flow)
     {

@@ -54,7 +54,7 @@ PcieModel::deviceToHost(std::size_t bytes, sim::SmallFunction on_complete)
 sim::Tick
 PcieModel::mmioDoorbell(sim::SmallFunction on_observed)
 {
-    sim::Tick done = now() + config_.mmioLatency;
+    sim::Tick done = now() + mmioLatency;
     probe(sim::fr::Kind::pcieDoorbell, 0);
     if (on_observed)
         queue().scheduleCallback(done, sim::prof::Cat::hostComplex,

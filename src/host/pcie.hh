@@ -30,8 +30,6 @@ struct PcieConfig
     double bandwidthBytesPerSec = 13.5e9;
     /** DMA round-trip latency per transaction. */
     sim::Tick dmaLatency = sim::nanosecondsToTicks(700);
-    /** Doorbell propagation (posted MMIO write). */
-    sim::Tick mmioLatency = sim::nanosecondsToTicks(400);
     /** Per-transaction header overhead charged to bandwidth. */
     std::size_t transactionOverheadBytes = 24;
 };
@@ -39,6 +37,9 @@ struct PcieConfig
 class PcieModel : public sim::SimObject
 {
   public:
+    /** Doorbell propagation (posted MMIO write). */
+    static constexpr sim::Tick mmioLatency = sim::nanosecondsToTicks(400);
+
     PcieModel(sim::Simulation &sim, std::string name,
               const PcieConfig &config = {});
 
@@ -52,8 +53,6 @@ class PcieModel : public sim::SimObject
 
     /** Doorbell write; returns when the device observes it. */
     sim::Tick mmioDoorbell(sim::SmallFunction on_observed = nullptr);
-
-    const PcieConfig &config() const { return config_; }
 
     std::uint64_t hostToDeviceBytes() const { return h2dBytes_.value(); }
     std::uint64_t deviceToHostBytes() const { return d2hBytes_.value(); }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "host/cost_model.hh"
+
 namespace f4t::load
 {
 
@@ -161,7 +163,7 @@ OpenLoopClientApp::dispatch(std::size_t index, const Request &request)
     ++dispatched_;
 
     api_.core().charge(CostCategory::application,
-                       config_.appCyclesPerRequest);
+                       host::AppCosts::kvClientRequest);
 
     KvHeader header;
     header.op = request.op;
@@ -276,7 +278,7 @@ ChurnClientApp::start()
             return;
         it->second.requested = true;
         api_.core().charge(CostCategory::application,
-                           config_.appCyclesPerRequest);
+                           host::AppCosts::kvClientRequest);
         KvHeader header;
         header.op = KvOp::get;
         header.key = (config_.clientId << 20) |

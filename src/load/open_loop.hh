@@ -59,7 +59,6 @@ struct OpenLoopConfig
     /** First arrival lands at startAt + first gap. */
     sim::Tick startAt = 0;
     sim::Tick connectSpacing = sim::microsecondsToTicks(1);
-    double appCyclesPerRequest = 250.0;
 
     /** Optional sinks; all may be null. Must outlive the app. */
     net::StreamOracle *oracle = nullptr;
@@ -151,7 +150,6 @@ struct ChurnConfig
     /** Stop opening after this many connections; 0 = unbounded. */
     std::uint64_t maxOpens = 0;
     sim::Tick startAt = 0;
-    double appCyclesPerRequest = 250.0;
     /** Open-to-closed lifecycle latency, microseconds; may be null. */
     sim::Histogram *lifecycleUs = nullptr;
 };

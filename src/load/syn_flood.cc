@@ -49,7 +49,7 @@ SynFloodApp::inject()
     std::uint64_t index = sent_.value();
     net::TcpHeader syn;
     syn.srcPort = static_cast<std::uint16_t>(1024 + index % 60000);
-    syn.dstPort = config_.targetPort;
+    syn.dstPort = targetPort;
     syn.seq = static_cast<net::SeqNum>(index * 2654435761ULL);
     syn.flags = net::TcpFlags::syn;
     syn.window = 65535;
@@ -60,9 +60,8 @@ SynFloodApp::inject()
     ++sent_;
     ingress_.receivePacket(std::move(pkt));
 
-    if (config_.maxSyns == 0 || sent_.value() < config_.maxSyns)
-        queue().scheduleCallback(now() + gap_, sim::prof::Cat::app,
-                                 "synflood.inject", [this] { inject(); });
+    queue().scheduleCallback(now() + gap_, sim::prof::Cat::app,
+                             "synflood.inject", [this] { inject(); });
 }
 
 } // namespace f4t::load

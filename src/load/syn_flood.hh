@@ -35,18 +35,16 @@ namespace f4t::load
 
 struct SynFloodConfig
 {
-    /** Victim address; every SYN targets this IP and port. */
+    /** Victim address; every SYN targets this IP at targetPort. */
     net::Ipv4Address target;
-    std::uint16_t targetPort = 11211;
     /** Victim MAC, used as the frame's L2 destination (the fabric
      *  routes on IP, but the victim's RX path checks addressing). */
     net::MacAddress targetMac;
     /** Injection rate; gaps are fixed at 1/rate for determinism. */
     double synsPerSec = 1e6;
-    /** First SYN fires one gap after this tick. */
+    /** First SYN fires one gap after this tick; the flood runs until
+     *  the run ends. */
     sim::Tick startAt = 0;
-    /** Stop after this many SYNs; 0 = flood until the run ends. */
-    std::uint64_t maxSyns = 0;
 };
 
 /**
@@ -57,6 +55,9 @@ struct SynFloodConfig
 class SynFloodApp : public sim::SimObject
 {
   public:
+    /** Victim port of every SYN (the KV service). */
+    static constexpr std::uint16_t targetPort = 11211;
+
     SynFloodApp(sim::Simulation &sim, std::string name,
                 net::PacketSink &ingress, const SynFloodConfig &config);
 

@@ -89,8 +89,6 @@ class DualPortBram
     /** Mutable combinational access, same caveat as peek(). */
     Entry &peekMutable(std::size_t index) { return at(index); }
 
-    unsigned portsUsedThisCycle() const { return portsUsed_; }
-
   private:
     Entry &
     at(std::size_t index)

@@ -76,8 +76,6 @@ class DramModel : public sim::SimObject
     std::uint64_t requestCount() const { return requests_.value(); }
     std::uint64_t bytesTransferred() const { return bytes_.value(); }
 
-    const DramConfig &config() const { return config_; }
-
   private:
     DramConfig config_;
     sim::Tick channelBusyUntil_ = 0;

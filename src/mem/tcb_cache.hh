@@ -39,8 +39,6 @@ class DirectMappedCache
         f4t_assert(lines > 0, "cache needs at least one line");
     }
 
-    std::size_t lineCount() const { return lines_.size(); }
-
     bool
     contains(std::uint32_t flow_id) const
     {
@@ -98,13 +96,6 @@ class DirectMappedCache
             return std::nullopt;
         line.valid = false;
         return std::make_pair(line.entry, line.dirty);
-    }
-
-    double
-    hitRate() const
-    {
-        std::uint64_t total = hits_ + misses_;
-        return total ? static_cast<double>(hits_) / total : 0.0;
     }
 
     void recordHit() { ++hits_; }

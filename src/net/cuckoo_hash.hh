@@ -147,16 +147,6 @@ class CuckooHashTable
         return false;
     }
 
-    /** Number of stash entries in use (diagnostics / tests). */
-    std::size_t
-    stashOccupancy() const
-    {
-        std::size_t n = 0;
-        for (const Entry &slot : stash_)
-            n += slot.occupied ? 1 : 0;
-        return n;
-    }
-
   private:
     struct Entry
     {

@@ -218,7 +218,6 @@ class LinkDirection : public sim::SimObject
     std::uint64_t packetsDropped() const { return packetsDropped_.value(); }
     std::uint64_t bytesSent() const { return bytesSent_.value(); }
 
-    double bandwidthBitsPerSec() const { return bandwidth_; }
     sim::Tick propagationDelay() const { return propagationDelay_; }
     /** Tick the transmitter finishes serializing everything accepted
      *  so far; a store-and-forward device (net/switch.hh) paces its

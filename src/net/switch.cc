@@ -113,7 +113,7 @@ Switch::enqueue(std::size_t out_port, Packet &&pkt)
 
     probe(sim::fr::Kind::switchEnqueue, pkt.flowHash32(), out_port,
           e.queuedBytes);
-    sim::Tick ready = now() + config_.forwardingLatency;
+    sim::Tick ready = now() + forwardingLatency;
     e.fifo.push_back(QueuedFrame{ready, std::move(pkt)});
     // An armed drain always targets the queue head, which is no later
     // than this frame; only an idle queue needs a fresh event.

@@ -67,14 +67,16 @@ struct SwitchConfig
     /** Shared egress pool, in wire bytes (frame + framing overhead),
      *  summed across every port's queued frames. */
     std::size_t sharedEgressBytes = 256 * 1024;
-    /** Store-and-forward pipeline latency per frame (ingress to
-     *  egress-queue admission). */
-    sim::Tick forwardingLatency = sim::nanosecondsToTicks(300);
 };
 
 class Switch : public sim::SimObject
 {
   public:
+    /** Store-and-forward pipeline latency per frame (ingress to
+     *  egress-queue admission). */
+    static constexpr sim::Tick forwardingLatency =
+        sim::nanosecondsToTicks(300);
+
     Switch(sim::Simulation &sim, std::string name, const SwitchConfig &config);
     ~Switch() override;
 

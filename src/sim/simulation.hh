@@ -207,7 +207,7 @@ class Simulation
     {
         if constexpr (checksEnabled) {
             if (now() >= nextAuditAt_ && !audits_.empty()) {
-                nextAuditAt_ = now() + auditInterval_;
+                nextAuditAt_ = now() + auditInterval;
                 runAudits();
             }
         }
@@ -216,9 +216,10 @@ class Simulation
     /** Times runAudits() completed (tests verify audits actually ran). */
     std::uint64_t auditRuns() const { return auditRuns_; }
 
-    void setAuditInterval(Tick interval) { auditInterval_ = interval; }
-
   private:
+    /** Simulated time between audit runs (DESIGN.md §9). */
+    static constexpr Tick auditInterval = microsecondsToTicks(50);
+
     struct Audit
     {
         const void *owner;
@@ -236,7 +237,6 @@ class Simulation
     ClockDomain hostClock_;
     std::vector<Audit> audits_;
     Tick nextAuditAt_ = 0;
-    Tick auditInterval_ = microsecondsToTicks(50);
     std::uint64_t auditRuns_ = 0;
 };
 

@@ -277,9 +277,12 @@ CubicPolicy::onEnterRecovery(Tcb &tcb, std::uint64_t now_us) const
         cubicScale);
     std::uint32_t floor = 2u * tcb.mss;
     tcb.ssthresh = reduced > floor ? reduced : floor;
+    // K comes from the reduced window, W_max·(1-β) below W_max (RFC
+    // 8312 §4.1), so the epoch starts before the recovery inflation.
+    tcb.cwnd = tcb.ssthresh;
+    startEpoch(tcb, now_us);
     tcb.cwnd = tcb.ssthresh + 3u * tcb.mss;
     tcb.ccPhase = CcPhase::fastRecovery;
-    startEpoch(tcb, now_us);
 }
 
 void

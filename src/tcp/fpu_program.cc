@@ -30,8 +30,6 @@ FpuProgram::tcbNeedsProcessing(const Tcb &merged)
     // Any control flag demands a pass (handshake, close, timeout, ...).
     if (merged.pendingFlags != 0)
         return true;
-    if (merged.workPending)
-        return true;
 
     // Fresh duplicate ACKs drive fast retransmit / recovery.
     if (merged.dupAcks != merged.dupAcksSeen)
@@ -84,7 +82,6 @@ FpuProgram::process(Tcb &tcb, std::uint64_t now_us, FpuActions &actions) const
 {
     const std::uint32_t flags = tcb.pendingFlags;
     tcb.pendingFlags = 0;
-    tcb.workPending = false;
 
     // A reset aborts everything immediately.
     if (flags & EventFlags::rstSeen) {
@@ -121,7 +118,7 @@ FpuProgram::process(Tcb &tcb, std::uint64_t now_us, FpuActions &actions) const
             probe.window = tcb.receiveWindow();
             probe.windowProbe = true;
             actions.controls.push_back(probe);
-            tcb.probeDeadlineUs = now_us + config_.probeIntervalUs;
+            tcb.probeDeadlineUs = now_us + probeIntervalUs;
             actions.timers.push_back(
                 {tcb.flowId, TimeoutKind::probe, tcb.probeDeadlineUs});
         }
@@ -401,7 +398,7 @@ FpuProgram::processAck(Tcb &tcb, std::uint64_t now_us,
         if (tcb.ccPhase == CcPhase::fastRecovery) {
             for (std::uint8_t i = 0; i < fresh; ++i)
                 cc_.onDupAckInRecovery(tcb);
-        } else if (tcb.dupAcks >= config_.dupAckThreshold &&
+        } else if (tcb.dupAcks >= dupAckThreshold &&
                    seqGt(tcb.sndNxt, tcb.sndUna) &&
                    seqGeq(tcb.sndUna, tcb.recover)) {
             // Enter fast retransmit / recovery (NewReno: only when the
@@ -455,13 +452,12 @@ FpuProgram::updateRtt(Tcb &tcb, std::uint64_t now_us) const
         tcb.srttUs = static_cast<std::uint32_t>(
             (7 * static_cast<std::int64_t>(tcb.srttUs) + rtt) / 8);
     }
-    std::uint64_t rto = tcb.srttUs + std::max<std::uint32_t>(
-                                         config_.minRtoUs / 2,
-                                         4 * tcb.rttvarUs);
-    if (rto < config_.minRtoUs)
-        rto = config_.minRtoUs;
-    if (rto > config_.maxRtoUs)
-        rto = config_.maxRtoUs;
+    std::uint64_t rto =
+        tcb.srttUs + std::max<std::uint32_t>(minRtoUs / 2, 4 * tcb.rttvarUs);
+    if (rto < minRtoUs)
+        rto = minRtoUs;
+    if (rto > maxRtoUs)
+        rto = maxRtoUs;
     tcb.rtoUs = static_cast<std::uint32_t>(rto);
 }
 
@@ -603,7 +599,7 @@ FpuProgram::sendData(Tcb &tcb, std::uint64_t now_us,
     if (window <= in_flight) {
         if (tcb.sndWnd == 0 && tcb.probeDeadlineUs == 0) {
             // Zero-window: make sure the probe timer is running.
-            tcb.probeDeadlineUs = now_us + config_.probeIntervalUs;
+            tcb.probeDeadlineUs = now_us + probeIntervalUs;
             actions.timers.push_back(
                 {tcb.flowId, TimeoutKind::probe, tcb.probeDeadlineUs});
         }
@@ -614,10 +610,6 @@ FpuProgram::sendData(Tcb &tcb, std::uint64_t now_us,
     std::uint32_t len = static_cast<std::uint32_t>(avail);
     if (len > usable)
         len = usable;
-    if (config_.maxBytesPerPass && len > config_.maxBytesPerPass) {
-        len = config_.maxBytesPerPass;
-        tcb.workPending = true; // more to send next pass
-    }
 
     SegmentRequest seg;
     seg.flow = tcb.flowId;
@@ -712,12 +704,10 @@ void
 FpuProgram::armRtx(Tcb &tcb, std::uint64_t now_us, FpuActions &actions) const
 {
     std::uint64_t rto = tcb.rtoUs;
-    for (std::uint32_t i = 0; i < tcb.rtxBackoff && rto < config_.maxRtoUs;
-         ++i) {
+    for (std::uint32_t i = 0; i < tcb.rtxBackoff && rto < maxRtoUs; ++i)
         rto *= 2;
-    }
-    if (rto > config_.maxRtoUs)
-        rto = config_.maxRtoUs;
+    if (rto > maxRtoUs)
+        rto = maxRtoUs;
     tcb.rtxDeadlineUs = now_us + rto;
     actions.timers.push_back(
         {tcb.flowId, TimeoutKind::retransmit, tcb.rtxDeadlineUs});

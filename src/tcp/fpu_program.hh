@@ -104,18 +104,12 @@ struct FpuActions
     }
 };
 
-/** Tunables of the shared TCP logic. */
+/** Tunables of the shared TCP logic (the fixed ones are the protocol
+ *  constants in tcp/tcb.hh). */
 struct FpuConfig
 {
-    /** Cap on new payload bytes requested per pass; 0 = unlimited.
-     *  The reference hardware lets the packet generator drain an
-     *  arbitrary-length request, so the default is unlimited. */
-    std::uint32_t maxBytesPerPass = 0;
-    std::uint32_t minRtoUs = 5'000;        ///< RTO floor (5 ms)
-    std::uint32_t maxRtoUs = 60'000'000;   ///< RTO ceiling (60 s)
-    std::uint32_t timeWaitUs = 10'000;     ///< shortened 2*MSL for sim
-    std::uint32_t probeIntervalUs = 5'000; ///< zero-window probe period
-    std::uint8_t dupAckThreshold = 3;
+    /** TIME_WAIT length; tests shorten it to recycle flow IDs. */
+    std::uint32_t timeWaitUs = tcp::timeWaitUs;
 };
 
 /**
@@ -133,7 +127,6 @@ class FpuProgram
     unsigned latencyCycles() const { return cc_.processingLatencyCycles(); }
 
     const CongestionControl &congestion() const { return cc_; }
-    const FpuConfig &config() const { return config_; }
 
     /**
      * One full TCP pass. @p tcb is the merged, up-to-date TCB (modified

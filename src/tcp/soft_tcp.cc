@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "host/cost_model.hh"
+
 namespace f4t::tcp
 {
 
@@ -71,7 +73,7 @@ struct SoftTcpStack::Conn
     // --- RTT / RTO ----------------------------------------------------------
     double srttUs = 0;
     double rttvarUs = 0;
-    double rtoUs = 200'000;
+    double rtoUs = initialRtoUs;
     double lastRttUs = 0;
     bool sampling = false;
     std::uint64_t sampleOffset = 0;
@@ -171,10 +173,9 @@ SoftTcpStack::chargeStack(double cycles)
 {
     if (!accountant_ || cycles <= 0)
         return;
-    double kernel = cycles * config_.costs.kernelShare;
+    double kernel = cycles * host::LinuxCosts::kernelShare;
     accountant_->charge(CostCategory::tcpStack, cycles - kernel);
-    if (kernel > 0)
-        accountant_->charge(CostCategory::kernelOther, kernel);
+    accountant_->charge(CostCategory::kernelOther, kernel);
 }
 
 net::MacAddress
@@ -225,7 +226,7 @@ SoftTcpStack::connect(net::Ipv4Address remote_ip, std::uint16_t remote_port)
     conn->peerMac = resolveMac(remote_ip);
     conn->iss = static_cast<SeqNum>((id + 77) * 0x1f3a5c97u);
     setState(*conn, ConnState::synSent);
-    conn->sndWnd = config_.mss; // until the peer advertises
+    conn->sndWnd = mssBytes; // until the peer advertises
 
     connByTuple_[conn->tuple] = id;
     Conn &ref = *conn;
@@ -257,8 +258,8 @@ SoftTcpStack::send(SoftConnId id, std::span<const std::uint8_t> data)
     if (accepted < data.size())
         conn.sendBlocked = true;
 
-    chargeStack(config_.costs.sendSyscall +
-                config_.costs.sendPerByte * accepted);
+    chargeStack(host::LinuxCosts::sendSyscall +
+                host::LinuxCosts::sendPerByte * accepted);
 
     if (conn.state != ConnState::synSent)
         trySendData(conn);
@@ -279,13 +280,14 @@ SoftTcpStack::recv(SoftConnId id, std::span<std::uint8_t> out)
         conn.rxRing.copyOut(conn.rxRing.base(), out.subspan(0, n));
         conn.rxRing.release(n);
         // Window may have reopened; let the peer know if it was closed.
-        if (conn.receiveWindow() >= config_.mss &&
+        if (conn.receiveWindow() >= mssBytes &&
             conn.receiveWindow() <
-                static_cast<std::uint32_t>(config_.mss) * 2) {
+                static_cast<std::uint32_t>(mssBytes) * 2) {
             sendAck(conn);
         }
     }
-    chargeStack(config_.costs.recvSyscall + config_.costs.recvPerByte * n);
+    chargeStack(host::LinuxCosts::recvSyscall +
+                host::LinuxCosts::recvPerByte * n);
     return n;
 }
 
@@ -354,8 +356,8 @@ SoftTcpStack::receivePacket(net::Packet &&pkt)
     if (!pkt.ip || pkt.ip->dst != config_.ip)
         return;
     ++segmentsRcvd_;
-    chargeStack(config_.costs.rxSegment +
-                config_.costs.rxPerByte *
+    chargeStack(host::LinuxCosts::rxSegment +
+                host::LinuxCosts::rxPerByte *
                     static_cast<double>(pkt.payload.size()));
     handleTcp(pkt);
 }
@@ -517,8 +519,8 @@ SoftTcpStack::processAck(Conn &conn, const net::TcpHeader &tcp)
                 ccOnPartialAck(conn, acked_data);
                 // Retransmit the next hole right away.
                 std::uint64_t len = conn.txEnd() - conn.txRing.base();
-                if (len > config_.mss)
-                    len = config_.mss;
+                if (len > mssBytes)
+                    len = mssBytes;
                 if (len > 0) {
                     sendSegment(conn, conn.txRing.base(),
                                 static_cast<std::uint32_t>(len), true);
@@ -568,13 +570,13 @@ SoftTcpStack::processAck(Conn &conn, const net::TcpHeader &tcp)
             !tcp.hasFlag(TcpFlags::syn) && !tcp.hasFlag(TcpFlags::fin)) {
             ++conn.dupAcks;
             if (conn.inRecovery) {
-                conn.cwnd += config_.mss;
+                conn.cwnd += mssBytes;
                 trySendData(conn);
             } else if (conn.dupAcks == 3) {
                 ccOnDupAcks(conn, now_us);
                 std::uint64_t len = conn.txEnd() - conn.txRing.base();
-                if (len > config_.mss)
-                    len = config_.mss;
+                if (len > mssBytes)
+                    len = mssBytes;
                 sendSegment(conn, conn.txRing.base(),
                             static_cast<std::uint32_t>(len), true);
             }
@@ -688,8 +690,8 @@ SoftTcpStack::trySendData(Conn &conn)
         std::uint64_t len = conn.txEnd() - conn.sndNxt;
         if (len > usable)
             len = usable;
-        if (len > config_.mss)
-            len = config_.mss;
+        if (len > mssBytes)
+            len = mssBytes;
         if (len == 0)
             break;
         sendSegment(conn, conn.sndNxt, static_cast<std::uint32_t>(len),
@@ -754,7 +756,7 @@ SoftTcpStack::sendSegment(Conn &conn, std::uint64_t stream_offset,
         conn.sampleOffset = stream_offset + length;
         conn.sampleStartUs = nowUs();
     }
-    chargeStack(config_.costs.txSegment);
+    chargeStack(host::LinuxCosts::txSegment);
     transmit_(std::move(pkt));
     armRto(conn);
 }
@@ -771,7 +773,7 @@ SoftTcpStack::sendControl(Conn &conn, std::uint8_t flags, bool with_mss)
     tcp.flags = flags;
     tcp.window = conn.receiveWindow();
     if (with_mss)
-        tcp.mssOption = config_.mss;
+        tcp.mssOption = mssBytes;
 
     if (flags & TcpFlags::syn) {
         tcp.seq = conn.iss;
@@ -789,7 +791,7 @@ SoftTcpStack::sendControl(Conn &conn, std::uint8_t flags, bool with_mss)
                                            config_.ip,
                                            conn.tuple.remoteIp, tcp);
     ++segmentsSent_;
-    chargeStack(config_.costs.txSegment);
+    chargeStack(host::LinuxCosts::txSegment);
     transmit_(std::move(pkt));
 }
 
@@ -827,8 +829,8 @@ SoftTcpStack::armRto(Conn &conn)
     double rto = conn.rtoUs;
     for (int i = 0; i < conn.rtxBackoff; ++i)
         rto *= 2;
-    if (rto > config_.maxRtoUs)
-        rto = config_.maxRtoUs;
+    if (rto > maxRtoUs)
+        rto = maxRtoUs;
 
     conn.rtoArmed = true;
     std::uint64_t generation = ++conn.timerGeneration;
@@ -889,8 +891,8 @@ SoftTcpStack::onRtoFire(SoftConnId id, std::uint64_t generation)
 
     if (conn->bytesInFlight() > 0) {
         std::uint64_t len = conn->sndNxt - conn->txRing.base();
-        if (len > config_.mss)
-            len = config_.mss;
+        if (len > mssBytes)
+            len = mssBytes;
         sendSegment(*conn, conn->txRing.base(),
                     static_cast<std::uint32_t>(len), true);
     } else if (fin_outstanding) {
@@ -908,7 +910,7 @@ SoftTcpStack::enterTimeWait(Conn &conn)
     SoftConnId id = conn.id;
     std::uint64_t generation = ++conn.twGeneration;
     queue().scheduleCallback(
-        now() + sim::microsecondsToTicks(config_.timeWaitUs),
+        now() + sim::microsecondsToTicks(timeWaitUs),
         sim::prof::Cat::hostComplex, "softtcp.timewait",
         [this, id, generation] {
             Conn *c = find(id);
@@ -945,7 +947,7 @@ SoftTcpStack::finishEstablishment(Conn &conn)
     ccInit(conn);
     cancelRto(conn);
     ++connectionsOpened_;
-    chargeStack(config_.costs.connectionSetup);
+    chargeStack(host::LinuxCosts::connectionSetup);
     if (conn.passive) {
         if (callbacks_.onAccept)
             callbacks_.onAccept(conn.id, conn.listenPort);
@@ -972,12 +974,12 @@ SoftTcpStack::updateRtt(Conn &conn, std::uint64_t now_us)
         conn.rttvarUs = 0.75 * conn.rttvarUs + 0.25 * err;
         conn.srttUs = 0.875 * conn.srttUs + 0.125 * sample;
     }
-    double rto = conn.srttUs + std::max(config_.minRtoUs / 2.0,
+    double rto = conn.srttUs + std::max(minRtoUs / 2.0,
                                         4.0 * conn.rttvarUs);
-    if (rto < config_.minRtoUs)
-        rto = config_.minRtoUs;
-    if (rto > config_.maxRtoUs)
-        rto = config_.maxRtoUs;
+    if (rto < minRtoUs)
+        rto = minRtoUs;
+    if (rto > maxRtoUs)
+        rto = maxRtoUs;
     conn.rtoUs = rto;
 }
 
@@ -988,7 +990,7 @@ SoftTcpStack::updateRtt(Conn &conn, std::uint64_t now_us)
 void
 SoftTcpStack::ccInit(Conn &conn)
 {
-    conn.cwnd = 10.0 * config_.mss;
+    conn.cwnd = 10.0 * mssBytes;
     conn.ssthresh = 1e18;
     conn.dupAcks = 0;
     conn.inRecovery = false;
@@ -999,7 +1001,7 @@ SoftTcpStack::ccInit(Conn &conn)
 void
 SoftTcpStack::ccOnAck(Conn &conn, std::uint32_t acked, std::uint64_t now_us)
 {
-    const double mss = config_.mss;
+    const double mss = mssBytes;
 
     if (conn.cwnd < conn.ssthresh) {
         // Slow start (both algorithms).
@@ -1043,7 +1045,7 @@ SoftTcpStack::cubicStartEpoch(Conn &conn, std::uint64_t now_us)
     constexpr double C = 0.4;
     conn.epochStartUs = now_us;
     conn.wEstGrowthSeg = 0;
-    double cwnd_seg = conn.cwnd / config_.mss;
+    double cwnd_seg = conn.cwnd / mssBytes;
     if (conn.wMaxSeg < cwnd_seg)
         conn.wMaxSeg = cwnd_seg;
     double delta = conn.wMaxSeg - cwnd_seg;
@@ -1053,7 +1055,7 @@ SoftTcpStack::cubicStartEpoch(Conn &conn, std::uint64_t now_us)
 void
 SoftTcpStack::ccOnDupAcks(Conn &conn, std::uint64_t now_us)
 {
-    const double mss = config_.mss;
+    const double mss = mssBytes;
     double flight = static_cast<double>(conn.bytesInFlight());
 
     if (config_.cc == SoftCcAlgo::newReno) {
@@ -1079,7 +1081,7 @@ SoftTcpStack::ccOnDupAcks(Conn &conn, std::uint64_t now_us)
 void
 SoftTcpStack::ccOnPartialAck(Conn &conn, std::uint32_t acked)
 {
-    const double mss = config_.mss;
+    const double mss = mssBytes;
     double deflate = static_cast<double>(acked);
     conn.cwnd = std::max(conn.cwnd - deflate + mss, mss);
 }
@@ -1095,7 +1097,7 @@ SoftTcpStack::ccOnExitRecovery(Conn &conn)
 void
 SoftTcpStack::ccOnTimeout(Conn &conn, std::uint64_t now_us)
 {
-    const double mss = config_.mss;
+    const double mss = mssBytes;
     double flight = static_cast<double>(conn.bytesInFlight());
 
     if (config_.cc == SoftCcAlgo::cubic) {

@@ -66,40 +66,15 @@ enum class SoftCcAlgo : std::uint8_t
     cubic,
 };
 
-/**
- * Calibrated per-operation CPU costs (cycles). Defaults are zero so
- * the stack is "free" when used as a pure protocol oracle; the Linux
- * baseline installs the values from host/cost_model.hh.
- */
-struct SoftCostModel
-{
-    double sendSyscall = 0;      ///< per send() call
-    double sendPerByte = 0;      ///< per byte accepted by send()
-    double recvSyscall = 0;      ///< per recv() call
-    double recvPerByte = 0;      ///< per byte copied out
-    double txSegment = 0;        ///< per wire segment generated
-    double rxSegment = 0;        ///< per wire segment processed
-    double rxPerByte = 0;        ///< per received payload byte
-    double connectionSetup = 0;  ///< per handshake completed
-    double kernelShare = 0.0;    ///< fraction of stack cycles booked as
-                                 ///< kernelOther instead of tcpStack
-};
-
 struct SoftTcpConfig
 {
     net::Ipv4Address ip;
     net::MacAddress mac;
     std::size_t sendBufBytes = 512 * 1024;
     std::size_t recvBufBytes = 512 * 1024;
-    std::uint16_t mss = 1460;
     SoftCcAlgo cc = SoftCcAlgo::newReno;
-    std::uint32_t minRtoUs = 5'000;
-    std::uint32_t maxRtoUs = 60'000'000;
-    std::uint32_t initialRtoUs = 200'000;
-    std::uint32_t timeWaitUs = 10'000;
     /** First ephemeral port (staggered across per-core stacks). */
     std::uint16_t ephemeralPortBase = 32768;
-    SoftCostModel costs;
 };
 
 /** Connection handle used by applications. */
@@ -139,6 +114,9 @@ class SoftTcpStack : public sim::SimObject, public net::PacketSink
     }
 
     void setCallbacks(const SoftTcpCallbacks &cb) { callbacks_ = cb; }
+    /** Charge the calibrated Linux stack costs (host/cost_model.hh) to
+     *  @p acct. Without an accountant the stack is free, as a pure
+     *  protocol oracle. */
     void setAccountant(CycleAccountant *acct) { accountant_ = acct; }
 
     // --- application interface -----------------------------------------

@@ -37,6 +37,26 @@ using FlowId = std::uint32_t;
 
 constexpr FlowId invalidFlowId = ~FlowId{0};
 
+// --- TCP protocol constants --------------------------------------------
+// Fixed for every experiment, as FtEngine fixes them in hardware. The
+// FPU program, the packet generator and SoftTcpStack read them; FtEngine
+// and the stalling engine get them through Tcb's defaults below.
+
+/** Maximum segment size (a 1500 B MTU less 40 B of headers). */
+constexpr std::uint16_t mssBytes = 1460;
+/** Initial retransmission timeout, before any RTT sample (200 ms). */
+constexpr std::uint32_t initialRtoUs = 200'000;
+/** RTO floor (5 ms). */
+constexpr std::uint32_t minRtoUs = 5'000;
+/** RTO ceiling (60 s). */
+constexpr std::uint32_t maxRtoUs = 60'000'000;
+/** Zero-window probe period. */
+constexpr std::uint32_t probeIntervalUs = 5'000;
+/** Duplicate ACKs that trigger fast retransmit. */
+constexpr std::uint8_t dupAckThreshold = 3;
+/** TIME_WAIT: a shortened 2*MSL for simulation. */
+constexpr std::uint32_t timeWaitUs = 10'000;
+
 /** TCP connection states (RFC 793 subset implemented by FtEngine). */
 enum class ConnState : std::uint8_t
 {
@@ -176,13 +196,13 @@ struct Tcb
      *  each retransmit the next hole (multi-segment tail loss would
      *  otherwise crawl at one segment per backed-off RTO). */
     bool rtoRecovery = false;
-    std::uint16_t mss = 1460;
+    std::uint16_t mss = mssBytes;
     std::uint32_t algoScratch[algoScratchWords] = {};
 
     // --- RTT estimation (RFC 6298), microsecond granularity -------------
     std::uint32_t srttUs = 0;
     std::uint32_t rttvarUs = 0;
-    std::uint32_t rtoUs = 200'000; ///< initial RTO: 200 ms
+    std::uint32_t rtoUs = initialRtoUs;
     bool rttSampling = false;
     net::SeqNum rttSampleSeq = 0;
     std::uint64_t rttSampleStartUs = 0;
@@ -205,8 +225,6 @@ struct Tcb
 
     // --- engine bookkeeping ----------------------------------------------
     bool evictRequested = false;
-    bool workPending = false; ///< FPU wants another pass (e.g., more data
-                              ///< to send than one pass may emit)
     std::uint64_t lastActiveCycle = 0;
 
     // --- host notification watermarks ------------------------------------

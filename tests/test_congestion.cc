@@ -177,7 +177,8 @@ TEST(Cubic, ConcaveGrowthTowardWmax)
         // Without a loss the window never shrinks, so a drop is a wrap.
         ASSERT_GE(tcb.cwnd, previous) << "at RTT " << rtt;
         previous = tcb.cwnd;
-        if (rtt == 11 || rtt == 50 || rtt == 100 || rtt == 300) {
+        if (rtt == 2 || rtt == 3 || rtt == 11 || rtt == 50 || rtt == 100 ||
+            rtt == 300) {
             EXPECT_NEAR(tcb.cwnd / 1460.0, rfc_window(rtt), 3.0)
                 << "at RTT " << rtt;
         }

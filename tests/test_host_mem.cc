@@ -86,7 +86,7 @@ TEST(Pcie, BandwidthSerializesTransfers)
 
 TEST(CommandQueue, RingDepthBackpressures)
 {
-    host::CommandQueue queue(4, 16);
+    host::CommandQueue queue(4);
     host::Command cmd;
     for (int i = 0; i < 4; ++i)
         EXPECT_TRUE(queue.push(cmd));

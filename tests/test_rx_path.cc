@@ -337,7 +337,7 @@ class PacketGeneratorTest : public ::testing::Test
   protected:
     PacketGeneratorTest()
         : domain("mac", 322.265625e6, sim.queue()),
-          generator(sim, "pktgen", domain, mss)
+          generator(sim, "pktgen", domain)
     {
         generator.setAddressLookup([](tcp::FlowId) {
             return FlowAddress{FourTuple{serverIp, serverPort, clientIp,
@@ -355,7 +355,7 @@ class PacketGeneratorTest : public ::testing::Test
         });
     }
 
-    static constexpr std::uint16_t mss = 1460;
+    static constexpr std::uint16_t mss = 1460; ///< the paper's MSS
 
     sim::Simulation sim;
     sim::ClockDomain domain;
